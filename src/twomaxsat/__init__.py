@@ -39,7 +39,7 @@ from .layered import (
     upper_boundary,
 )
 from .oracle import decide_2maxsat, oracle_max_dnf, oracle_max_sat
-from .pipeline import PipelineRun, run_pipeline
+from .pipeline import FrontEnd, PipelineRun, front_end, run_pipeline, search
 from .sequences import (
     GlobalOrdering,
     TieBreak,
@@ -58,6 +58,7 @@ __all__ = [
     "Assignment",
     "CnfFormula",
     "DnfFormula",
+    "FrontEnd",
     "GlobalOrdering",
     "PipelineRun",
     "TieBreak",
@@ -82,6 +83,7 @@ __all__ = [
     "find_subset_alg2",
     "formula_from_ints",
     "frequency_ordering",
+    "front_end",
     "fuzz",
     "lexical_ordering",
     "merge_main_paths",
@@ -95,5 +97,6 @@ __all__ = [
     "run_counterexample",
     "run_pipeline",
     "satisfied_conjunctions",
+    "search",
     "shrink",
 ]

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import export as ex
@@ -138,13 +137,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         max_n0=args.max_n0,
         max_m0=args.max_m0,
         orderings_per_formula=args.orderings,
-        algorithms=tuple(int(a) for a in args.algorithms.split(",")),
+        algorithms=args.algorithms,
         variable_cap=args.var_cap,
     )
-    if args.threads > 1:
-        mismatches = _fuzz_parallel(args.seed, args.iters, params, args.threads)
-    else:
-        mismatches = harness.fuzz(args.seed, args.iters, params)
+    mismatches = harness.fuzz(args.seed, args.iters, params)
     if args.shrink:
         mismatches = [harness.shrink(m, params.variable_cap) for m in mismatches]
     payload = {
@@ -157,31 +153,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
     _emit(payload)
     return EXIT_OK
-
-
-def _fuzz_parallel(seed: int, iterations: int, params, threads: int):
-    """Same stream as harness.fuzz: formulas generated serially, checked in a pool,
-    results merged in submission order."""
-    import random as _random
-
-    rng = _random.Random(seed)
-    work = []
-    for _ in range(iterations):
-        f = harness.random_formula(rng, params)
-        for ordering in harness.tie_consistent_orderings(f, params.orderings_per_formula):
-            for algorithm in params.algorithms:
-                work.append((f, ordering, algorithm))
-    out = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(harness.check_one, f, ordering, algorithm, params.variable_cap)
-            for f, ordering, algorithm in work
-        ]
-        for future in futures:
-            found = future.result()
-            if found is not None:
-                out.append(found)
-    return out
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -200,16 +171,23 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(raw: str) -> int:
+    if not raw.isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def _algorithm_list(raw: str) -> tuple[int, ...]:
+    parts = [part.strip() for part in raw.split(",")]
+    if not all(part in ("1", "3") for part in parts):
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of 1 and 3, got {raw!r}")
+    return tuple(int(part) for part in parts)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twomaxsat",
         description="2-MAXSAT trie-like-graph pipeline, exact oracle, and refutation harness",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_env_int("THREADS", "1"),
-        help="worker threads for the fuzzer (default 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -240,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=_env_int("ITERS", "100"))
     p.add_argument("--max-n0", type=int, default=4)
     p.add_argument("--max-m0", type=int, default=3)
-    p.add_argument("--orderings", type=int, default=6)
-    p.add_argument("--algorithms", default="1,3")
+    p.add_argument("--orderings", type=_positive_int, default=6)
+    p.add_argument("--algorithms", type=_algorithm_list, default=(1, 3),
+                   help="comma-separated, each 1 or 3 (default 1,3)")
     p.add_argument("--var-cap", type=int, default=_env_int("VAR_CAP", "24"))
     p.add_argument("--shrink", action="store_true", help="minimize each mismatch")
     p.add_argument("--report", default=None, help="write the JSON report here")

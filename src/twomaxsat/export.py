@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .harness_types import AuditReport
 from .layered import LayeredGraph
 from .pipeline import PipelineRun
 from .sequences import VarSequence
@@ -201,10 +200,6 @@ def answer_json(run: PipelineRun) -> dict[str, Any]:
         "mode": answer.mode,
         "ordering": answer.ordering.display() if answer.ordering else None,
     }
-
-
-def audit_json(report: AuditReport) -> dict[str, Any]:
-    return report.to_dict()
 
 
 def dumps(payload: dict[str, Any]) -> str:

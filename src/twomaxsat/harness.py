@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ExpectationFailedError, TwoMaxSatError
 from .formula import (
@@ -34,7 +34,7 @@ from .harness_types import (
     SkipOverEdge,
 )
 from .oracle import oracle_max_sat
-from .pipeline import PipelineRun, run_pipeline
+from .pipeline import FrontEnd, PipelineRun, front_end, run_pipeline, search
 from .sequences import sequence_frequencies
 
 FAMILY_CAP = 12
@@ -193,7 +193,8 @@ def tie_consistent_orderings(f: CnfFormula, cap: int) -> list[tuple[str, ...]]:
     """All orderings compatible with the sequence frequencies, up to `cap`.
 
     Ties are the adversarial degree of freedom, so the fuzzer enumerates every
-    way of breaking them instead of sampling one.
+    way of breaking them instead of sampling one.  The enumeration is lazy:
+    a wide tie yields its first orderings without listing its permutations.
     """
     padded = pad_missing(cnf_to_dnf(f))
     freq = sequence_frequencies(padded)
@@ -201,12 +202,17 @@ def tie_consistent_orderings(f: CnfFormula, cap: int) -> list[tuple[str, ...]]:
     for var, count in freq.items():
         by_count.setdefault(count, []).append(var.name)
     tiers = [sorted(by_count[count]) for count in sorted(by_count, reverse=True)]
-    out: list[tuple[str, ...]] = []
-    for combo in itertools.product(*(itertools.permutations(tier) for tier in tiers)):
-        out.append(tuple(itertools.chain.from_iterable(combo)))
-        if len(out) >= cap:
-            break
-    return out
+
+    def orderings(rest: list[list[str]]) -> Iterator[tuple[str, ...]]:
+        # the last tier varies fastest, as in itertools.product
+        if not rest:
+            yield ()
+            return
+        for head in itertools.permutations(rest[0]):
+            for tail in orderings(rest[1:]):
+                yield head + tail
+
+    return list(itertools.islice(orderings(tiers), cap))
 
 
 def random_formula(rng: random.Random, params: FuzzParams) -> CnfFormula:
@@ -223,6 +229,25 @@ def random_formula(rng: random.Random, params: FuzzParams) -> CnfFormula:
     return formula_from_ints(clauses, m0)
 
 
+def _check(front: FrontEnd, algorithm: int, truth: int) -> Mismatch | None:
+    """Search one front end and compare with the oracle's count; None when they agree.
+
+    The only place a Mismatch is built: fuzz, check_one and shrink all end here.
+    """
+    run = search(front, algorithm)
+    if run.answer.max_count == truth:
+        return None
+    return Mismatch(
+        dimacs=render_cnf(front.formula),
+        ordering=tuple(v.name for v in front.ordering.variables),
+        algorithm=algorithm,
+        pipeline_answer=run.answer.max_count,
+        oracle_answer=truth,
+        witness_labels=tuple(sorted(run.answer.witness.leaf_labels)),
+        diagnosis=diagnose_skip_over(run),
+    )
+
+
 def check_one(
     f: CnfFormula,
     ordering: Sequence[str],
@@ -230,44 +255,27 @@ def check_one(
     variable_cap: int = 24,
 ) -> Mismatch | None:
     """Compare one pipeline run against the oracle; None when they agree."""
-    oracle = oracle_max_sat(f, variable_cap)
-    run = run_pipeline(f, ordering=list(ordering), algorithm=algorithm)
-    if run.answer.max_count == oracle.max_count:
-        return None
-    return Mismatch(
-        dimacs=render_cnf(f),
-        ordering=tuple(ordering),
-        algorithm=algorithm,
-        pipeline_answer=run.answer.max_count,
-        oracle_answer=oracle.max_count,
-        witness_labels=tuple(sorted(run.answer.witness.leaf_labels)),
-        diagnosis=diagnose_skip_over(run),
-    )
+    truth = oracle_max_sat(f, variable_cap).max_count
+    return _check(front_end(f, list(ordering)), algorithm, truth)
 
 
 def fuzz(seed: int, iterations: int, params: FuzzParams = FuzzParams()) -> list[Mismatch]:
-    """Deterministic differential stream; identical seed implies identical output."""
+    """Deterministic differential stream; identical seed implies identical output.
+
+    The oracle runs once per formula and the front end once per ordering;
+    only the search runs once per algorithm.
+    """
     rng = random.Random(seed)
     mismatches: list[Mismatch] = []
     for _ in range(iterations):
         f = random_formula(rng, params)
         truth = oracle_max_sat(f, params.variable_cap).max_count
         for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
+            front = front_end(f, list(ordering))
             for algorithm in params.algorithms:
-                run = run_pipeline(f, ordering=list(ordering), algorithm=algorithm)
-                if run.answer.max_count == truth:
-                    continue
-                mismatches.append(
-                    Mismatch(
-                        dimacs=render_cnf(f),
-                        ordering=tuple(ordering),
-                        algorithm=algorithm,
-                        pipeline_answer=run.answer.max_count,
-                        oracle_answer=truth,
-                        witness_labels=tuple(sorted(run.answer.witness.leaf_labels)),
-                        diagnosis=diagnose_skip_over(run),
-                    )
-                )
+                found = _check(front, algorithm, truth)
+                if found is not None:
+                    mismatches.append(found)
     return mismatches
 
 
@@ -357,8 +365,7 @@ def shrink(m: Mismatch, variable_cap: int = 24) -> Mismatch:
                 break
         if improved:
             continue
-        by_frequency = run_pipeline(f, ordering="frequency", algorithm=current.algorithm)
-        default_names = tuple(v.name for v in by_frequency.ordering.variables)
+        default_names = tuple(v.name for v in front_end(f, "frequency").ordering.variables)
         if default_names != current.ordering:
             found = replay(clauses, f.m0, default_names)
             if found is not None:

@@ -138,9 +138,6 @@ class LayeredGraph:
             if iid not in have_parent
         ]
 
-    def children_of(self, instance_id: int) -> list[LayeredEdge]:
-        return [e for e in self.edges if e.parent == instance_id]
-
 
 def classify_duplicate_case(g: TrieLikeGraph, occurrences: Iterable[int]) -> str:
     """Case 1/2/3 for the trie nodes that generated one duplicate parent."""

@@ -1,4 +1,9 @@
-"""End-to-end composition of the conversion chain and the layered search."""
+"""End-to-end composition of the conversion chain and the layered search.
+
+``front_end`` runs steps 1-8 up to the trie-like graph, which nothing writes
+to afterwards, so one front end serves both search algorithms; ``search``
+runs the layered build and findSubset on it.  ``run_pipeline`` is the two.
+"""
 
 from __future__ import annotations
 
@@ -23,8 +28,8 @@ from .trie import NodeMap, Trie, TrieLikeGraph, merge_main_paths, overlay_spans
 
 
 @dataclass
-class PipelineRun:
-    """Every intermediate stage of one run, for export and auditing."""
+class FrontEnd:
+    """Steps 1-8 of one run: every stage before the layered search."""
 
     formula: CnfFormula
     dnf: DnfFormula
@@ -36,6 +41,12 @@ class PipelineRun:
     trie: Trie
     node_map: NodeMap
     trielike: TrieLikeGraph
+
+
+@dataclass
+class PipelineRun(FrontEnd):
+    """Every intermediate stage of one run, for export and auditing."""
+
     layered: LayeredGraph
     answer: PipelineAnswer
 
@@ -58,15 +69,12 @@ def resolve_ordering(
     return explicit_ordering(dnf, list(ordering))
 
 
-def run_pipeline(
+def front_end(
     f: CnfFormula,
-    ordering: str | Sequence[str] | GlobalOrdering = "frequency",
-    algorithm: int = 1,
+    ordering: str | Sequence[str] | GlobalOrdering,
     tie_break: TieBreak = TieBreak.FIRST_APPEARANCE,
-) -> PipelineRun:
-    """Execute steps 1-10 and return the claimed 2-MAXSAT answer with all stages."""
-    if algorithm not in (1, 3):
-        raise ValueError(f"algorithm must be 1 or 3, got {algorithm}")
+) -> FrontEnd:
+    """Steps 1-8: CNF->DNF, padding, ordering, sequences, spans, trie-like graph."""
     dnf = cnf_to_dnf(f)
     padded = pad_missing(dnf)
     ordering_used = resolve_ordering(dnf, padded, ordering, tie_break)
@@ -75,20 +83,26 @@ def run_pipeline(
     pstars = [close_spans(pg) for pg in pgraphs]
     trie, node_map = merge_main_paths(pgraphs)
     trielike = overlay_spans(trie, node_map, pstars)
-    build = build_layered_alg1 if algorithm == 1 else build_layered_alg3
-    layered = build(trielike)
-    answer = find_subset_alg2(layered, ordering_used)
-    return PipelineRun(
-        formula=f,
-        dnf=dnf,
-        padded=padded,
-        ordering=ordering_used,
-        sequences=sequences,
-        pgraphs=pgraphs,
-        pstars=pstars,
-        trie=trie,
-        node_map=node_map,
-        trielike=trielike,
-        layered=layered,
-        answer=answer,
+    return FrontEnd(
+        f, dnf, padded, ordering_used, sequences, pgraphs, pstars, trie, node_map, trielike
     )
+
+
+def search(front: FrontEnd, algorithm: int) -> PipelineRun:
+    """Steps 9-10 on a built front end: the layered search, then findSubset."""
+    if algorithm not in (1, 3):
+        raise ValueError(f"algorithm must be 1 or 3, got {algorithm}")
+    build = build_layered_alg1 if algorithm == 1 else build_layered_alg3
+    layered = build(front.trielike)
+    answer = find_subset_alg2(layered, front.ordering)
+    return PipelineRun(**vars(front), layered=layered, answer=answer)
+
+
+def run_pipeline(
+    f: CnfFormula,
+    ordering: str | Sequence[str] | GlobalOrdering = "frequency",
+    algorithm: int = 1,
+    tie_break: TieBreak = TieBreak.FIRST_APPEARANCE,
+) -> PipelineRun:
+    """Execute steps 1-10 and return the claimed 2-MAXSAT answer with all stages."""
+    return search(front_end(f, ordering, tie_break), algorithm)

@@ -65,11 +65,6 @@ class VarSequence:
         return ".".join(item.display() for item in self.items)
 
 
-class OrderingSource(enum.Enum):
-    FREQUENCY = "frequency"
-    EXPLICIT = "explicit"
-
-
 class TieBreak(enum.Enum):
     FIRST_APPEARANCE = "first_appearance"
     VARIABLE_ID = "variable_id"
@@ -81,7 +76,6 @@ class GlobalOrdering:
     """A total order over the DNF variable table; position 0 is leftmost."""
 
     variables: tuple[Variable, ...]
-    source: OrderingSource
 
     @cached_property
     def _rank(self) -> dict[int, int]:
@@ -170,7 +164,7 @@ def frequency_ordering(
                     raise ExplicitOrderContradictsFrequencyError(
                         f"{u.name} (freq {freq[u]}) precedes {v.name} (freq {freq[v]})"
                     )
-        return GlobalOrdering(tuple(ordered), OrderingSource.FREQUENCY)
+        return GlobalOrdering(tuple(ordered))
 
     first_idx: dict[Variable, int] = {}
     for idx, pc in enumerate(padded):
@@ -186,13 +180,13 @@ def frequency_ordering(
             return (-freq[v], v.id)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unsupported tie break {tie_break}")
-    return GlobalOrdering(tuple(sorted(variables, key=key)), OrderingSource.FREQUENCY)
+    return GlobalOrdering(tuple(sorted(variables, key=key)))
 
 
 def lexical_ordering(d: DnfFormula) -> GlobalOrdering:
     """Name order (v1 > v2 > ... > y1 > y2 ...); the running example's ordering."""
     ordered = sorted(d.variables, key=lambda v: _natural_key(v.name))
-    return GlobalOrdering(tuple(ordered), OrderingSource.EXPLICIT)
+    return GlobalOrdering(tuple(ordered))
 
 
 def explicit_ordering(d: DnfFormula, names: Sequence[str]) -> GlobalOrdering:
@@ -210,7 +204,7 @@ def explicit_ordering(d: DnfFormula, names: Sequence[str]) -> GlobalOrdering:
     if len(ordered) != len(d.variables):
         missing = sorted((v.name for v in d.variables if v.name not in seen), key=_natural_key)
         raise IncompleteExplicitOrderError(f"ordering misses: {', '.join(missing)}")
-    return GlobalOrdering(tuple(ordered), OrderingSource.EXPLICIT)
+    return GlobalOrdering(tuple(ordered))
 
 
 def parse_ordering(spec: str) -> list[str]:

@@ -1,10 +1,12 @@
 """Per-sequence path graphs with spans and their transitive closure (steps 5-6).
 
 A p-graph is the sequence's path plus one base span per starred interior
-position: the edge that jumps over it.  Closing merges overlapping spans --
-whenever the two-node suffix of one span equals the two-node prefix of
-another, their union is added (originals kept) -- until a fixpoint.  Spans are
-stored positionally because endpoints may themselves be starred items.
+position: the edge that jumps over it.  The paper closes the spans by merging
+overlapping ones -- whenever the two-node suffix of one span equals the
+two-node prefix of another, their union is added (originals kept) -- until a
+fixpoint.  That fixpoint has a closed form, which ``close_spans`` enumerates
+directly; the tests keep the merge rule as a second oracle.  Spans are stored
+positionally because endpoints may themselves be starred items.
 """
 
 from __future__ import annotations
@@ -53,17 +55,18 @@ def build_pgraph(seq: VarSequence) -> PGraph:
 
 
 def close_spans(p: PGraph) -> PStarGraph:
-    """Fixpoint of the overlap-merge rule, keeping the original spans."""
-    closed: set[tuple[int, int]] = {(s.from_pos, s.to_pos) for s in p.spans}
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(closed)
-        for i, j in current:
-            for k, l in current:
-                # suffix (j-1, j) of the first equals prefix (k, k+1) of the second
-                if k == j - 1 and l > j and (i, l) not in closed:
-                    closed.add((i, l))
-                    changed = True
-    spans = tuple(Span(i, j) for i, j in sorted(closed))
-    return PStarGraph(p, spans)
+    """Every (i, j) with j - i >= 2 whose positions in between the spans all cover.
+
+    On base spans, each jumping one starred position, this is the fixpoint of
+    the overlap-merge rule: merging chains base spans across a run of
+    consecutive starred positions, so exactly the (i, j) whose interior lies
+    inside one run are reached.
+    """
+    covered = {pos for s in p.spans for pos in s.covered}
+    spans = []
+    for i in range(len(p.items)):
+        j = i + 1
+        while j in covered:
+            j += 1
+            spans.append(Span(i, j))
+    return PStarGraph(p, tuple(spans))

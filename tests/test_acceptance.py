@@ -45,7 +45,7 @@ from twomaxsat.oracle import oracle_max_dnf, oracle_max_sat
 from twomaxsat.pipeline import run_pipeline
 from twomaxsat.spans import build_pgraph, close_spans
 from tests.conftest import all_formulas
-from tests.test_spans import closure_oracle, sequence_from_pattern
+from tests.test_spans import closure_oracle, fixpoint_closure, sequence_from_pattern
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -273,9 +273,10 @@ def test_criterion_09_span_closure_oracle():
         interior = rng.randint(0, 10)  # 12 items including the sentinels
         flags = [rng.random() < 0.5 for _ in range(interior)]
         seq = sequence_from_pattern(flags)
-        closed = close_spans(build_pgraph(seq)).closed_spans
-        assert {(s.from_pos, s.to_pos) for s in closed} == closure_oracle(seq)
-    check("9 span-closure-oracle", True, "10000 sequences")
+        p = build_pgraph(seq)
+        closed = {(s.from_pos, s.to_pos) for s in close_spans(p).closed_spans}
+        assert closed == closure_oracle(seq) == fixpoint_closure(p)
+    check("9 span-closure-oracle", True, "10000 sequences, two oracles")
 
 
 def test_criterion_10_determinism():

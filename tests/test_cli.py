@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -169,29 +170,30 @@ def test_fuzz_report_deterministic(capsys, tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_fuzz_threads_match_serial(capsys, tmp_path):
-    serial = tmp_path / "serial.json"
-    threaded = tmp_path / "threaded.json"
-    assert main(["fuzz", "--seed", "9", "--iters", "10", "--report", str(serial)]) == 0
-    capsys.readouterr()
-    assert (
-        main(
-            [
-                "--threads",
-                "2",
-                "fuzz",
-                "--seed",
-                "9",
-                "--iters",
-                "10",
-                "--report",
-                str(threaded),
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    assert serial.read_bytes() == threaded.read_bytes()
+# Report digests recorded before the fuzz loop shared its front end; the
+# bytes must not depend on how the loop is organised or on PYTHONHASHSEED.
+PINNED_FUZZ_REPORTS = [
+    (["--iters", "100"], 689, "692a38d2b18cc01791271e0ac35fc6eaeffaa13e49d370f03ca6385fdee25315"),
+    (["--iters", "30", "--shrink"], 227, "cf9582fc6ad31c22b3eb3b10fb8e69b1c2963c525e792eab941786d65b68956d"),
+]
+
+
+@pytest.mark.parametrize("extra, count, digest", PINNED_FUZZ_REPORTS)
+def test_fuzz_report_bytes_pinned(capsys, tmp_path, extra, count, digest):
+    path = tmp_path / "report.json"
+    code, payload = _run(capsys, ["fuzz", "--seed", "42", *extra, "--report", str(path)])
+    assert code == 0 and payload["mismatch_count"] == count
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "bad", [["--algorithms", "2"], ["--algorithms", "1,x"], ["--orderings", "0"]]
+)
+def test_fuzz_rejects_bad_input_exit_2(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--iters", "1", *bad])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_fuzz_shrink_flag(capsys, tmp_path):

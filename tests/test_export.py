@@ -15,7 +15,8 @@ from twomaxsat.export import (
     trielike_dot,
     trielike_json,
 )
-from twomaxsat.pipeline import run_pipeline
+from twomaxsat.export import STAGES
+from twomaxsat.pipeline import front_end, run_pipeline, search
 
 
 def test_sequence_text(running):
@@ -101,3 +102,16 @@ def test_export_stage_roundtrip_and_determinism(running):
     for stage in ("dnf", "sequences", "pgraphs", "pstars", "trie", "trielike", "layered", "answer"):
         assert export_stage(run1, stage, "dot") == export_stage(run2, stage, "dot")
     assert export_stage(run1, "layered", "json") == export_stage(run2, "layered", "json")
+
+
+def test_shared_front_end_exports_match_separate_runs(running, ce1, ce3):
+    # the trie-like graph is read-only after the overlay, so Algorithm 3
+    # searching the front end Algorithm 1 already searched changes no byte
+    for f, spec in ((running, "lexical"), (ce1, "y1>y2>v1"), (ce3, "y2>y1>v1")):
+        front = front_end(f, spec)
+        for algorithm in (1, 3, 1):
+            shared = search(front, algorithm)
+            alone = run_pipeline(f, ordering=spec, algorithm=algorithm)
+            for stage in STAGES:
+                for fmt in ("dot", "json"):
+                    assert export_stage(shared, stage, fmt) == export_stage(alone, stage, fmt)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from twomaxsat.errors import ExpectationFailedError
-from twomaxsat.formula import parse_cnf, render_cnf
+from twomaxsat.formula import cnf_to_dnf, formula_from_ints, pad_missing, parse_cnf, render_cnf
 from twomaxsat.harness import (
     CE1_DIMACS,
     FuzzParams,
@@ -16,12 +19,14 @@ from twomaxsat.harness import (
     family,
     family_ordering,
     fuzz,
+    random_formula,
     run_counterexample,
     shrink,
     tie_consistent_orderings,
 )
 from twomaxsat.oracle import oracle_max_sat
 from twomaxsat.pipeline import run_pipeline
+from twomaxsat.sequences import sequence_frequencies
 
 
 def test_builtin_specs():
@@ -93,6 +98,51 @@ def test_tie_consistent_orderings_ce1(ce1):
     assert ("y1", "y2", "v1") in orderings
     assert ("y2", "y1", "v1") in orderings
     assert all(names[-1] == "v1" for names in orderings)  # v1 has frequency 0
+
+
+def _product_orderings(f, cap):
+    """The eager enumeration: every tier's permutations, producted in tier order."""
+    freq = sequence_frequencies(pad_missing(cnf_to_dnf(f)))
+    by_count: dict[int, list[str]] = {}
+    for var, count in freq.items():
+        by_count.setdefault(count, []).append(var.name)
+    tiers = [sorted(by_count[c]) for c in sorted(by_count, reverse=True)]
+    combos = itertools.product(*(itertools.permutations(t) for t in tiers))
+    return [tuple(itertools.chain.from_iterable(c)) for c in itertools.islice(combos, cap)]
+
+
+def test_tie_orderings_match_eager_product():
+    rng = random.Random(31)
+    params = FuzzParams(max_n0=5, max_m0=4)
+    for _ in range(300):
+        f = random_formula(rng, params)
+        for cap in (1, 6, 50):
+            assert tie_consistent_orderings(f, cap) == _product_orderings(f, cap)
+
+
+def test_tie_orderings_wide_tie_is_lazy():
+    # v1..v12 all appear in both sequences: a 12-way tie of 12! permutations,
+    # of which only the first 6 may be generated
+    f = formula_from_ints([[1, 2]], 12)
+    tier = sorted(f"v{i}" for i in range(1, 13))
+    expected = [head + ("y1",) for head in itertools.islice(itertools.permutations(tier), 6)]
+    assert tie_consistent_orderings(f, 6) == expected
+
+
+def test_fuzz_equals_check_one_per_item():
+    # the shared front end and the once-per-formula oracle change no mismatch
+    params = FuzzParams(max_n0=4, max_m0=3, orderings_per_formula=3)
+    rng = random.Random(11)
+    expected = []
+    for _ in range(40):
+        f = random_formula(rng, params)
+        for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
+            for algorithm in params.algorithms:
+                found = check_one(f, ordering, algorithm)
+                if found is not None:
+                    expected.append(found)
+    assert expected
+    assert fuzz(11, 40, params) == expected
 
 
 def test_fuzz_zero_iterations_empty():

@@ -1,4 +1,4 @@
-"""p-graphs, base spans, and the closure against its brute-force characterization."""
+"""p-graphs, base spans, and the closure against its characterization and the merge fixpoint."""
 
 from __future__ import annotations
 
@@ -43,6 +43,22 @@ def closure_oracle(seq: VarSequence) -> set[tuple[int, int]]:
         for j in range(i + 2, n)
         if all(p in starred for p in range(i + 1, j))
     }
+
+
+def fixpoint_closure(p: PGraph) -> set[tuple[int, int]]:
+    """The paper's rule, run to a fixpoint: whenever the two-node suffix of one
+    span equals the two-node prefix of another, add their union."""
+    closed = {(s.from_pos, s.to_pos) for s in p.spans}
+    changed = True
+    while changed:
+        changed = False
+        current = sorted(closed)
+        for i, j in current:
+            for k, l in current:
+                if k == j - 1 and l > j and (i, l) not in closed:
+                    closed.add((i, l))
+                    changed = True
+    return closed
 
 
 def _sequences(f, ordering_spec):
@@ -104,16 +120,18 @@ def test_closure_matches_characterization_seeded():
         interior = rng.randint(0, 10)
         flags = [rng.random() < 0.5 for _ in range(interior)]
         seq = sequence_from_pattern(flags)
-        closed = close_spans(build_pgraph(seq)).closed_spans
-        assert {(s.from_pos, s.to_pos) for s in closed} == closure_oracle(seq)
+        p = build_pgraph(seq)
+        closed = {(s.from_pos, s.to_pos) for s in close_spans(p).closed_spans}
+        assert closed == closure_oracle(seq) == fixpoint_closure(p)
 
 
 @given(st.lists(st.booleans(), min_size=0, max_size=10))
 @settings(max_examples=300, deadline=None)
 def test_closure_matches_characterization_property(flags):
     seq = sequence_from_pattern(flags)
-    closed = close_spans(build_pgraph(seq)).closed_spans
-    assert {(s.from_pos, s.to_pos) for s in closed} == closure_oracle(seq)
+    p = build_pgraph(seq)
+    closed = {(s.from_pos, s.to_pos) for s in close_spans(p).closed_spans}
+    assert closed == closure_oracle(seq) == fixpoint_closure(p)
 
 
 def test_span_count_bound(running, ce1, ce2, ce3):
