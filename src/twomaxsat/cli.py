@@ -3,7 +3,10 @@
 Subcommands: oracle, pipeline, repro, fuzz, audit, export.
 Exit codes: 0 success / expectations met; 1 semantic negative (decision false,
 expectation failed, bound violated); 2 input error; 3 resource cap exceeded.
-Config precedence: flags > environment (MAXSAT_ prefix) > defaults.
+Config precedence: flags > environment (MAXSAT_ prefix) > defaults.  An
+environment value is parsed like the flag it stands for, and only by the
+subcommand that has that flag, so a bad value fails that subcommand alone,
+with exit 2.
 """
 
 from __future__ import annotations
@@ -34,15 +37,6 @@ EXIT_CAP = 3
 
 def _env(name: str, default: str | None = None) -> str | None:
     return os.environ.get(f"MAXSAT_{name}", default)
-
-
-def _env_int(name: str, default: str) -> int:
-    raw = _env(name, default)
-    try:
-        return int(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        print(f"error: MAXSAT_{name} must be an integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
 
 
 def _read_formula(path: str):
@@ -177,6 +171,12 @@ def _positive_int(raw: str) -> int:
     return int(raw)
 
 
+def _algorithm(raw: str) -> int:
+    if raw.strip() not in ("1", "3"):
+        raise argparse.ArgumentTypeError(f"expected 1 or 3, got {raw!r}")
+    return int(raw)
+
+
 def _algorithm_list(raw: str) -> tuple[int, ...]:
     parts = [part.strip() for part in raw.split(",")]
     if not all(part in ("1", "3") for part in parts):
@@ -194,15 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact 2-MAXSAT by exhaustive enumeration")
     p.add_argument("formula", help="DIMACS-like file ('-' for stdin)")
     p.add_argument("--k", type=int, default=None, help="decision threshold")
-    p.add_argument("--var-cap", type=int, default=_env_int("VAR_CAP", "24"))
+    p.add_argument("--var-cap", type=int, default=_env("VAR_CAP", "24"))
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("pipeline", help="run conversion steps 1-10 and report the claimed maximum")
     p.add_argument("formula")
     p.add_argument("--ordering", default=_env("ORDERING", "frequency"),
                    help="'frequency', 'lexical', or an explicit spec like 'y1>y2>v1'")
-    p.add_argument("--algorithm", type=int, choices=(1, 3),
-                   default=_env_int("ALGORITHM", "1"))
+    p.add_argument("--algorithm", type=_algorithm, default=_env("ALGORITHM", "1"),
+                   help="1 or 3")
     p.add_argument("--export", default=None, help="comma-separated stages to write")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", default="exports")
@@ -214,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_repro)
 
     p = sub.add_parser("fuzz", help="differential-test random formulas against the oracle")
-    p.add_argument("--seed", type=int, default=_env_int("SEED", "0"))
-    p.add_argument("--iters", type=int, default=_env_int("ITERS", "100"))
-    p.add_argument("--max-n0", type=int, default=4)
-    p.add_argument("--max-m0", type=int, default=3)
+    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
+    p.add_argument("--iters", type=int, default=_env("ITERS", "100"))
+    p.add_argument("--max-n0", type=_positive_int, default=4)
+    p.add_argument("--max-m0", type=_positive_int, default=3)
     p.add_argument("--orderings", type=_positive_int, default=6)
     p.add_argument("--algorithms", type=_algorithm_list, default=(1, 3),
                    help="comma-separated, each 1 or 3 (default 1,3)")
-    p.add_argument("--var-cap", type=int, default=_env_int("VAR_CAP", "24"))
+    p.add_argument("--var-cap", type=int, default=_env("VAR_CAP", "24"))
     p.add_argument("--shrink", action="store_true", help="minimize each mismatch")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_fuzz)
@@ -229,15 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="measure structure sizes against the proved bounds")
     p.add_argument("formula")
     p.add_argument("--ordering", default=_env("ORDERING", "frequency"))
-    p.add_argument("--algorithm", type=int, choices=(1, 3),
-                   default=_env_int("ALGORITHM", "1"))
+    p.add_argument("--algorithm", type=_algorithm, default=_env("ALGORITHM", "1"),
+                   help="1 or 3")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("export", help="write stage exports for a pipeline run")
     p.add_argument("formula")
     p.add_argument("--ordering", default=_env("ORDERING", "frequency"))
-    p.add_argument("--algorithm", type=int, choices=(1, 3),
-                   default=_env_int("ALGORITHM", "1"))
+    p.add_argument("--algorithm", type=_algorithm, default=_env("ALGORITHM", "1"),
+                   help="1 or 3")
     p.add_argument("--stages", default="trie,trielike,layered,answer")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", default="exports")

@@ -71,3 +71,7 @@ class TooManyVariablesError(TwoMaxSatError):
 
 class ExpectationFailedError(TwoMaxSatError):
     """A builtin counterexample stopped reproducing its recorded numbers."""
+
+
+class InternalError(RuntimeError):
+    """A proved invariant of the pipeline failed: a bug, not a bad input."""

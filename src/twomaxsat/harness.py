@@ -96,15 +96,14 @@ def diagnose_skip_over(run: PipelineRun) -> tuple[SkipOverEdge, ...]:
 
     For each span-kind edge inside the witness, the leaf labels reachable
     below its child are compared against the edge's owner labels; any label
-    that climbed through a span it does not own is a skip-over.
+    that climbed through a span it does not own is a skip-over.  Reads only
+    the witness closure, never the whole layered graph.
     """
-    lg = run.layered
     witness = run.answer.witness
+    trie = run.trielike.trie
     children: dict[int, list] = {}
-    for edge in lg.edges:
-        if edge.parent in witness.instances and edge.child in witness.instances:
-            children.setdefault(edge.parent, []).append(edge)
-    leaf_layer = set(lg.layers[0])
+    for edge in witness.edges:
+        children.setdefault(edge.parent, []).append(edge)
 
     def labels_below(iid: int) -> frozenset[str]:
         seen = set()
@@ -115,10 +114,9 @@ def diagnose_skip_over(run: PipelineRun) -> tuple[SkipOverEdge, ...]:
             if cur in seen:
                 continue
             seen.add(cur)
-            if cur in leaf_layer:
-                labels.update(
-                    lg.source.trie.node(lg.instances[cur].trie_node).conjunction_labels
-                )
+            inst = witness.nodes[cur]
+            if inst.layer == 1:
+                labels.update(trie.node(inst.trie_node).conjunction_labels)
             stack.extend(e.child for e in children.get(cur, ()))
         return frozenset(labels)
 
@@ -127,9 +125,9 @@ def diagnose_skip_over(run: PipelineRun) -> tuple[SkipOverEdge, ...]:
         for edge in edges:
             if edge.kind != "span":
                 continue
-            child_node = lg.instances[edge.child].trie_node
-            parent_node = lg.instances[edge.parent].trie_node
-            owners = lg.source.span_owners(child_node, parent_node)
+            child_node = witness.nodes[edge.child].trie_node
+            parent_node = witness.nodes[edge.parent].trie_node
+            owners = run.trielike.span_owners(child_node, parent_node)
             violating = labels_below(edge.child) - owners
             if violating:
                 findings.append(
@@ -168,8 +166,8 @@ def run_counterexample(spec: CounterexampleSpec, strict: bool = True) -> dict:
             "mismatch_vs_oracle": got != oracle.max_count,
             "layers": run.layered.layer_count,
             "witness_labels": sorted(run.answer.witness.leaf_labels),
-            "degenerate_merges": sum(1 for e in run.layered.merge_events if e.degenerate),
-            "merge_events": len(run.layered.merge_events),
+            "degenerate_merges": run.layered.merge_event_count,  # every merge degenerates
+            "merge_events": run.layered.merge_event_count,
         }
         report["runs"].append(entry)
         ok = ok and entry["pipeline_ok"]
@@ -187,6 +185,15 @@ class FuzzParams:
     algorithms: tuple[int, ...] = (1, 3)
     duplicate_literal_bias: float = 0.4
     variable_cap: int = 24
+
+    def __post_init__(self) -> None:
+        if not self.algorithms or not set(self.algorithms) <= {1, 3}:
+            raise ValueError(
+                f"algorithms must be a non-empty subset of {{1, 3}}, got {self.algorithms}"
+            )
+        for name in ("orderings_per_formula", "max_n0", "max_m0"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def tie_consistent_orderings(f: CnfFormula, cap: int) -> list[tuple[str, ...]]:
@@ -420,9 +427,9 @@ def audit_bounds(
         "layered_instances": run.layered.vertex_count,
         "layered_edges": run.layered.edge_count,
         "layered_layers": run.layered.layer_count,
-        "groups": len(run.layered.groups),
-        "groups_expanded": sum(1 for g in run.layered.groups if g.pushed),
-        "merge_events": len(run.layered.merge_events),
+        "groups": run.layered.group_count,
+        "groups_expanded": run.layered.expanded_group_count,
+        "merge_events": run.layered.merge_event_count,
         "rooted_subgraphs": len(run.answer.per_subgraph),
     }
     return report

@@ -11,23 +11,37 @@ edges but never expand.
 
 Algorithm 3 exists only as prose and worked examples, never as pseudocode;
 this is a reconstruction of that described behavior.  Expansion works as in
-Algorithm 1, but whenever a parent
-trie node is generated by two or more members of one expansion the merge is
-classified (Case 1: generators in pairwise-distinct root branches; Case 2: on
-one root-to-leaf path; Case 3: the unexplained catch-all) and the reachable
-subset / upper boundary machinery is attempted.  When it degenerates -- always
-the case when the repeated node is the root, the merge is not Case 1, or every
-reachable subset has fewer than two members -- the merged instance is not
-expanded further and the expansion's non-merged parents continue as
-single-node recursions.  A merge whose upper boundary is well defined keeps
-its merged instance alive as a singleton continuation scoped by the boundary.
+Algorithm 1, but whenever a parent trie node is generated by two or more
+members of one expansion the merge is classified (Case 1: generators in
+pairwise-distinct root branches; Case 2: on one root-to-leaf path; Case 3:
+the unexplained catch-all).  The merged instance is not expanded further and
+the expansion's non-merged parents that form no pushed group continue as
+single-node recursions.
 
-On graphs this pipeline builds, the well-defined branch is unreachable: every
-span edge connects a node to an ancestor on its own root path, so all
-generators of a repeated non-root node share that node's root branch (never
-Case 1), and a Case 1 repeat can only be the root, which has no anchor.
-Every merge therefore degenerates, which is precisely how the recorded
-counterexamples defeat the improved search.
+The described reachable-subset / upper-boundary machinery would keep a merged
+instance alive only for a Case 1 merge below the root.  On graphs this
+pipeline builds that never happens: every span edge connects a node to an
+ancestor on its own root path, so all generators of a repeated non-root node
+share that node's root branch (never Case 1), and a Case 1 repeat can only
+be the root, which has no anchor.  Every merge therefore degenerates, which
+is precisely how the recorded counterexamples defeat the improved search; a
+Case 1 merge with anchors raises InternalError instead of running code that
+cannot run.  ``reachable_subset`` and ``upper_boundary`` stay public for
+hand-built graphs.
+
+Both searches are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): popping a group depends only on the
+ordered tuple of its members' trie nodes, so each distinct tuple is expanded
+once into an ``Expansion`` that also sums its subtree's sizes.  The search
+is a depth-first stack, so every pushed group's subtree takes one contiguous
+block of instance ids and group ids -- its created parents first, then its
+child subtrees in pop order -- and the subtree sizes give every absolute id.
+``LayeredGraph`` therefore knows its counts without building anything; its
+``instances``, ``layers``, ``edges``, ``groups`` and ``merge_events`` are
+unfolded from the memo on first read, in exactly the order a materialising
+search creates them.  Only exports, DOT output, ``roots``/``layer`` and
+``enumerate_rooted_subgraphs`` read them; findSubset, the skip-over
+diagnosis, the audits and the fuzzer never unfold.
 """
 
 from __future__ import annotations
@@ -38,6 +52,7 @@ from typing import Iterable, Sequence
 from .errors import (
     AnchorNotOnPathError,
     DegenerateSubsetsError,
+    InternalError,
     NotADuplicateError,
 )
 from .trie import TrieLikeGraph
@@ -73,7 +88,7 @@ class Group:
     layer: int
     child_group: int | None
     pushed: bool
-    origin: str  # "leaves" | "label" | "merge-sibling" | "merged-scoped"
+    origin: str  # "leaves" | "label" | "merge-sibling"
 
 
 @dataclass(frozen=True)
@@ -99,31 +114,115 @@ class MergeEvent:
     degenerate: bool
     reason: str  # "" when not degenerate
     anchors: tuple[int, ...] = ()
+    # always empty: no merge on a pipeline-built graph reaches the reachable
+    # subsets; kept so that exports keep their fields
     subset_sizes: tuple[int, ...] = ()
     boundary: UpperBoundary | None = None
 
 
+@dataclass(eq=False, repr=False)
+class Expansion:
+    """What popping a group with one member trie-node tuple creates, and its subtree.
+
+    Members are positions in that tuple; created parents are indices into
+    ``created``.  The totals cover the whole subtree below the popped group:
+    everything its expansion creates plus every child subtree.  Entries are
+    shared, so comparing or printing one field by field would walk the
+    exponential tree; both are by identity.
+    """
+
+    created: tuple[int, ...]  # trie nodes of the new parents, in creation order
+    edges: tuple[tuple[int, int, str], ...]  # (member position, created index, kind)
+    generators: tuple[tuple[int, ...], ...]  # member positions behind each created parent
+    groups: tuple[tuple[str, tuple[int, ...], bool, str], ...]
+    # (label, created indices, pushed, origin)
+    merges: tuple[tuple[int, tuple[int, ...], str, str, tuple[int, ...]], ...]
+    # (created index, generator trie nodes, case, reason, anchors)
+    children: tuple[tuple[int, Expansion], ...]  # (group index, its expansion), in pop order
+    roots: tuple[int, ...]  # created indices that never get a parent
+    instances: int
+    edge_total: int
+    group_total: int
+    expanded_total: int
+    merge_total: int
+    height: int  # layers the subtree adds above the popped group
+
+
+@dataclass
+class _Unfolded:
+    instances: dict[int, NodeInstance]
+    layers: list[list[int]]
+    edges: list[LayeredEdge]
+    groups: list[Group]
+    merge_events: list[MergeEvent]
+
+
+_NOTHING = Expansion((), (), (), (), (), (), (), 0, 0, 0, 0, 0, 0)  # of a graph with no leaves
+
+
 @dataclass
 class LayeredGraph:
+    """A layered search result: eager counts, and the graph unfolded on demand.
+
+    ``leaves`` are the trie nodes of the layer-1 instances (ids 1..L) and
+    ``top`` is the memoised expansion of the initial leaves group.
+    """
+
     mode: str  # "alg1" | "alg3"
     source: TrieLikeGraph
-    instances: dict[int, NodeInstance] = field(default_factory=dict)
-    layers: list[list[int]] = field(default_factory=list)
-    edges: list[LayeredEdge] = field(default_factory=list)
-    groups: list[Group] = field(default_factory=list)
-    merge_events: list[MergeEvent] = field(default_factory=list)
-
-    @property
-    def layer_count(self) -> int:
-        return len(self.layers)
+    leaves: tuple[int, ...] = ()
+    top: Expansion = _NOTHING
+    _unfolded: _Unfolded | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.instances)
+        return len(self.leaves) + self.top.instances
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.top.edge_total
+
+    @property
+    def layer_count(self) -> int:
+        return 1 + self.top.height if self.leaves else 0
+
+    @property
+    def group_count(self) -> int:
+        return 1 + self.top.group_total if self.leaves else 0
+
+    @property
+    def expanded_group_count(self) -> int:
+        return 1 + self.top.expanded_total if self.leaves else 0
+
+    @property
+    def merge_event_count(self) -> int:
+        """Merge events; every one is degenerate (see the module docstring)."""
+        return self.top.merge_total
+
+    @property
+    def instances(self) -> dict[int, NodeInstance]:
+        return self.unfold().instances
+
+    @property
+    def layers(self) -> list[list[int]]:
+        return self.unfold().layers
+
+    @property
+    def edges(self) -> list[LayeredEdge]:
+        return self.unfold().edges
+
+    @property
+    def groups(self) -> list[Group]:
+        return self.unfold().groups
+
+    @property
+    def merge_events(self) -> list[MergeEvent]:
+        return self.unfold().merge_events
+
+    def unfold(self) -> _Unfolded:
+        if self._unfolded is None:
+            self._unfolded = unfold(self)
+        return self._unfolded
 
     def layer(self, index: int) -> list[NodeInstance]:
         """Instances of 1-based layer `index`."""
@@ -144,15 +243,13 @@ def classify_duplicate_case(g: TrieLikeGraph, occurrences: Iterable[int]) -> str
     occ = sorted(set(occurrences))
     if len(occ) < 2:
         raise NotADuplicateError(f"need at least two occurrences, got {occ}")
-    ancestor_sets = {nid: set(g.trie.ancestors(nid)) for nid in occ}
+    chains = {nid: g.trie.ancestors(nid) for nid in occ}
+    ancestor_sets = {nid: set(chain) for nid, chain in chains.items()}
     def comparable(a: int, b: int) -> bool:
         return a in ancestor_sets[b] or b in ancestor_sets[a]
     if all(comparable(a, b) for i, a in enumerate(occ) for b in occ[i + 1 :]):
         return DuplicateCase.CASE2
-    tops = set()
-    for nid in occ:
-        chain = g.trie.ancestors(nid)
-        tops.add(chain[1] if len(chain) > 1 else nid)
+    tops = {chain[1] if len(chain) > 1 else nid for nid, chain in chains.items()}
     if len(tops) == len(occ):
         return DuplicateCase.CASE1
     return DuplicateCase.CASE3
@@ -219,204 +316,149 @@ def upper_boundary(
     return UpperBoundary(tuple(subsets), members)
 
 
-class _Builder:
+class _Memo:
+    """The hash-cons table of one search: member trie-node tuple -> Expansion."""
+
     def __init__(self, g: TrieLikeGraph, mode: str):
         self.g = g
-        self.lg = LayeredGraph(mode=mode, source=g)
-        self._edge_seen: set[tuple[int, int]] = set()
-        self._next_instance = 1
-        self._next_group = 1
+        self.alg3 = mode == "alg3"
+        self.table: dict[tuple[int, ...], Expansion] = {}
+        # indexed by trie node id, which starts at 1
+        self.parents = [[]] + [g.parents_of(node.id) for node in g.trie.nodes]
+        self.labels = [""] + [node.label_text for node in g.trie.nodes]
 
-    def new_instance(self, trie_node: int, layer: int) -> NodeInstance:
-        inst = NodeInstance(self._next_instance, trie_node, layer)
-        self._next_instance += 1
-        self.lg.instances[inst.instance_id] = inst
-        while len(self.lg.layers) < layer:
-            self.lg.layers.append([])
-        self.lg.layers[layer - 1].append(inst.instance_id)
-        return inst
+    def expansion(self, key: tuple[int, ...]) -> Expansion:
+        found = self.table.get(key)
+        if found is None:
+            found = self.table[key] = self._expand(key)
+        return found
 
-    def add_edge(self, child: int, parent: int, kind: str) -> None:
-        if (child, parent) not in self._edge_seen:
-            self._edge_seen.add((child, parent))
-            self.lg.edges.append(LayeredEdge(child, parent, kind))
-
-    def new_group(
-        self,
-        label: str,
-        members: Sequence[int],
-        layer: int,
-        child_group: int | None,
-        pushed: bool,
-        origin: str,
-    ) -> Group:
-        grp = Group(self._next_group, label, tuple(members), layer, child_group, pushed, origin)
-        self._next_group += 1
-        self.lg.groups.append(grp)
-        return grp
-
-    def leaf_layer(self) -> Group:
-        leaves = [n.id for n in self.g.trie.leaves()]
-        members = [self.new_instance(nid, 1).instance_id for nid in leaves]
-        return self.new_group("$", members, 1, None, True, "leaves")
-
-    def expand(self, grp: Group):
-        """Generate the parents of one group; returns creation-ordered instances
-        and the member-instances that generated each parent."""
-        created: dict[int, NodeInstance] = {}
-        order: list[NodeInstance] = []
-        gens: dict[int, list[int]] = {}
-        target = grp.layer + 1
-        for member_iid in grp.members:
-            member = self.lg.instances[member_iid]
-            for parent_node, kind in self.g.parents_of(member.trie_node):
-                inst = created.get(parent_node)
-                if inst is None:
-                    inst = self.new_instance(parent_node, target)
-                    created[parent_node] = inst
-                    order.append(inst)
-                    gens[parent_node] = []
-                self.add_edge(member_iid, inst.instance_id, kind)
-                gens[parent_node].append(member_iid)
-        return order, gens
-
-    def label_groups(
-        self, insts: Sequence[NodeInstance], child_group: int
-    ) -> list[Group]:
+    def _expand(self, key: tuple[int, ...]) -> Expansion:
+        created: list[int] = []
+        index: dict[int, int] = {}
+        gens: list[list[int]] = []
+        edges: list[tuple[int, int, str]] = []
+        for pos, nid in enumerate(key):
+            for parent, kind in self.parents[nid]:
+                c = index.get(parent)
+                if c is None:
+                    c = index[parent] = len(created)
+                    created.append(parent)
+                    gens.append([])
+                if not gens[c] or gens[c][-1] != pos:  # one edge per pair: the first kind wins
+                    edges.append((pos, c, kind))
+                gens[c].append(pos)
+        merged = [c for c, ps in enumerate(gens) if len(ps) >= 2] if self.alg3 else []
+        merges = []
+        for c in merged:
+            generators = tuple(sorted({key[pos] for pos in gens[c]}))
+            merges.append((c, generators, *self._merge(created[c], generators)))
+        plain = [c for c in range(len(created)) if c not in merged]
         buckets: dict[str, list[int]] = {}
-        order: list[str] = []
-        for inst in insts:
-            label = self.g.trie.node(inst.trie_node).label_text
-            if label not in buckets:
-                buckets[label] = []
-                order.append(label)
-            buckets[label].append(inst.instance_id)
-        out = []
-        for label in order:
-            members = buckets[label]
-            out.append(
-                self.new_group(
-                    label,
-                    members,
-                    self.lg.instances[members[0]].layer,
-                    child_group,
-                    pushed=len(members) >= 2,
-                    origin="label",
-                )
-            )
-        return out
+        for c in plain:
+            buckets.setdefault(self.labels[created[c]], []).append(c)
+        groups = [(label, tuple(cs), len(cs) >= 2, "label") for label, cs in buckets.items()]
+        if merged:
+            # a duplicate appeared: remaining parents recurse as single nodes
+            grouped = {c for _, cs, pushed, _ in groups if pushed for c in cs}
+            groups += [
+                (self.labels[created[c]], (c,), True, "merge-sibling")
+                for c in plain
+                if c not in grouped
+            ]
+        pushed = [gi for gi, grp in enumerate(groups) if grp[2]]
+        children = tuple(
+            (gi, self.expansion(tuple(created[c] for c in groups[gi][1])))
+            for gi in reversed(pushed)
+        )
+        expanded = {c for gi in pushed for c in groups[gi][1]}
+        root = self.g.trie.root.id
+        subtrees = [child for _, child in children]
+        return Expansion(
+            created=tuple(created),
+            edges=tuple(edges),
+            generators=tuple(tuple(ps) for ps in gens),
+            groups=tuple(groups),
+            merges=tuple(merges),
+            children=children,
+            roots=tuple(
+                c for c, nid in enumerate(created) if c not in expanded or nid == root
+            ),
+            instances=len(created) + sum(s.instances for s in subtrees),
+            edge_total=len(edges) + sum(s.edge_total for s in subtrees),
+            group_total=len(groups) + sum(s.group_total for s in subtrees),
+            expanded_total=len(pushed) + sum(s.expanded_total for s in subtrees),
+            merge_total=len(merges) + sum(s.merge_total for s in subtrees),
+            height=1 + max((s.height for s in subtrees), default=0) if created else 0,
+        )
 
-    def merge_event(self, inst: NodeInstance, generator_iids: Sequence[int]) -> MergeEvent:
-        g = self.g
-        gen_nodes = tuple(
-            sorted({self.lg.instances[iid].trie_node for iid in generator_iids})
-        )
-        case = classify_duplicate_case(g, gen_nodes)
-        anchors = anchor_candidates(g, inst.trie_node)
-        event = MergeEvent(
-            layer=inst.layer,
-            trie_node=inst.trie_node,
-            instance=inst.instance_id,
-            generators=gen_nodes,
-            case=case,
-            degenerate=True,
-            reason="",
-            anchors=tuple(anchors),
-        )
+    def _merge(self, node: int, generators: tuple[int, ...]) -> tuple[str, str, tuple[int, ...]]:
+        """(case, reason, anchors) of one Algorithm 3 merge; every one degenerates."""
+        case = classify_duplicate_case(self.g, generators)
+        anchors = tuple(anchor_candidates(self.g, node))
         if case != DuplicateCase.CASE1:
             # reachable subsets are only defined relative to a Case 1 repeat
-            event.reason = "non-case1-merge"
-            return event
-        if not anchors:
-            event.reason = "anchor-not-on-path"
-            return event
-        subsets = []
-        for u in anchors:
-            by_label: dict[str, ReachableSubset] = {}
-            scope = g.trie.subtree(inst.trie_node)
-            for nid in g.span_reachable_from(u):
-                if nid not in scope:
-                    continue
-                label = g.trie.node(nid).label_text
-                sub = by_label.get(label)
-                if sub is None:
-                    by_label[label] = ReachableSubset(u, label, frozenset({nid}))
-                else:
-                    by_label[label] = ReachableSubset(
-                        u, label, sub.members | {nid}
-                    )
-            subsets.extend(by_label[label] for label in sorted(by_label))
-        event.subset_sizes = tuple(len(s.members) for s in subsets)
-        usable = [s for s in subsets if len(s.members) >= 2]
-        if not usable:
-            event.reason = "degenerate-subsets"
-            return event
-        event.boundary = upper_boundary(g, usable)
-        event.degenerate = False
-        return event
+            return case, "non-case1-merge", anchors
+        if anchors:
+            raise InternalError(
+                f"Case 1 merge at non-root node n{node} (generators {generators}): "
+                "a span edge leaves its owner's root path"
+            )
+        return case, "anchor-not-on-path", anchors
+
+
+def _build(g: TrieLikeGraph, mode: str) -> LayeredGraph:
+    leaves = tuple(n.id for n in g.trie.leaves())
+    return LayeredGraph(mode, g, leaves, _Memo(g, mode).expansion(leaves))
 
 
 def build_layered_alg1(g: TrieLikeGraph) -> LayeredGraph:
     """SEARCH: expand groups of two or more same-labeled parents until none form."""
-    b = _Builder(g, "alg1")
-    stack = [b.leaf_layer()]
-    while stack:
-        grp = stack.pop()
-        order, _gens = b.expand(grp)
-        for label_group in b.label_groups(order, grp.group_id):
-            if label_group.pushed:
-                stack.append(label_group)
-    return b.lg
+    return _build(g, "alg1")
 
 
 def build_layered_alg3(g: TrieLikeGraph) -> LayeredGraph:
     """The reconstructed improved search: merge, classify, and collapse duplicates."""
-    b = _Builder(g, "alg3")
-    stack = [b.leaf_layer()]
+    return _build(g, "alg3")
+
+
+def unfold(lg: LayeredGraph) -> _Unfolded:
+    """Every instance, layer, edge, group and merge event, in creation order.
+
+    Replays the depth-first search over the memo: popping a group numbers its
+    created parents and groups next, then pushes its pushed groups.
+    """
+    out = _Unfolded({}, [], [], [], [])
+    if not lg.leaves:
+        return out
+    for iid, nid in enumerate(lg.leaves, start=1):
+        out.instances[iid] = NodeInstance(iid, nid, 1)
+    leaf_ids = tuple(out.instances)
+    out.groups.append(Group(1, "$", leaf_ids, 1, None, True, "leaves"))
+    stack = [(lg.top, leaf_ids, 1, 1)]  # expansion, member ids, group id, layer
     while stack:
-        grp = stack.pop()
-        order, gens = b.expand(grp)
-        merged = {
-            inst.trie_node: inst
-            for inst in order
-            if len(gens[inst.trie_node]) >= 2
-        }
-        events = [
-            b.merge_event(inst, gens[inst.trie_node])
-            for inst in order
-            if inst.trie_node in merged
-        ]
-        b.lg.merge_events.extend(events)
-        plain = [inst for inst in order if inst.trie_node not in merged]
-        pushed_members: set[int] = set()
-        for label_group in b.label_groups(plain, grp.group_id):
-            if label_group.pushed:
-                stack.append(label_group)
-                pushed_members.update(label_group.members)
-        if merged:
-            # a duplicate appeared: remaining parents recurse as single nodes
-            for inst in plain:
-                if inst.instance_id in pushed_members:
-                    continue
-                single = b.new_group(
-                    b.g.trie.node(inst.trie_node).label_text,
-                    (inst.instance_id,),
-                    inst.layer,
-                    grp.group_id,
-                    pushed=True,
-                    origin="merge-sibling",
-                )
-                stack.append(single)
-        for event in events:
-            if not event.degenerate:
-                # a usable upper boundary keeps the merged instance expanding
-                scoped = b.new_group(
-                    b.g.trie.node(event.trie_node).label_text,
-                    (event.instance,),
-                    b.lg.instances[event.instance].layer,
-                    grp.group_id,
-                    pushed=True,
-                    origin="merged-scoped",
-                )
-                stack.append(scoped)
-    return b.lg
+        exp, members, group_id, layer = stack.pop()
+        # one int object per id, shared by every record that names it
+        first = len(out.instances) + 1
+        ids = list(range(first, first + len(exp.created)))
+        for iid, nid in zip(ids, exp.created):
+            out.instances[iid] = NodeInstance(iid, nid, layer + 1)
+        out.edges.extend(LayeredEdge(members[pos], ids[c], kind) for pos, c, kind in exp.edges)
+        first_group = len(out.groups) + 1
+        for gi, (label, cs, pushed, origin) in enumerate(exp.groups):
+            members_here = tuple(ids[c] for c in cs)
+            out.groups.append(
+                Group(first_group + gi, label, members_here, layer + 1, group_id, pushed, origin)
+            )
+        out.merge_events.extend(
+            MergeEvent(layer + 1, exp.created[c], ids[c], generators, case, True, reason, anchors)
+            for c, generators, case, reason, anchors in exp.merges
+        )
+        for gi, child in reversed(exp.children):  # stored in pop order
+            grp = out.groups[first_group - 1 + gi]
+            stack.append((child, grp.members, grp.group_id, layer + 1))
+    for iid, inst in out.instances.items():
+        while len(out.layers) < inst.layer:
+            out.layers.append([])
+        out.layers[inst.layer - 1].append(iid)
+    return out

@@ -1,0 +1,445 @@
+"""The materialising layered search and findSubset, kept as an independent
+derivation for the memoised ones in ``twomaxsat.layered``/``twomaxsat.subsets``.
+
+``_Builder``, ``build_layered_alg1``/``build_layered_alg3`` (with Algorithm 3's
+reachable-subset and merged-scoped branches), the ``_label_bits`` findSubset
+and ``diagnose_skip_over`` are the pre-memo code, unchanged except that they
+write into the plain containers below.  ``assert_matches_reference`` is the
+equality gate: the unfolded graph, the counts, ``per_subgraph``, the witness
+and the diagnosis must all agree.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Sequence
+
+from twomaxsat.errors import EmptyGraphError
+from twomaxsat.harness import diagnose_skip_over as memo_diagnose_skip_over
+from twomaxsat.harness_types import SkipOverEdge
+from twomaxsat.layered import (
+    DuplicateCase,
+    Group,
+    LayeredEdge,
+    MergeEvent,
+    NodeInstance,
+    ReachableSubset,
+    anchor_candidates,
+    classify_duplicate_case,
+    upper_boundary,
+)
+from twomaxsat.pipeline import FrontEnd, search
+from twomaxsat.trie import TrieLikeGraph
+
+
+@dataclass
+class RefGraph:
+    mode: str
+    source: TrieLikeGraph
+    instances: dict[int, NodeInstance] = field(default_factory=dict)
+    layers: list[list[int]] = field(default_factory=list)
+    edges: list[LayeredEdge] = field(default_factory=list)
+    groups: list[Group] = field(default_factory=list)
+    merge_events: list[MergeEvent] = field(default_factory=list)
+
+    @property
+    def layer_count(self) -> int:
+        return len(self.layers)
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.instances)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def roots(self) -> list[NodeInstance]:
+        have_parent = {edge.child for edge in self.edges}
+        return [
+            self.instances[iid]
+            for iid in sorted(self.instances)
+            if iid not in have_parent
+        ]
+
+
+@dataclass(frozen=True)
+class RefSubgraph:
+    root: NodeInstance
+    instances: frozenset[int]
+    leaf_labels: frozenset[str]
+    true_variables: frozenset[str]
+
+
+@dataclass(frozen=True)
+class RefAnswer:
+    max_count: int
+    witness: RefSubgraph
+    per_subgraph: tuple[tuple[int, int], ...]
+    mode: str
+    ordering: object
+
+
+class _Builder:
+    def __init__(self, g: TrieLikeGraph, mode: str):
+        self.g = g
+        self.lg = RefGraph(mode=mode, source=g)
+        self._edge_seen: set[tuple[int, int]] = set()
+        self._next_instance = 1
+        self._next_group = 1
+
+    def new_instance(self, trie_node: int, layer: int) -> NodeInstance:
+        inst = NodeInstance(self._next_instance, trie_node, layer)
+        self._next_instance += 1
+        self.lg.instances[inst.instance_id] = inst
+        while len(self.lg.layers) < layer:
+            self.lg.layers.append([])
+        self.lg.layers[layer - 1].append(inst.instance_id)
+        return inst
+
+    def add_edge(self, child: int, parent: int, kind: str) -> None:
+        if (child, parent) not in self._edge_seen:
+            self._edge_seen.add((child, parent))
+            self.lg.edges.append(LayeredEdge(child, parent, kind))
+
+    def new_group(
+        self,
+        label: str,
+        members: Sequence[int],
+        layer: int,
+        child_group: int | None,
+        pushed: bool,
+        origin: str,
+    ) -> Group:
+        grp = Group(self._next_group, label, tuple(members), layer, child_group, pushed, origin)
+        self._next_group += 1
+        self.lg.groups.append(grp)
+        return grp
+
+    def leaf_layer(self) -> Group:
+        leaves = [n.id for n in self.g.trie.leaves()]
+        members = [self.new_instance(nid, 1).instance_id for nid in leaves]
+        return self.new_group("$", members, 1, None, True, "leaves")
+
+    def expand(self, grp: Group):
+        """Generate the parents of one group; returns creation-ordered instances
+        and the member-instances that generated each parent."""
+        created: dict[int, NodeInstance] = {}
+        order: list[NodeInstance] = []
+        gens: dict[int, list[int]] = {}
+        target = grp.layer + 1
+        for member_iid in grp.members:
+            member = self.lg.instances[member_iid]
+            for parent_node, kind in self.g.parents_of(member.trie_node):
+                inst = created.get(parent_node)
+                if inst is None:
+                    inst = self.new_instance(parent_node, target)
+                    created[parent_node] = inst
+                    order.append(inst)
+                    gens[parent_node] = []
+                self.add_edge(member_iid, inst.instance_id, kind)
+                gens[parent_node].append(member_iid)
+        return order, gens
+
+    def label_groups(
+        self, insts: Sequence[NodeInstance], child_group: int
+    ) -> list[Group]:
+        buckets: dict[str, list[int]] = {}
+        order: list[str] = []
+        for inst in insts:
+            label = self.g.trie.node(inst.trie_node).label_text
+            if label not in buckets:
+                buckets[label] = []
+                order.append(label)
+            buckets[label].append(inst.instance_id)
+        out = []
+        for label in order:
+            members = buckets[label]
+            out.append(
+                self.new_group(
+                    label,
+                    members,
+                    self.lg.instances[members[0]].layer,
+                    child_group,
+                    pushed=len(members) >= 2,
+                    origin="label",
+                )
+            )
+        return out
+
+    def merge_event(self, inst: NodeInstance, generator_iids: Sequence[int]) -> MergeEvent:
+        g = self.g
+        gen_nodes = tuple(
+            sorted({self.lg.instances[iid].trie_node for iid in generator_iids})
+        )
+        case = classify_duplicate_case(g, gen_nodes)
+        anchors = anchor_candidates(g, inst.trie_node)
+        event = MergeEvent(
+            layer=inst.layer,
+            trie_node=inst.trie_node,
+            instance=inst.instance_id,
+            generators=gen_nodes,
+            case=case,
+            degenerate=True,
+            reason="",
+            anchors=tuple(anchors),
+        )
+        if case != DuplicateCase.CASE1:
+            # reachable subsets are only defined relative to a Case 1 repeat
+            event.reason = "non-case1-merge"
+            return event
+        if not anchors:
+            event.reason = "anchor-not-on-path"
+            return event
+        subsets = []
+        for u in anchors:
+            by_label: dict[str, ReachableSubset] = {}
+            scope = g.trie.subtree(inst.trie_node)
+            for nid in g.span_reachable_from(u):
+                if nid not in scope:
+                    continue
+                label = g.trie.node(nid).label_text
+                sub = by_label.get(label)
+                if sub is None:
+                    by_label[label] = ReachableSubset(u, label, frozenset({nid}))
+                else:
+                    by_label[label] = ReachableSubset(
+                        u, label, sub.members | {nid}
+                    )
+            subsets.extend(by_label[label] for label in sorted(by_label))
+        event.subset_sizes = tuple(len(s.members) for s in subsets)
+        usable = [s for s in subsets if len(s.members) >= 2]
+        if not usable:
+            event.reason = "degenerate-subsets"
+            return event
+        event.boundary = upper_boundary(g, usable)
+        event.degenerate = False
+        return event
+
+
+def build_layered_alg1(g: TrieLikeGraph) -> RefGraph:
+    """SEARCH: expand groups of two or more same-labeled parents until none form."""
+    b = _Builder(g, "alg1")
+    stack = [b.leaf_layer()]
+    while stack:
+        grp = stack.pop()
+        order, _gens = b.expand(grp)
+        for label_group in b.label_groups(order, grp.group_id):
+            if label_group.pushed:
+                stack.append(label_group)
+    return b.lg
+
+
+def build_layered_alg3(g: TrieLikeGraph) -> RefGraph:
+    """The reconstructed improved search: merge, classify, and collapse duplicates."""
+    b = _Builder(g, "alg3")
+    stack = [b.leaf_layer()]
+    while stack:
+        grp = stack.pop()
+        order, gens = b.expand(grp)
+        merged = {
+            inst.trie_node: inst
+            for inst in order
+            if len(gens[inst.trie_node]) >= 2
+        }
+        events = [
+            b.merge_event(inst, gens[inst.trie_node])
+            for inst in order
+            if inst.trie_node in merged
+        ]
+        b.lg.merge_events.extend(events)
+        plain = [inst for inst in order if inst.trie_node not in merged]
+        pushed_members: set[int] = set()
+        for label_group in b.label_groups(plain, grp.group_id):
+            if label_group.pushed:
+                stack.append(label_group)
+                pushed_members.update(label_group.members)
+        if merged:
+            # a duplicate appeared: remaining parents recurse as single nodes
+            for inst in plain:
+                if inst.instance_id in pushed_members:
+                    continue
+                single = b.new_group(
+                    b.g.trie.node(inst.trie_node).label_text,
+                    (inst.instance_id,),
+                    inst.layer,
+                    grp.group_id,
+                    pushed=True,
+                    origin="merge-sibling",
+                )
+                stack.append(single)
+        for event in events:
+            if not event.degenerate:
+                # a usable upper boundary keeps the merged instance expanding
+                scoped = b.new_group(
+                    b.g.trie.node(event.trie_node).label_text,
+                    (event.instance,),
+                    b.lg.instances[event.instance].layer,
+                    grp.group_id,
+                    pushed=True,
+                    origin="merged-scoped",
+                )
+                stack.append(scoped)
+    return b.lg
+
+
+def _children_map(lg: RefGraph) -> dict[int, list[int]]:
+    children: dict[int, list[int]] = {}
+    for edge in lg.edges:
+        children.setdefault(edge.parent, []).append(edge.child)
+    return children
+
+
+def _closure_subgraph(
+    lg: RefGraph, root: NodeInstance, children: dict[int, list[int]]
+) -> RefSubgraph:
+    trie = lg.source.trie
+    leaf_layer = set(lg.layers[0])
+    closure = set()
+    stack = [root.instance_id]
+    while stack:
+        iid = stack.pop()
+        if iid in closure:
+            continue
+        closure.add(iid)
+        stack.extend(children.get(iid, ()))
+    labels: set[str] = set()
+    true_vars: set[str] = set()
+    for iid in closure:
+        node = trie.node(lg.instances[iid].trie_node)
+        if iid in leaf_layer:
+            labels.update(node.conjunction_labels)
+        if node.variable is not None:
+            true_vars.add(node.variable.name)
+    return RefSubgraph(root, frozenset(closure), frozenset(labels), frozenset(true_vars))
+
+
+def _label_bits(lg: RefGraph) -> dict[int, int]:
+    """Leaf-label bitmask per instance, swept upward one layer at a time."""
+    trie = lg.source.trie
+    index: dict[str, int] = {}
+    bits = {iid: 0 for iid in lg.instances}
+    for iid in lg.layers[0]:
+        mask = 0
+        for label in sorted(trie.node(lg.instances[iid].trie_node).conjunction_labels):
+            if label not in index:
+                index[label] = len(index)
+            mask |= 1 << index[label]
+        bits[iid] = mask
+    # every edge climbs exactly one layer, so child masks are final in layer order
+    for edge in sorted(lg.edges, key=lambda e: lg.instances[e.child].layer):
+        bits[edge.parent] |= bits[edge.child]
+    return bits
+
+
+def find_subset_alg2(
+    lg: RefGraph, ordering=None
+) -> RefAnswer:
+    """Maximum claimed count over all rooted subgraphs, smallest root id winning ties."""
+    if not lg.instances:
+        raise EmptyGraphError("layered graph has no instances")
+    bits = _label_bits(lg)
+    roots = lg.roots()
+    per = tuple((root.instance_id, bits[root.instance_id].bit_count()) for root in roots)
+    best_root = max(roots, key=lambda r: (bits[r.instance_id].bit_count(), -r.instance_id))
+    witness = _closure_subgraph(lg, best_root, _children_map(lg))
+    return RefAnswer(
+        max_count=len(witness.leaf_labels),
+        witness=witness,
+        per_subgraph=per,
+        mode=lg.mode,
+        ordering=ordering,
+    )
+
+
+def diagnose_skip_over(run) -> tuple[SkipOverEdge, ...]:
+    """Span edges the witness closure uses for conjunctions that do not own them.
+
+    For each span-kind edge inside the witness, the leaf labels reachable
+    below its child are compared against the edge's owner labels; any label
+    that climbed through a span it does not own is a skip-over.
+    """
+    lg = run.layered
+    witness = run.answer.witness
+    children: dict[int, list] = {}
+    for edge in lg.edges:
+        if edge.parent in witness.instances and edge.child in witness.instances:
+            children.setdefault(edge.parent, []).append(edge)
+    leaf_layer = set(lg.layers[0])
+
+    def labels_below(iid: int) -> frozenset[str]:
+        seen = set()
+        labels: set[str] = set()
+        stack = [iid]
+        while stack:
+            cur = stack.pop()
+            if cur in seen:
+                continue
+            seen.add(cur)
+            if cur in leaf_layer:
+                labels.update(
+                    lg.source.trie.node(lg.instances[cur].trie_node).conjunction_labels
+                )
+            stack.extend(e.child for e in children.get(cur, ()))
+        return frozenset(labels)
+
+    findings = []
+    for edges in children.values():
+        for edge in edges:
+            if edge.kind != "span":
+                continue
+            child_node = lg.instances[edge.child].trie_node
+            parent_node = lg.instances[edge.parent].trie_node
+            owners = lg.source.span_owners(child_node, parent_node)
+            violating = labels_below(edge.child) - owners
+            if violating:
+                findings.append(
+                    SkipOverEdge(
+                        child_node,
+                        parent_node,
+                        tuple(sorted(owners)),
+                        tuple(sorted(violating)),
+                    )
+                )
+    findings.sort(key=lambda d: (d.child_node, d.parent_node))
+    return tuple(findings)
+
+
+def reference_search(front: FrontEnd, algorithm: int):
+    """The pre-memo steps 9-10: (graph, answer, diagnosis)."""
+    build = build_layered_alg1 if algorithm == 1 else build_layered_alg3
+    lg = build(front.trielike)
+    answer = find_subset_alg2(lg, front.ordering)
+    diagnosis = diagnose_skip_over(SimpleNamespace(layered=lg, answer=answer))
+    return lg, answer, diagnosis
+
+
+def assert_matches_reference(front: FrontEnd, algorithm: int) -> None:
+    """Memoised search == materialising search, field by field."""
+    ref, ref_answer, ref_diagnosis = reference_search(front, algorithm)
+    run = search(front, algorithm)
+    lg, answer = run.layered, run.answer
+    where = f"{front.formula} / {front.ordering.display()} / alg{algorithm}"
+    # counts first: they come from the memo, before anything is unfolded
+    assert lg.vertex_count == ref.vertex_count, where
+    assert lg.edge_count == ref.edge_count, where
+    assert lg.layer_count == ref.layer_count, where
+    assert lg.group_count == len(ref.groups), where
+    assert lg.expanded_group_count == sum(1 for g in ref.groups if g.pushed), where
+    assert lg.merge_event_count == len(ref.merge_events), where
+    assert sum(1 for e in ref.merge_events if e.degenerate) == len(ref.merge_events), where
+    assert answer.per_subgraph == ref_answer.per_subgraph, where
+    assert answer.max_count == ref_answer.max_count, where
+    witness, ref_witness = answer.witness, ref_answer.witness
+    assert witness.root == ref_witness.root, where
+    assert witness.instances == ref_witness.instances, where
+    assert witness.leaf_labels == ref_witness.leaf_labels, where
+    assert witness.true_variables == ref_witness.true_variables, where
+    assert memo_diagnose_skip_over(run) == ref_diagnosis, where
+    assert lg._unfolded is None, f"{where}: search unfolded the graph"
+    assert lg.instances == ref.instances, where
+    assert lg.layers == ref.layers, where
+    assert lg.edges == ref.edges, where
+    assert lg.groups == ref.groups, where
+    assert lg.merge_events == ref.merge_events, where

@@ -187,7 +187,14 @@ def test_fuzz_report_bytes_pinned(capsys, tmp_path, extra, count, digest):
 
 
 @pytest.mark.parametrize(
-    "bad", [["--algorithms", "2"], ["--algorithms", "1,x"], ["--orderings", "0"]]
+    "bad",
+    [
+        ["--algorithms", "2"],
+        ["--algorithms", "1,x"],
+        ["--orderings", "0"],
+        ["--max-n0", "0"],
+        ["--max-m0", "-1"],
+    ],
 )
 def test_fuzz_rejects_bad_input_exit_2(capsys, bad):
     with pytest.raises(SystemExit) as exc:
@@ -245,3 +252,39 @@ def test_ce3_pipeline_value(capsys, tmp_path):
         capsys, ["pipeline", str(path), "--ordering", "y2>y1>v1", "--algorithm", "1"]
     )
     assert code == 0 and payload["max_count"] == 2
+
+
+@pytest.mark.parametrize(
+    "name, value, argv",
+    [
+        ("SEED", "abc", ["fuzz", "--iters", "0"]),
+        ("ITERS", "1.5", ["fuzz"]),
+        ("VAR_CAP", "x", ["oracle", "{ce1}"]),
+        ("ALGORITHM", "2", ["pipeline", "{ce1}"]),
+        ("ALGORITHM", "one", ["audit", "{ce1}"]),
+        ("ALGORITHM", "2", ["export", "{ce1}"]),
+    ],
+)
+def test_bad_env_value_fails_its_subcommand_exit_2(
+    capsys, monkeypatch, ce1_file, name, value, argv
+):
+    monkeypatch.setenv(f"MAXSAT_{name}", value)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(ce1=ce1_file) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(value) in captured.err
+
+
+def test_bad_env_value_ignored_by_other_subcommands(capsys, monkeypatch, ce1_file):
+    # oracle reads no seed or algorithm, pipeline no seed or variable cap
+    monkeypatch.setenv("MAXSAT_SEED", "abc")
+    monkeypatch.setenv("MAXSAT_ITERS", "abc")
+    monkeypatch.setenv("MAXSAT_ALGORITHM", "2")
+    code, payload = _run(capsys, ["oracle", ce1_file])
+    assert code == 0 and payload["max_count"] == 2
+    monkeypatch.setenv("MAXSAT_ALGORITHM", "3")
+    monkeypatch.setenv("MAXSAT_VAR_CAP", "x")
+    code, payload = _run(capsys, ["pipeline", ce1_file, "--ordering", "y1>y2>v1"])
+    assert code == 0 and payload["mode"] == "alg3" and payload["max_count"] == 3

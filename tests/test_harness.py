@@ -149,6 +149,24 @@ def test_fuzz_zero_iterations_empty():
     assert fuzz(seed=42, iterations=0) == []
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"algorithms": ()},
+        {"algorithms": (2,)},
+        {"algorithms": (1, 4)},
+        {"orderings_per_formula": 0},
+        {"max_n0": 0},
+        {"max_m0": -1},
+    ],
+)
+def test_fuzz_params_rejected_before_fuzzing(bad):
+    # without the check, orderings_per_formula=0 fuzzed nothing and returned []
+    # and algorithms=(2,) failed only at the first search
+    with pytest.raises(ValueError):
+        FuzzParams(**bad)
+
+
 def test_fuzz_deterministic():
     params = FuzzParams(max_n0=3, max_m0=2, orderings_per_formula=4)
     first = fuzz(7, 40, params)

@@ -265,3 +265,95 @@ def test_alg3_running_same_answer_as_alg1(running):
     one = run_pipeline(running, ordering="lexical", algorithm=1)
     three = run_pipeline(running, ordering="lexical", algorithm=3)
     assert one.answer.max_count == three.answer.max_count == 2
+
+
+def test_case1_merge_below_the_root_is_an_internal_error():
+    # hand-built: a span edge from leaf n5 (branch n4) to n2 (branch n2) leaves
+    # its owner's root path, so n2 repeats as a Case 1 merge with anchor n1
+    from twomaxsat.errors import InternalError
+    from twomaxsat.formula import Variable
+    from twomaxsat.trie import NodeKind, SpanEdge, Trie, TrieLikeGraph, TrieNode
+
+    v1, v2 = Variable(0, "v1"), Variable(1, "v2")
+    trie = Trie(
+        [
+            TrieNode(1, NodeKind.START, None, None, [2, 4]),
+            TrieNode(2, NodeKind.VAR, v1, 1, [3]),
+            TrieNode(3, NodeKind.END, None, 2, [], frozenset({"a"})),
+            TrieNode(4, NodeKind.VAR, v2, 1, [5]),
+            TrieNode(5, NodeKind.END, None, 4, [], frozenset({"b"})),
+        ]
+    )
+    g = TrieLikeGraph(trie, {}, (SpanEdge(5, 2, frozenset({"b"})),))
+    assert classify_duplicate_case(g, {3, 5}) == "case1"
+    assert build_layered_alg1(g).vertex_count == 4  # n2 and n4 form no group
+    with pytest.raises(InternalError, match="n2"):
+        build_layered_alg3(g)
+
+
+def test_memo_matches_reference_on_all_small_formulas():
+    # every formula with n0 <= 3 clauses over m0 <= 3 variables (52,440),
+    # both algorithms, default ordering
+    from tests.conftest import all_formulas
+    from tests.layered_reference import assert_matches_reference
+    from twomaxsat.pipeline import front_end
+
+    for f in all_formulas(3, 3):
+        front = front_end(f, "frequency")
+        for algorithm in (1, 3):
+            assert_matches_reference(front, algorithm)
+
+
+def test_memo_matches_reference_on_fuzz_stream():
+    # exactly the (formula, ordering, algorithm) items fuzz(42, 100) checks
+    import random
+
+    from tests.layered_reference import assert_matches_reference
+    from twomaxsat.harness import FuzzParams, random_formula, tie_consistent_orderings
+    from twomaxsat.pipeline import front_end
+
+    params = FuzzParams()
+    rng = random.Random(42)
+    items = 0
+    for _ in range(100):
+        f = random_formula(rng, params)
+        for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
+            front = front_end(f, list(ordering))
+            for algorithm in params.algorithms:
+                assert_matches_reference(front, algorithm)
+                items += 1
+    assert items > 200
+
+
+def test_search_audit_repro_and_fuzz_never_unfold(monkeypatch):
+    import random
+
+    from twomaxsat import layered
+    from twomaxsat.formula import formula_from_ints
+    from twomaxsat.harness import audit_bounds, builtin_by_name, fuzz, run_counterexample
+
+    def refuse(lg):
+        raise AssertionError("the layered graph was unfolded")
+
+    monkeypatch.setattr(layered, "unfold", refuse)
+    rng = random.Random(1)
+    clauses = []
+    for _ in range(14):
+        a = rng.randint(1, 8) * rng.choice((1, -1))
+        b = a if rng.random() < 0.3 else rng.randint(1, 8) * rng.choice((1, -1))
+        clauses.append([a, b])
+    f = formula_from_ints(clauses, 8)
+    run = run_pipeline(f)
+    assert len(run.answer.per_subgraph) > 1_000_000
+    assert run.answer.max_count == max(count for _, count in run.answer.per_subgraph)
+    lg = run.layered
+    del run  # two million roots are enough to hold at once
+    report = audit_bounds(f)
+    assert report.counters["layered_instances"] == lg.vertex_count
+    assert report.counters["layered_edges"] == lg.edge_count
+    assert report.counters["groups"] == lg.group_count
+    family_report = run_counterexample(builtin_by_name("family(12)"), strict=False)
+    assert family_report["runs"][0]["pipeline"] == 2 * 12 - 1
+    assert fuzz(42, 20)
+    with pytest.raises(AssertionError, match="unfolded"):
+        lg.edges

@@ -157,7 +157,7 @@ def test_closure_well_formed(running):
 
 
 def test_counts_match_full_closures_on_random_formulas():
-    # dual route: the bitmask sweep versus explicit closure enumeration
+    # dual route: the memo walk versus explicit closure enumeration
     import random
 
     from twomaxsat.formula import formula_from_ints
@@ -181,11 +181,12 @@ def test_counts_match_full_closures_on_random_formulas():
                 answer = run.answer
                 assert 1 <= answer.max_count <= run.dnf.n
                 assert len(satisfied_conjunctions(answer.witness)) == answer.max_count
-                by_root = {
-                    sg.root.instance_id: len(sg.leaf_labels)
-                    for sg in enumerate_rooted_subgraphs(run.layered)
-                }
+                subgraphs = enumerate_rooted_subgraphs(run.layered)
+                by_root = {sg.root.instance_id: len(sg.leaf_labels) for sg in subgraphs}
                 assert dict(answer.per_subgraph) == by_root
+                # the witness rebuilt from the memo equals the unfolded closure,
+                # edges (in creation order) and instances included
+                assert answer.witness in subgraphs
 
 
 def test_empty_graph_error(running):
