@@ -42,7 +42,6 @@ from .oracle import decide_2maxsat, oracle_max_dnf, oracle_max_sat
 from .pipeline import FrontEnd, PipelineRun, front_end, run_pipeline, search
 from .sequences import (
     GlobalOrdering,
-    TieBreak,
     build_sequences,
     frequency_ordering,
     lexical_ordering,
@@ -61,7 +60,6 @@ __all__ = [
     "FrontEnd",
     "GlobalOrdering",
     "PipelineRun",
-    "TieBreak",
     "TwoMaxSatError",
     "anchor_candidates",
     "audit_bounds",

@@ -37,10 +37,6 @@ class DuplicateNameError(TwoMaxSatError):
     pass
 
 
-class ExplicitOrderContradictsFrequencyError(TwoMaxSatError):
-    """An explicit tie-break order reverses a strict frequency inequality."""
-
-
 class IncompleteExplicitOrderError(TwoMaxSatError):
     pass
 

@@ -197,8 +197,8 @@ def answer_json(run: PipelineRun) -> dict[str, Any]:
         "witness_root": answer.witness.root.instance_id,
         "leaf_labels": sorted(answer.witness.leaf_labels),
         "assignment": answer.witness.implied_assignment(names),
-        "mode": answer.mode,
-        "ordering": answer.ordering.display() if answer.ordering else None,
+        "mode": run.layered.mode,
+        "ordering": run.ordering.display(),
     }
 
 

@@ -10,10 +10,9 @@ conjunction as a "starred" (tautological) item.
 
 from __future__ import annotations
 
-import enum
 import io
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ClauseArityError,
@@ -24,18 +23,12 @@ from .errors import (
 )
 
 
-class VarKind(enum.Enum):
-    ORIGINAL = "original"
-    AUXILIARY = "auxiliary"
-
-
 @dataclass(frozen=True)
 class Variable:
     """A variable with a dense id and a display name (v1..vm, y1..yn)."""
 
     id: int
     name: str
-    kind: VarKind = VarKind.ORIGINAL
 
     def __repr__(self) -> str:
         return f"Variable({self.name})"
@@ -95,8 +88,6 @@ def conjunction_label(index: int) -> str:
 class DnfConjunction:
     label: str
     literals: tuple[Literal, Literal]
-    origin_clause: int
-    y_polarity: bool  # True for the (l1 ^ y_i) half, False for (l2 ^ ~y_i)
 
     def __str__(self) -> str:
         return f"({self.literals[0]} ^ {self.literals[1]})"
@@ -138,10 +129,6 @@ class Assignment:
 
     values: tuple[bool, ...]
 
-    @classmethod
-    def from_map(cls, variables: Sequence[Variable], named: Mapping[str, bool]) -> Assignment:
-        return cls(tuple(bool(named[v.name]) for v in variables))
-
     def __getitem__(self, variable: Variable) -> bool:
         return self.values[variable.id]
 
@@ -161,7 +148,7 @@ def _require_total(a: Assignment, variables: Sequence[Variable]) -> None:
 
 def formula_from_ints(pairs: Iterable[Sequence[int]], m0: int) -> CnfFormula:
     """Build a CnfFormula from DIMACS-style literal pairs (1-based, sign = polarity)."""
-    variables = tuple(Variable(i, f"v{i + 1}", VarKind.ORIGINAL) for i in range(m0))
+    variables = tuple(Variable(i, f"v{i + 1}") for i in range(m0))
     clauses = []
     for idx, lits in enumerate(pairs):
         if not 1 <= len(lits) <= 2:
@@ -246,9 +233,7 @@ def render_cnf(f: CnfFormula) -> str:
 
 def cnf_to_dnf(f: CnfFormula) -> DnfFormula:
     """Step 1: clause i = (l1 v l2) becomes (l1 ^ y_i) v (l2 ^ ~y_i)."""
-    aux = tuple(
-        Variable(f.m0 + i, f"y{i + 1}", VarKind.AUXILIARY) for i in range(f.n0)
-    )
+    aux = tuple(Variable(f.m0 + i, f"y{i + 1}") for i in range(f.n0))
     variables = f.variables + aux
     conjunctions = []
     for clause in f.clauses:
@@ -258,16 +243,12 @@ def cnf_to_dnf(f: CnfFormula) -> DnfFormula:
             DnfConjunction(
                 label=conjunction_label(2 * clause.index),
                 literals=(l1, Literal(y, True)),
-                origin_clause=clause.index,
-                y_polarity=True,
             )
         )
         conjunctions.append(
             DnfConjunction(
                 label=conjunction_label(2 * clause.index + 1),
                 literals=(l2, Literal(y, False)),
-                origin_clause=clause.index,
-                y_polarity=False,
             )
         )
     return DnfFormula(tuple(conjunctions), variables)

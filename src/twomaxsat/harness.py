@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterator, Sequence
 
 from .errors import ExpectationFailedError, TwoMaxSatError
 from .formula import (
@@ -26,18 +26,112 @@ from .formula import (
     parse_cnf,
     render_cnf,
 )
-from .harness_types import (
-    AuditReport,
-    BoundCheck,
-    CounterexampleSpec,
-    Mismatch,
-    SkipOverEdge,
-)
 from .oracle import oracle_max_sat
 from .pipeline import FrontEnd, PipelineRun, front_end, run_pipeline, search
-from .sequences import sequence_frequencies
+from .sequences import sequence_frequencies, tie_consistent
 
 FAMILY_CAP = 12
+DUPLICATE_LITERAL_BIAS = 0.4  # chance a fuzz clause repeats its first literal
+
+
+@dataclass(frozen=True)
+class CounterexampleSpec:
+    name: str
+    dimacs: str
+    ordering: str  # "lexical" or an explicit "a>b>c" spec
+    expected_pipeline: int
+    expected_oracle: int
+    algorithms: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SkipOverEdge:
+    """A span edge the witness used on behalf of conjunctions that do not own it."""
+
+    child_node: int
+    parent_node: int
+    owners: tuple[str, ...]
+    violating: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Mismatch:
+    dimacs: str
+    ordering: tuple[str, ...]
+    algorithm: int
+    pipeline_answer: int
+    oracle_answer: int
+    witness_labels: tuple[str, ...]
+    diagnosis: tuple[SkipOverEdge, ...]
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "dimacs": self.dimacs,
+            "ordering": list(self.ordering),
+            "algorithm": self.algorithm,
+            "pipeline_answer": self.pipeline_answer,
+            "oracle_answer": self.oracle_answer,
+            "witness_labels": list(self.witness_labels),
+            "diagnosis": [
+                {
+                    "span_edge": [d.child_node, d.parent_node],
+                    "owners": list(d.owners),
+                    "violating": list(d.violating),
+                }
+                for d in self.diagnosis
+            ],
+        }
+
+
+@dataclass
+class BoundCheck:
+    name: str
+    measured: int
+    bound: int
+
+    @property
+    def ok(self) -> bool:
+        return self.measured <= self.bound
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "name": self.name,
+            "measured": self.measured,
+            "bound": self.bound,
+            "ok": self.ok,
+        }
+
+
+@dataclass
+class AuditReport:
+    """Measured stage sizes against the proved worst-case size bounds."""
+
+    n0: int
+    m0: int
+    n: int
+    m: int
+    algorithm: int
+    bounds: list[BoundCheck] = field(default_factory=list)
+    counters: dict[str, int] = field(default_factory=dict)
+    frame_value_n0_6: int = 0
+
+    @property
+    def all_pass(self) -> bool:
+        return all(b.ok for b in self.bounds)
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "n0": self.n0,
+            "m0": self.m0,
+            "n": self.n,
+            "m": self.m,
+            "relations": {"n=2*n0": self.n == 2 * self.n0, "m=n0+m0": self.m == self.n0 + self.m0},
+            "algorithm": self.algorithm,
+            "bounds": [b.to_dict() for b in self.bounds],
+            "all_pass": self.all_pass,
+            "counters": dict(sorted(self.counters.items())),
+            "worst_case_frame_216_n0^6": self.frame_value_n0_6,
+        }
 
 
 def family(n: int) -> CnfFormula:
@@ -183,7 +277,6 @@ class FuzzParams:
     max_m0: int = 3
     orderings_per_formula: int = 6
     algorithms: tuple[int, ...] = (1, 3)
-    duplicate_literal_bias: float = 0.4
     variable_cap: int = 24
 
     def __post_init__(self) -> None:
@@ -228,7 +321,7 @@ def random_formula(rng: random.Random, params: FuzzParams) -> CnfFormula:
     clauses = []
     for _ in range(n0):
         lit1 = rng.randint(1, m0) * rng.choice((1, -1))
-        if rng.random() < params.duplicate_literal_bias:
+        if rng.random() < DUPLICATE_LITERAL_BIAS:
             lit2 = lit1
         else:
             lit2 = rng.randint(1, m0) * rng.choice((1, -1))
@@ -333,7 +426,9 @@ def shrink(m: Mismatch, variable_cap: int = 24) -> Mismatch:
 
     Tries clause removal, unused-variable removal, and swapping the rigged
     ordering for the default frequency ordering; stops when no single step
-    preserves the disagreement.  Never increases the clause count.
+    preserves the disagreement.  Never increases the clause count.  A step
+    counts only if the renamed ordering still just breaks frequency ties, so
+    the result stays a counterexample to the procedure as specified.
     """
 
     def replay(clauses: list[list[int]], m0: int, ordering: Sequence[str]) -> Mismatch | None:
@@ -341,6 +436,8 @@ def shrink(m: Mismatch, variable_cap: int = 24) -> Mismatch:
             return None
         try:
             f = formula_from_ints(clauses, m0)
+            if not tie_consistent(pad_missing(cnf_to_dnf(f)), ordering):
+                return None
             return check_one(f, ordering, m.algorithm, variable_cap)
         except (TwoMaxSatError, ValueError):
             return None

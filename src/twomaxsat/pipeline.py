@@ -14,7 +14,6 @@ from .formula import CnfFormula, DnfFormula, PaddedConjunction, cnf_to_dnf, pad_
 from .layered import LayeredGraph, build_layered_alg1, build_layered_alg3
 from .sequences import (
     GlobalOrdering,
-    TieBreak,
     VarSequence,
     build_sequences,
     explicit_ordering,
@@ -54,30 +53,23 @@ class PipelineRun(FrontEnd):
 def resolve_ordering(
     dnf: DnfFormula,
     padded: Sequence[PaddedConjunction],
-    ordering: str | Sequence[str] | GlobalOrdering = "frequency",
-    tie_break: TieBreak = TieBreak.FIRST_APPEARANCE,
+    ordering: str | Sequence[str] = "frequency",
 ) -> GlobalOrdering:
     """Accept 'frequency', 'lexical', an explicit name list, or a "a>b>c" spec."""
-    if isinstance(ordering, GlobalOrdering):
-        return ordering
     if isinstance(ordering, str):
         if ordering == "frequency":
-            return frequency_ordering(list(padded), tie_break)
+            return frequency_ordering(padded)
         if ordering == "lexical":
             return lexical_ordering(dnf)
         return explicit_ordering(dnf, parse_ordering(ordering))
     return explicit_ordering(dnf, list(ordering))
 
 
-def front_end(
-    f: CnfFormula,
-    ordering: str | Sequence[str] | GlobalOrdering,
-    tie_break: TieBreak = TieBreak.FIRST_APPEARANCE,
-) -> FrontEnd:
+def front_end(f: CnfFormula, ordering: str | Sequence[str]) -> FrontEnd:
     """Steps 1-8: CNF->DNF, padding, ordering, sequences, spans, trie-like graph."""
     dnf = cnf_to_dnf(f)
     padded = pad_missing(dnf)
-    ordering_used = resolve_ordering(dnf, padded, ordering, tie_break)
+    ordering_used = resolve_ordering(dnf, padded, ordering)
     sequences = build_sequences(padded, ordering_used)
     pgraphs = [build_pgraph(seq) for seq in sequences]
     pstars = [close_spans(pg) for pg in pgraphs]
@@ -94,15 +86,14 @@ def search(front: FrontEnd, algorithm: int) -> PipelineRun:
         raise ValueError(f"algorithm must be 1 or 3, got {algorithm}")
     build = build_layered_alg1 if algorithm == 1 else build_layered_alg3
     layered = build(front.trielike)
-    answer = find_subset_alg2(layered, front.ordering)
+    answer = find_subset_alg2(layered)
     return PipelineRun(**vars(front), layered=layered, answer=answer)
 
 
 def run_pipeline(
     f: CnfFormula,
-    ordering: str | Sequence[str] | GlobalOrdering = "frequency",
+    ordering: str | Sequence[str] = "frequency",
     algorithm: int = 1,
-    tie_break: TieBreak = TieBreak.FIRST_APPEARANCE,
 ) -> PipelineRun:
     """Execute steps 1-10 and return the claimed 2-MAXSAT answer with all stages."""
-    return search(front_end(f, ordering, tie_break), algorithm)
+    return search(front_end(f, ordering), algorithm)

@@ -5,7 +5,9 @@ plain items, every starred variable becomes a starred item, and negated
 literals are dropped entirely.  Interior items are sorted by a single global
 ordering fixed for the whole pipeline run, then wrapped in the '#' / '$'
 sentinels.  Tie-breaking inside the frequency ordering is the lever all the
-counterexamples pull, so it is explicitly controllable.
+counterexamples pull.  ``frequency_ordering`` breaks ties one fixed way; a
+caller takes control with an explicit ordering, which ``tie_consistent``
+checks against the frequencies, and the fuzzer enumerates every tie-break.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Sequence
 
 from .errors import (
     DuplicateNameError,
-    ExplicitOrderContradictsFrequencyError,
     IncompleteExplicitOrderError,
     UnknownVariableNameError,
 )
@@ -63,12 +64,6 @@ class VarSequence:
 
     def display(self) -> str:
         return ".".join(item.display() for item in self.items)
-
-
-class TieBreak(enum.Enum):
-    FIRST_APPEARANCE = "first_appearance"
-    VARIABLE_ID = "variable_id"
-    EXPLICIT_LIST = "explicit_list"
 
 
 @dataclass(frozen=True)
@@ -128,59 +123,35 @@ def _table_of(padded: Sequence[PaddedConjunction]) -> list[Variable]:
     return [seen[i] for i in sorted(seen)]
 
 
-def frequency_ordering(
-    padded: Sequence[PaddedConjunction],
-    tie_break: TieBreak = TieBreak.FIRST_APPEARANCE,
-    explicit: Sequence[str] | None = None,
-) -> GlobalOrdering:
-    """Sort variables by descending sequence frequency, breaking ties per policy.
+def frequency_ordering(padded: Sequence[PaddedConjunction]) -> GlobalOrdering:
+    """Sort variables by descending sequence frequency.
 
-    With EXPLICIT_LIST the caller's permutation decides every tie but must not
-    reverse a strict frequency inequality.
+    Ties go to the variable that appears (plain or starred) in the earliest
+    conjunction, then to the lower variable id.
     """
     if not padded:
         raise ValueError("frequency ordering needs at least one padded conjunction")
-    variables = _table_of(padded)
     freq = sequence_frequencies(padded)
-    if tie_break is TieBreak.EXPLICIT_LIST:
-        if explicit is None:
-            raise IncompleteExplicitOrderError("explicit_list tie-break requires a list")
-        by_name = {v.name: v for v in variables}
-        seen: set[str] = set()
-        ordered: list[Variable] = []
-        for name in explicit:
-            if name in seen:
-                raise DuplicateNameError(f"duplicate name in explicit order: {name}")
-            seen.add(name)
-            if name not in by_name:
-                raise UnknownVariableNameError(f"unknown variable in explicit order: {name}")
-            ordered.append(by_name[name])
-        if len(ordered) != len(variables):
-            missing = sorted(set(by_name) - seen, key=_natural_key)
-            raise IncompleteExplicitOrderError(f"explicit order misses: {', '.join(missing)}")
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1 :]:
-                if freq[u] < freq[v]:
-                    raise ExplicitOrderContradictsFrequencyError(
-                        f"{u.name} (freq {freq[u]}) precedes {v.name} (freq {freq[v]})"
-                    )
-        return GlobalOrdering(tuple(ordered))
-
     first_idx: dict[Variable, int] = {}
     for idx, pc in enumerate(padded):
         appearing = {var for var, positive in pc.present if positive} | pc.starred
         for var in appearing:
-            if var not in first_idx:
-                first_idx[var] = idx
-    if tie_break is TieBreak.FIRST_APPEARANCE:
-        def key(v: Variable):
-            return (-freq[v], first_idx.get(v, len(padded)), v.id)
-    elif tie_break is TieBreak.VARIABLE_ID:
-        def key(v: Variable):
-            return (-freq[v], v.id)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unsupported tie break {tie_break}")
-    return GlobalOrdering(tuple(sorted(variables, key=key)))
+            first_idx.setdefault(var, idx)
+
+    def key(v: Variable):
+        return (-freq[v], first_idx.get(v, len(padded)), v.id)
+
+    return GlobalOrdering(tuple(sorted(freq, key=key)))
+
+
+def tie_consistent(padded: Sequence[PaddedConjunction], names: Sequence[str]) -> bool:
+    """Whether an ordering of the variable table only breaks frequency ties.
+
+    Legal exactly when sequence frequencies never increase along `names`.
+    """
+    freq = {v.name: count for v, count in sequence_frequencies(padded).items()}
+    counts = [freq[name] for name in names]
+    return all(a >= b for a, b in zip(counts, counts[1:]))
 
 
 def lexical_ordering(d: DnfFormula) -> GlobalOrdering:

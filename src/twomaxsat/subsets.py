@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 
 from .errors import EmptyGraphError
 from .layered import Expansion, LayeredEdge, LayeredGraph, NodeInstance
-from .sequences import GlobalOrdering
 from .trie import Trie
 
 
@@ -49,8 +48,6 @@ class PipelineAnswer:
     max_count: int
     witness: RootedSubgraph
     per_subgraph: tuple[tuple[int, int], ...]  # (root instance id, count)
-    mode: str
-    ordering: GlobalOrdering | None
 
 
 def _subgraph(
@@ -181,19 +178,11 @@ def _witness(lg: LayeredGraph, root_id: int) -> RootedSubgraph:
     return _subgraph(lg.source.trie, nodes[root_id], nodes, edges)
 
 
-def find_subset_alg2(
-    lg: LayeredGraph, ordering: GlobalOrdering | None = None
-) -> PipelineAnswer:
+def find_subset_alg2(lg: LayeredGraph) -> PipelineAnswer:
     """Maximum claimed count over all rooted subgraphs, smallest root id winning ties."""
     if not lg.vertex_count:
         raise EmptyGraphError("layered graph has no instances")
     per = _root_counts(lg)
     best_root, best_count = max(per, key=lambda rc: (rc[1], -rc[0]))
     witness = _witness(lg, best_root)
-    return PipelineAnswer(
-        max_count=best_count,
-        witness=witness,
-        per_subgraph=tuple(per),
-        mode=lg.mode,
-        ordering=ordering,
-    )
+    return PipelineAnswer(max_count=best_count, witness=witness, per_subgraph=tuple(per))

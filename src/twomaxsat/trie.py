@@ -96,18 +96,6 @@ class Trie:
             stack.extend(self.node(nid).children)
         return out
 
-    def depth(self) -> int:
-        """Longest root-to-leaf path, counted in nodes."""
-        best = 0
-        stack = [(1, 1)]
-        while stack:
-            nid, d = stack.pop()
-            node = self.node(nid)
-            if not node.children:
-                best = max(best, d)
-            for child in node.children:
-                stack.append((child, d + 1))
-        return best
 
 
 NodeMap = dict[str, tuple[int, ...]]

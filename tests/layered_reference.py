@@ -16,8 +16,8 @@ from types import SimpleNamespace
 from typing import Sequence
 
 from twomaxsat.errors import EmptyGraphError
+from twomaxsat.harness import SkipOverEdge
 from twomaxsat.harness import diagnose_skip_over as memo_diagnose_skip_over
-from twomaxsat.harness_types import SkipOverEdge
 from twomaxsat.layered import (
     DuplicateCase,
     Group,
@@ -77,8 +77,6 @@ class RefAnswer:
     max_count: int
     witness: RefSubgraph
     per_subgraph: tuple[tuple[int, int], ...]
-    mode: str
-    ordering: object
 
 
 class _Builder:
@@ -333,9 +331,7 @@ def _label_bits(lg: RefGraph) -> dict[int, int]:
     return bits
 
 
-def find_subset_alg2(
-    lg: RefGraph, ordering=None
-) -> RefAnswer:
+def find_subset_alg2(lg: RefGraph) -> RefAnswer:
     """Maximum claimed count over all rooted subgraphs, smallest root id winning ties."""
     if not lg.instances:
         raise EmptyGraphError("layered graph has no instances")
@@ -348,8 +344,6 @@ def find_subset_alg2(
         max_count=len(witness.leaf_labels),
         witness=witness,
         per_subgraph=per,
-        mode=lg.mode,
-        ordering=ordering,
     )
 
 
@@ -410,7 +404,7 @@ def reference_search(front: FrontEnd, algorithm: int):
     """The pre-memo steps 9-10: (graph, answer, diagnosis)."""
     build = build_layered_alg1 if algorithm == 1 else build_layered_alg3
     lg = build(front.trielike)
-    answer = find_subset_alg2(lg, front.ordering)
+    answer = find_subset_alg2(lg)
     diagnosis = diagnose_skip_over(SimpleNamespace(layered=lg, answer=answer))
     return lg, answer, diagnosis
 

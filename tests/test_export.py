@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from twomaxsat.export import (
@@ -16,6 +17,8 @@ from twomaxsat.export import (
     trielike_json,
 )
 from twomaxsat.export import STAGES
+from twomaxsat.formula import parse_cnf
+from twomaxsat.harness import builtin_counterexamples
 from twomaxsat.pipeline import front_end, run_pipeline, search
 
 
@@ -115,3 +118,20 @@ def test_shared_front_end_exports_match_separate_runs(running, ce1, ce3):
             for stage in STAGES:
                 for fmt in ("dot", "json"):
                     assert export_stage(shared, stage, fmt) == export_stage(alone, stage, fmt)
+
+
+# sha256 over every stage in both formats, for each builtin under its
+# recorded ordering and each of its algorithms, in builtin order
+PINNED_BUILTIN_EXPORTS = "e338de79a3dd72b3a8627420068531cd3ce1bee7efa82b22e85893a43c1bdaf2"
+
+
+def test_builtin_export_bytes_pinned():
+    digest = hashlib.sha256()
+    for spec in builtin_counterexamples():
+        f = parse_cnf(spec.dimacs)
+        for algorithm in spec.algorithms:
+            run = run_pipeline(f, ordering=spec.ordering, algorithm=algorithm)
+            for stage in STAGES:
+                for fmt in ("dot", "json"):
+                    digest.update(export_stage(run, stage, fmt).encode())
+    assert digest.hexdigest() == PINNED_BUILTIN_EXPORTS

@@ -26,7 +26,7 @@ from twomaxsat.harness import (
 )
 from twomaxsat.oracle import oracle_max_sat
 from twomaxsat.pipeline import run_pipeline
-from twomaxsat.sequences import sequence_frequencies
+from twomaxsat.sequences import sequence_frequencies, tie_consistent
 
 
 def test_builtin_specs():
@@ -38,6 +38,10 @@ def test_builtin_specs():
     assert (specs["running"].expected_pipeline, specs["running"].expected_oracle) == (2, 2)
     assert (specs["family(4)"].expected_pipeline, specs["family(4)"].expected_oracle) == (5, 4)
     assert specs["ce1"].algorithms == (1, 3)
+    # every rigged ordering only breaks frequency ties
+    for name in ("ce1", "ce2", "ce3", "family(4)"):
+        padded = pad_missing(cnf_to_dnf(parse_cnf(specs[name].dimacs)))
+        assert tie_consistent(padded, specs[name].ordering.split(">")), name
 
 
 def test_run_counterexample_running_and_ces():
@@ -118,6 +122,21 @@ def test_tie_orderings_match_eager_product():
         f = random_formula(rng, params)
         for cap in (1, 6, 50):
             assert tie_consistent_orderings(f, cap) == _product_orderings(f, cap)
+
+
+def test_tie_consistent_is_membership_in_tie_orderings():
+    # every permutation of the table is legal exactly when the enumeration
+    # (uncapped) lists it
+    rng = random.Random(37)
+    params = FuzzParams(max_n0=3, max_m0=2)
+    for _ in range(60):
+        f = random_formula(rng, params)
+        d = cnf_to_dnf(f)
+        padded = pad_missing(d)
+        names = [v.name for v in d.variables]
+        legal = set(tie_consistent_orderings(f, 10**6))
+        for perm in itertools.permutations(names):
+            assert tie_consistent(padded, perm) == (perm in legal)
 
 
 def test_tie_orderings_wide_tie_is_lazy():
@@ -252,6 +271,16 @@ def test_shrink_never_grows():
     for mismatch in fuzz(3, 25, params)[:10]:
         small = shrink(mismatch)
         assert parse_cnf(small.dimacs).n0 <= parse_cnf(mismatch.dimacs).n0
+        assert small.pipeline_answer != small.oracle_answer
+
+
+def test_shrunk_mismatches_keep_legal_orderings():
+    # dropping a clause or a variable renames the ordering; a step whose
+    # renamed ordering reverses a frequency inequality is not taken
+    for mismatch in fuzz(42, 30):
+        small = shrink(mismatch)
+        padded = pad_missing(cnf_to_dnf(parse_cnf(small.dimacs)))
+        assert tie_consistent(padded, small.ordering), small
         assert small.pipeline_answer != small.oracle_answer
 
 

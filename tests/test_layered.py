@@ -126,8 +126,9 @@ def test_layer_count_bounded_by_trie_depth(running, ce1, ce2, ce3):
         (ce3, "y2>y1>v1"),
     ):
         g = _trielike(f, spec)
+        depth = 1 + max(len(g.trie.ancestors(leaf.id)) for leaf in g.trie.leaves())
         for build in (build_layered_alg1, build_layered_alg3):
-            assert build(g).layer_count <= g.trie.depth()
+            assert build(g).layer_count <= depth
 
 
 def test_ce1_alg3_structure(ce1):

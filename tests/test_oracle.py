@@ -64,7 +64,7 @@ def test_oracle_max_dnf_derived(ce1, running):
 def test_oracle_single_conjunction_dnf():
     v = Variable(0, "v1")
     d = DnfFormula(
-        (DnfConjunction("a", (Literal(v, True), Literal(v, True)), 0, True),),
+        (DnfConjunction("a", (Literal(v, True), Literal(v, True))),),
         (v,),
     )
     assert oracle_max_dnf(d).max_count == 1

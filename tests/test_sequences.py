@@ -6,19 +6,19 @@ import pytest
 
 from twomaxsat.errors import (
     DuplicateNameError,
-    ExplicitOrderContradictsFrequencyError,
     IncompleteExplicitOrderError,
     UnknownVariableNameError,
 )
 from twomaxsat.formula import cnf_to_dnf, pad_missing, parse_cnf
 from twomaxsat.sequences import (
     ItemTag,
-    TieBreak,
     build_sequences,
+    explicit_ordering,
     frequency_ordering,
     lexical_ordering,
     parse_ordering,
     sequence_frequencies,
+    tie_consistent,
 )
 from twomaxsat.pipeline import resolve_ordering
 
@@ -27,11 +27,19 @@ def _padded(f):
     return pad_missing(cnf_to_dnf(f))
 
 
+def _recorded(f, spec):
+    """The recorded ordering `spec`, checked to be a legal frequency tie-break."""
+    d = cnf_to_dnf(f)
+    padded = pad_missing(d)
+    assert tie_consistent(padded, parse_ordering(spec))
+    return padded, resolve_ordering(d, padded, spec)
+
+
 def test_frequency_ordering_ce1_explicit(ce1):
     padded = _padded(ce1)
     freq = {v.name: c for v, c in sequence_frequencies(padded).items()}
     assert freq == {"v1": 0, "y1": 3, "y2": 3}
-    ordering = frequency_ordering(padded, TieBreak.EXPLICIT_LIST, ["y1", "y2", "v1"])
+    _, ordering = _recorded(ce1, "y1>y2>v1")
     assert ordering.display() == "y1>y2>v1"
 
 
@@ -44,32 +52,31 @@ def test_frequency_forces_recorded_constraints(ce2, ce3):
 
 
 def test_frequency_ordering_ce3_explicit(ce3):
-    ordering = frequency_ordering(_padded(ce3), TieBreak.EXPLICIT_LIST, ["y2", "y1", "v1"])
+    _, ordering = _recorded(ce3, "y2>y1>v1")
     assert ordering.display() == "y2>y1>v1"
 
 
 def test_explicit_list_contradiction(ce2):
     # v1 appears un-starred in all four conjunctions; it cannot come after y1
-    with pytest.raises(ExplicitOrderContradictsFrequencyError):
-        frequency_ordering(_padded(ce2), TieBreak.EXPLICIT_LIST, ["y1", "v1", "y2"])
+    assert not tie_consistent(_padded(ce2), ["y1", "v1", "y2"])
+    assert tie_consistent(_padded(ce2), ["v1", "y1", "y2"])
 
 
 def test_explicit_list_incomplete(ce1):
     with pytest.raises(IncompleteExplicitOrderError):
-        frequency_ordering(_padded(ce1), TieBreak.EXPLICIT_LIST, ["y1", "y2"])
+        explicit_ordering(cnf_to_dnf(ce1), ["y1", "y2"])
 
 
 def test_explicit_list_unknown_name(ce1):
     with pytest.raises(UnknownVariableNameError):
-        frequency_ordering(_padded(ce1), TieBreak.EXPLICIT_LIST, ["y1", "y2", "v9"])
+        explicit_ordering(cnf_to_dnf(ce1), ["y1", "y2", "v9"])
 
 
 def test_single_conjunction_ordering():
     f = parse_cnf("p cnf 1 1\n1 0\n")
     padded = _padded(f)[:1]
-    for policy in (TieBreak.FIRST_APPEARANCE, TieBreak.VARIABLE_ID):
-        ordering = frequency_ordering(padded, policy)
-        assert sorted(v.name for v in ordering.variables) == ["v1", "y1"]
+    ordering = frequency_ordering(padded)
+    assert sorted(v.name for v in ordering.variables) == ["v1", "y1"]
 
 
 def test_build_sequences_running_lexical(running):
@@ -84,9 +91,7 @@ def test_build_sequences_running_lexical(running):
 
 
 def test_build_sequences_ce1(ce1):
-    d = cnf_to_dnf(ce1)
-    padded = pad_missing(d)
-    ordering = frequency_ordering(padded, TieBreak.EXPLICIT_LIST, ["y1", "y2", "v1"])
+    padded, ordering = _recorded(ce1, "y1>y2>v1")
     seqs = build_sequences(padded, ordering)
     assert [s.display() for s in seqs] == [
         "#.y1.(y2,*).$",
@@ -101,7 +106,7 @@ def test_everything_removed_sequence():
     f = parse_cnf("p cnf 1 1\n-1 -1 0\n")
     d = cnf_to_dnf(f)
     padded = pad_missing(d)
-    ordering = frequency_ordering(padded, TieBreak.VARIABLE_ID)
+    ordering = frequency_ordering(padded)
     seqs = build_sequences(padded, ordering)
     assert seqs[1].display() == "#.$"  # (~v1 ^ ~y1) loses every item
 
@@ -114,9 +119,7 @@ def test_parse_ordering():
 
 
 def test_dropped_literal_accounting(ce3):
-    d = cnf_to_dnf(ce3)
-    padded = pad_missing(d)
-    ordering = frequency_ordering(padded, TieBreak.EXPLICIT_LIST, ["y2", "y1", "v1"])
+    padded, ordering = _recorded(ce3, "y2>y1>v1")
     for pc, seq in zip(padded, build_sequences(padded, ordering)):
         positive = {v.name for v, pol in pc.present if pol}
         starred = {v.name for v in pc.starred}
@@ -130,7 +133,7 @@ def test_sequences_strictly_sorted(running, ce1, ce2, ce3):
     for f in (running, ce1, ce2, ce3):
         d = cnf_to_dnf(f)
         padded = pad_missing(d)
-        ordering = frequency_ordering(padded, TieBreak.VARIABLE_ID)
+        ordering = frequency_ordering(padded)
         for seq in build_sequences(padded, ordering):
             ranks = [ordering.rank(item.variable) for item in seq.interior]
             assert ranks == sorted(ranks)
@@ -140,9 +143,7 @@ def test_sequences_strictly_sorted(running, ce1, ce2, ce3):
 
 
 def test_ce1_structural_facts(ce1):
-    d = cnf_to_dnf(ce1)
-    padded = pad_missing(d)
-    ordering = frequency_ordering(padded, TieBreak.EXPLICIT_LIST, ["y1", "y2", "v1"])
+    padded, ordering = _recorded(ce1, "y1>y2>v1")
     a, b, c, dd = build_sequences(padded, ordering)
     assert {i.variable.name for i in a.interior} == {i.variable.name for i in c.interior}
     assert all(i.tag is ItemTag.STARRED for i in b.interior)
@@ -152,8 +153,8 @@ def test_ce1_structural_facts(ce1):
 def test_determinism(ce2):
     d = cnf_to_dnf(ce2)
     padded = pad_missing(d)
-    one = build_sequences(padded, frequency_ordering(padded, TieBreak.FIRST_APPEARANCE))
-    two = build_sequences(padded, frequency_ordering(padded, TieBreak.FIRST_APPEARANCE))
+    one = build_sequences(padded, frequency_ordering(padded))
+    two = build_sequences(padded, frequency_ordering(padded))
     assert [s.display() for s in one] == [s.display() for s in two]
 
 
