@@ -48,7 +48,7 @@ from .sequences import (
     parse_ordering,
 )
 from .spans import build_pgraph, close_spans
-from .subsets import enumerate_rooted_subgraphs, find_subset_alg2, satisfied_conjunctions
+from .subsets import find_subset_alg2
 from .trie import merge_main_paths, overlay_spans
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "close_spans",
     "cnf_to_dnf",
     "decide_2maxsat",
-    "enumerate_rooted_subgraphs",
     "eval_cnf",
     "eval_dnf",
     "family",
@@ -94,7 +93,6 @@ __all__ = [
     "render_cnf",
     "run_counterexample",
     "run_pipeline",
-    "satisfied_conjunctions",
     "search",
     "shrink",
 ]

@@ -527,6 +527,6 @@ def audit_bounds(
         "groups": run.layered.group_count,
         "groups_expanded": run.layered.expanded_group_count,
         "merge_events": run.layered.merge_event_count,
-        "rooted_subgraphs": len(run.answer.per_subgraph),
+        "rooted_subgraphs": run.layered.root_count,
     }
     return report

@@ -39,9 +39,9 @@ child subtrees in pop order -- and the subtree sizes give every absolute id.
 ``LayeredGraph`` therefore knows its counts without building anything; its
 ``instances``, ``layers``, ``edges``, ``groups`` and ``merge_events`` are
 unfolded from the memo on first read, in exactly the order a materialising
-search creates them.  Only exports, DOT output, ``roots``/``layer`` and
-``enumerate_rooted_subgraphs`` read them; findSubset, the skip-over
-diagnosis, the audits and the fuzzer never unfold.
+search creates them.  Only exports, DOT output and ``layer`` read them;
+findSubset (a memoised walk, see ``subsets``), the skip-over diagnosis, the
+audits and the fuzzer never unfold, and ``root_count`` lists no root.
 """
 
 from __future__ import annotations
@@ -141,6 +141,7 @@ class Expansion:
     children: tuple[tuple[int, Expansion], ...]  # (group index, its expansion), in pop order
     roots: tuple[int, ...]  # created indices that never get a parent
     instances: int
+    root_total: int
     edge_total: int
     group_total: int
     expanded_total: int
@@ -157,7 +158,7 @@ class _Unfolded:
     merge_events: list[MergeEvent]
 
 
-_NOTHING = Expansion((), (), (), (), (), (), (), 0, 0, 0, 0, 0, 0)  # of a graph with no leaves
+_NOTHING = Expansion((), (), (), (), (), (), (), 0, 0, 0, 0, 0, 0, 0)  # of a graph with no leaves
 
 
 @dataclass
@@ -195,6 +196,11 @@ class LayeredGraph:
         return 1 + self.top.expanded_total if self.leaves else 0
 
     @property
+    def root_count(self) -> int:
+        """Parentless instances, the roots of the rooted subgraphs."""
+        return self.top.root_total
+
+    @property
     def merge_event_count(self) -> int:
         """Merge events; every one is degenerate (see the module docstring)."""
         return self.top.merge_total
@@ -227,15 +233,6 @@ class LayeredGraph:
     def layer(self, index: int) -> list[NodeInstance]:
         """Instances of 1-based layer `index`."""
         return [self.instances[iid] for iid in self.layers[index - 1]]
-
-    def roots(self) -> list[NodeInstance]:
-        """Instances with no parents (never expanded, or expanded to nothing)."""
-        have_parent = {edge.child for edge in self.edges}
-        return [
-            self.instances[iid]
-            for iid in sorted(self.instances)
-            if iid not in have_parent
-        ]
 
 
 def classify_duplicate_case(g: TrieLikeGraph, occurrences: Iterable[int]) -> str:
@@ -373,6 +370,7 @@ class _Memo:
         )
         expanded = {c for gi in pushed for c in groups[gi][1]}
         root = self.g.trie.root.id
+        roots = tuple(c for c, nid in enumerate(created) if c not in expanded or nid == root)
         subtrees = [child for _, child in children]
         return Expansion(
             created=tuple(created),
@@ -381,10 +379,9 @@ class _Memo:
             groups=tuple(groups),
             merges=tuple(merges),
             children=children,
-            roots=tuple(
-                c for c, nid in enumerate(created) if c not in expanded or nid == root
-            ),
+            roots=roots,
             instances=len(created) + sum(s.instances for s in subtrees),
+            root_total=len(roots) + sum(s.root_total for s in subtrees),
             edge_total=len(edges) + sum(s.edge_total for s in subtrees),
             group_total=len(groups) + sum(s.group_total for s in subtrees),
             expanded_total=len(pushed) + sum(s.expanded_total for s in subtrees),

@@ -1,4 +1,4 @@
-"""Rooted subgraph enumeration and the findSubset answer (step 10).
+"""The findSubset answer (step 10).
 
 A rooted subgraph is the full downward closure of a parentless instance along
 the recorded generation edges; its claimed satisfied set is the union of the
@@ -8,21 +8,23 @@ variable labeling a closure node true and everything else false, with no
 consistency check across branches -- reporting that inconsistency is the
 harness' job, not the pipeline's.
 
-findSubset never unfolds the layered graph.  It walks the search's memo
-(``layered.Expansion``) top-down, in the search's own depth-first order,
-carrying one leaf-label bitmask per group member: a created parent's mask is
-the union of its generators' masks, and every parentless instance reports its
-mask's popcount in instance-id order.  The walk visits every group, so it is
-as exponential as the number of roots it lists (``per_subgraph`` holds
-9,699,328 roots for one random formula at n0 = 16, m0 = 8), but it allocates
-nothing per group beyond the masks.  The witness closure is then rebuilt
-from the single chain of groups that leads to the winning root, edges in
-creation order.
+findSubset never unfolds the layered graph and never lists its roots.  It
+walks the search's memo (``layered.Expansion``) top-down with one leaf-label
+bitmask per group member: a created parent's mask is the union of its
+generators' masks, and a parentless instance counts its mask's popcount.  A
+subtree's result depends only on its expansion and its members' masks, so
+the walk is memoised on that pair: each yields the best count in the subtree
+and the offset of the smallest winning root in its contiguous id block.
+Walk states still grow exponentially (2.2x per two clauses from n0 = 12 to
+24 on seeded m0 = 8 formulas), so findSubset is not polynomial.  The witness
+closure is rebuilt from the chain of groups above the winning root.
+``per_subgraph`` runs the unmemoised walk over every root on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import EmptyGraphError
@@ -47,7 +49,12 @@ class RootedSubgraph:
 class PipelineAnswer:
     max_count: int
     witness: RootedSubgraph
-    per_subgraph: tuple[tuple[int, int], ...]  # (root instance id, count)
+    layered: LayeredGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def per_subgraph(self) -> tuple[tuple[int, int], ...]:
+        """(root instance id, count) for every root, listed on first read."""
+        return tuple(_root_counts(self.layered))
 
 
 def _subgraph(
@@ -69,39 +76,6 @@ def _subgraph(
     )
 
 
-def enumerate_rooted_subgraphs(lg: LayeredGraph) -> list[RootedSubgraph]:
-    """One subgraph per parentless instance, closure following edges downward.
-
-    Reads the unfolded graph.
-    """
-    if not lg.vertex_count:
-        raise EmptyGraphError("layered graph has no instances")
-    below: dict[int, list[int]] = {}  # parent id -> indices of its edges
-    for k, edge in enumerate(lg.edges):
-        below.setdefault(edge.parent, []).append(k)
-    out = []
-    for root in lg.roots():
-        closure = {root.instance_id}
-        used: list[int] = []
-        stack = [root.instance_id]
-        while stack:
-            for k in below.get(stack.pop(), ()):
-                used.append(k)
-                child = lg.edges[k].child
-                if child not in closure:
-                    closure.add(child)
-                    stack.append(child)
-        nodes = {iid: lg.instances[iid] for iid in closure}
-        edges = [lg.edges[k] for k in sorted(used)]
-        out.append(_subgraph(lg.source.trie, root, nodes, edges))
-    return out
-
-
-def satisfied_conjunctions(sg: RootedSubgraph) -> frozenset[str]:
-    """The subgraph's claimed satisfied set: union of its leaf label sets."""
-    return sg.leaf_labels
-
-
 def _leaf_masks(lg: LayeredGraph) -> list[int]:
     """Leaf-label bitmask per layer-1 instance, in instance-id order."""
     trie = lg.source.trie
@@ -115,6 +89,17 @@ def _leaf_masks(lg: LayeredGraph) -> list[int]:
     return masks
 
 
+def _created_masks(exp: Expansion, masks: Sequence[int]) -> list[int]:
+    """Each created parent's mask: the union of its generators' masks."""
+    made = []
+    for positions in exp.generators:
+        mask = 0
+        for pos in positions:
+            mask |= masks[pos]
+        made.append(mask)
+    return made
+
+
 def _root_counts(lg: LayeredGraph) -> list[tuple[int, int]]:
     """(root id, claimed count) for every parentless instance, by ascending id.
 
@@ -124,14 +109,8 @@ def _root_counts(lg: LayeredGraph) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
 
     def walk(exp: Expansion, masks: list[int], first: int) -> None:
-        made = []
-        for positions in exp.generators:
-            mask = 0
-            for pos in positions:
-                mask |= masks[pos]
-            made.append(mask)
-        for c in exp.roots:
-            out.append((first + c, made[c].bit_count()))
+        made = _created_masks(exp, masks)
+        out.extend((first + c, made[c].bit_count()) for c in exp.roots)
         first += len(made)
         for gi, child in exp.children:
             walk(child, [made[c] for c in exp.groups[gi][1]], first)
@@ -139,6 +118,33 @@ def _root_counts(lg: LayeredGraph) -> list[tuple[int, int]]:
 
     walk(lg.top, _leaf_masks(lg), len(lg.leaves) + 1)
     return out
+
+
+def _best(exp: Expansion, masks: tuple[int, ...], memo: dict) -> tuple[int, int]:
+    """(count, offset from the subtree's first id) of its smallest best root.
+
+    Count -1 when the subtree has no root.  Ids ascend through the created
+    parents, then the child blocks in pop order, so only a strictly larger
+    count replaces the best so far.  Module level, not a recursive closure:
+    that closure's reference cycle would keep the memo alive until the next
+    cyclic garbage collection.
+    """
+    found = memo.get((exp, masks))
+    if found is not None:
+        return found
+    made = _created_masks(exp, masks)
+    top, at = -1, -1
+    for c in exp.roots:
+        if made[c].bit_count() > top:
+            top, at = made[c].bit_count(), c
+    start = len(made)
+    for gi, child in exp.children:
+        count, offset = _best(child, tuple([made[c] for c in exp.groups[gi][1]]), memo)
+        if count > top:
+            top, at = count, start + offset
+        start += child.instances
+    memo[exp, masks] = top, at
+    return top, at
 
 
 def _witness(lg: LayeredGraph, root_id: int) -> RootedSubgraph:
@@ -182,7 +188,5 @@ def find_subset_alg2(lg: LayeredGraph) -> PipelineAnswer:
     """Maximum claimed count over all rooted subgraphs, smallest root id winning ties."""
     if not lg.vertex_count:
         raise EmptyGraphError("layered graph has no instances")
-    per = _root_counts(lg)
-    best_root, best_count = max(per, key=lambda rc: (rc[1], -rc[0]))
-    witness = _witness(lg, best_root)
-    return PipelineAnswer(max_count=best_count, witness=witness, per_subgraph=tuple(per))
+    count, offset = _best(lg.top, tuple(_leaf_masks(lg)), {})
+    return PipelineAnswer(count, _witness(lg, len(lg.leaves) + 1 + offset), lg)

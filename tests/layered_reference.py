@@ -4,9 +4,10 @@ derivation for the memoised ones in ``twomaxsat.layered``/``twomaxsat.subsets``.
 ``_Builder``, ``build_layered_alg1``/``build_layered_alg3`` (with Algorithm 3's
 reachable-subset and merged-scoped branches), the ``_label_bits`` findSubset
 and ``diagnose_skip_over`` are the pre-memo code, unchanged except that they
-write into the plain containers below.  ``assert_matches_reference`` is the
-equality gate: the unfolded graph, the counts, ``per_subgraph``, the witness
-and the diagnosis must all agree.
+write into the plain containers below.  ``enumerate_rooted_subgraphs`` lists
+every root's closure of an unfolded ``LayeredGraph``.
+``assert_matches_reference`` is the equality gate: the counts, the answer,
+``per_subgraph``, the diagnosis and the unfolded graph must all agree.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from twomaxsat.layered import (
     DuplicateCase,
     Group,
     LayeredEdge,
+    LayeredGraph,
     MergeEvent,
     NodeInstance,
     ReachableSubset,
@@ -30,6 +32,7 @@ from twomaxsat.layered import (
     upper_boundary,
 )
 from twomaxsat.pipeline import FrontEnd, search
+from twomaxsat.subsets import RootedSubgraph, _subgraph
 from twomaxsat.trie import TrieLikeGraph
 
 
@@ -347,6 +350,35 @@ def find_subset_alg2(lg: RefGraph) -> RefAnswer:
     )
 
 
+def enumerate_rooted_subgraphs(lg: LayeredGraph) -> list[RootedSubgraph]:
+    """One subgraph per parentless instance, closure following edges downward.
+
+    Reads the unfolded graph.
+    """
+    if not lg.vertex_count:
+        raise EmptyGraphError("layered graph has no instances")
+    below: dict[int, list[int]] = {}  # parent id -> indices of its edges
+    for k, edge in enumerate(lg.edges):
+        below.setdefault(edge.parent, []).append(k)
+    have_parent = {edge.child for edge in lg.edges}
+    out = []
+    for root_id in sorted(set(lg.instances) - have_parent):
+        closure = {root_id}
+        used: list[int] = []
+        stack = [root_id]
+        while stack:
+            for k in below.get(stack.pop(), ()):
+                used.append(k)
+                child = lg.edges[k].child
+                if child not in closure:
+                    closure.add(child)
+                    stack.append(child)
+        nodes = {iid: lg.instances[iid] for iid in closure}
+        edges = [lg.edges[k] for k in sorted(used)]
+        out.append(_subgraph(lg.source.trie, lg.instances[root_id], nodes, edges))
+    return out
+
+
 def diagnose_skip_over(run) -> tuple[SkipOverEdge, ...]:
     """Span edges the witness closure uses for conjunctions that do not own them.
 
@@ -423,14 +455,16 @@ def assert_matches_reference(front: FrontEnd, algorithm: int) -> None:
     assert lg.expanded_group_count == sum(1 for g in ref.groups if g.pushed), where
     assert lg.merge_event_count == len(ref.merge_events), where
     assert sum(1 for e in ref.merge_events if e.degenerate) == len(ref.merge_events), where
-    assert answer.per_subgraph == ref_answer.per_subgraph, where
+    # the memoised walk on its own, before the lazy per_subgraph lists the roots
     assert answer.max_count == ref_answer.max_count, where
     witness, ref_witness = answer.witness, ref_answer.witness
     assert witness.root == ref_witness.root, where
     assert witness.instances == ref_witness.instances, where
     assert witness.leaf_labels == ref_witness.leaf_labels, where
     assert witness.true_variables == ref_witness.true_variables, where
+    assert lg.root_count == len(ref.roots()), where
     assert memo_diagnose_skip_over(run) == ref_diagnosis, where
+    assert answer.per_subgraph == ref_answer.per_subgraph, where
     assert lg._unfolded is None, f"{where}: search unfolded the graph"
     assert lg.instances == ref.instances, where
     assert lg.layers == ref.layers, where

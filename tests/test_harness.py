@@ -257,13 +257,16 @@ def test_shrink_ce1_already_minimal():
 
 
 def test_shrink_removes_unused_variable():
-    # CE1 plus a never-referenced second variable
+    # CE1 plus a never-referenced second variable, under a frequency
+    # tie-break: v2 is starred in every sequence, so it comes first
     f = parse_cnf("p cnf 2 2\n-1 -1 0\n-1 -1 0\n")
-    found = check_one(f, ("y1", "y2", "v1", "v2"), 1)
-    if found is None:
-        pytest.skip("padding with an unused variable masks the mismatch here")
+    ordering = ("v2", "y1", "y2", "v1")
+    assert tie_consistent(pad_missing(cnf_to_dnf(f)), ordering)
+    found = check_one(f, ordering, 1)
+    assert found is not None
     small = shrink(found)
     assert parse_cnf(small.dimacs).m0 == 1
+    assert small.dimacs == CE1_DIMACS
 
 
 def test_shrink_never_grows():

@@ -329,32 +329,50 @@ def test_memo_matches_reference_on_fuzz_stream():
 def test_search_audit_repro_and_fuzz_never_unfold(monkeypatch):
     import random
 
-    from twomaxsat import layered
+    from twomaxsat import layered, subsets
     from twomaxsat.formula import formula_from_ints
     from twomaxsat.harness import audit_bounds, builtin_by_name, fuzz, run_counterexample
 
     def refuse(lg):
         raise AssertionError("the layered graph was unfolded")
 
+    def seeded(n0):
+        rng = random.Random(1)
+        clauses = []
+        for _ in range(n0):
+            a = rng.randint(1, 8) * rng.choice((1, -1))
+            b = a if rng.random() < 0.3 else rng.randint(1, 8) * rng.choice((1, -1))
+            clauses.append([a, b])
+        return formula_from_ints(clauses, 8)
+
     monkeypatch.setattr(layered, "unfold", refuse)
-    rng = random.Random(1)
-    clauses = []
-    for _ in range(14):
-        a = rng.randint(1, 8) * rng.choice((1, -1))
-        b = a if rng.random() < 0.3 else rng.randint(1, 8) * rng.choice((1, -1))
-        clauses.append([a, b])
-    f = formula_from_ints(clauses, 8)
+    f = seeded(14)
     run = run_pipeline(f)
+    # per_subgraph lists every root on purpose here; nothing below may
     assert len(run.answer.per_subgraph) > 1_000_000
     assert run.answer.max_count == max(count for _, count in run.answer.per_subgraph)
+    assert run.layered.root_count == len(run.answer.per_subgraph)
     lg = run.layered
     del run  # two million roots are enough to hold at once
+
+    def refuse_roots(lg):
+        raise AssertionError("the roots were listed")
+
+    monkeypatch.setattr(subsets, "_root_counts", refuse_roots)
     report = audit_bounds(f)
     assert report.counters["layered_instances"] == lg.vertex_count
     assert report.counters["layered_edges"] == lg.edge_count
     assert report.counters["groups"] == lg.group_count
+    assert report.counters["rooted_subgraphs"] == lg.root_count
     family_report = run_counterexample(builtin_by_name("family(12)"), strict=False)
     assert family_report["runs"][0]["pipeline"] == 2 * 12 - 1
     assert fuzz(42, 20)
+    # 17,304,034 instances and 9,699,328 roots, found from 138,516 walk states
+    big = run_pipeline(seeded(16))
+    assert big.answer.max_count == 26
+    assert big.answer.witness.root.instance_id == 9_461_917
+    assert big.layered.root_count == 9_699_328
     with pytest.raises(AssertionError, match="unfolded"):
         lg.edges
+    with pytest.raises(AssertionError, match="listed"):
+        big.answer.per_subgraph

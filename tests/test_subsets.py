@@ -10,12 +10,10 @@ from twomaxsat.layered import LayeredGraph, build_layered_alg1
 from twomaxsat.pipeline import resolve_ordering, run_pipeline
 from twomaxsat.sequences import build_sequences
 from twomaxsat.spans import build_pgraph, close_spans
-from twomaxsat.subsets import (
-    enumerate_rooted_subgraphs,
-    find_subset_alg2,
-    satisfied_conjunctions,
-)
+from twomaxsat.subsets import find_subset_alg2
 from twomaxsat.trie import merge_main_paths, overlay_spans
+
+from tests.layered_reference import enumerate_rooted_subgraphs
 
 
 def test_running_contains_shaded_subgraph(running):
@@ -55,15 +53,15 @@ def test_single_path_single_subgraph():
     lg = build_layered_alg1(g)
     subgraphs = enumerate_rooted_subgraphs(lg)
     assert len(subgraphs) == 1
-    assert satisfied_conjunctions(subgraphs[0]) == frozenset({"a"})
+    assert subgraphs[0].leaf_labels == frozenset({"a"})
     assert subgraphs[0].instances == set(lg.instances)
 
 
 def test_satisfied_counts(ce1, ce3):
     ce1_run = run_pipeline(ce1, ordering="y1>y2>v1", algorithm=1)
-    assert satisfied_conjunctions(ce1_run.answer.witness) == frozenset({"a", "c", "d"})
+    assert ce1_run.answer.witness.leaf_labels == frozenset({"a", "c", "d"})
     ce3_run = run_pipeline(ce3, ordering="y2>y1>v1", algorithm=1)
-    assert satisfied_conjunctions(ce3_run.answer.witness) == frozenset({"c", "d"})
+    assert ce3_run.answer.witness.leaf_labels == frozenset({"c", "d"})
 
 
 def test_subgraph_with_single_leaf(running):
@@ -113,7 +111,7 @@ def test_witness_consistency_and_range(running, ce1, ce2, ce3):
     ):
         for algorithm in (1, 3):
             answer = run_pipeline(f, ordering=spec, algorithm=algorithm).answer
-            assert len(satisfied_conjunctions(answer.witness)) == answer.max_count
+            assert len(answer.witness.leaf_labels) == answer.max_count
             assert 1 <= answer.max_count <= 2 * f.n0
             assert answer.max_count == max(count for _, count in answer.per_subgraph)
 
@@ -180,9 +178,10 @@ def test_counts_match_full_closures_on_random_formulas():
                 run = run_pipeline(f, ordering=list(ordering), algorithm=algorithm)
                 answer = run.answer
                 assert 1 <= answer.max_count <= run.dnf.n
-                assert len(satisfied_conjunctions(answer.witness)) == answer.max_count
+                assert len(answer.witness.leaf_labels) == answer.max_count
                 subgraphs = enumerate_rooted_subgraphs(run.layered)
                 by_root = {sg.root.instance_id: len(sg.leaf_labels) for sg in subgraphs}
+                assert run.layered.root_count == len(subgraphs)
                 assert dict(answer.per_subgraph) == by_root
                 # the witness rebuilt from the memo equals the unfolded closure,
                 # edges (in creation order) and instances included
