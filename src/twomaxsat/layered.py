@@ -16,7 +16,13 @@ members of one expansion the merge is classified (Case 1: generators in
 pairwise-distinct root branches; Case 2: on one root-to-leaf path; Case 3:
 the unexplained catch-all).  The merged instance is not expanded further and
 the expansion's non-merged parents that form no pushed group continue as
-single-node recursions.
+single-node recursions.  The cases read the trie's ``ancestry`` table, built
+once on the first merge: sorted by preorder, the generators lie on one path
+(Case 2) exactly when each one's preorder interval holds the next, and
+they are in pairwise-distinct root branches (Case 1) when their depth-1
+ancestors differ.  A merge's anchors are the cached ancestor tuple of the
+merged node, and each (merged node, generators) pair is classified once per
+search.
 
 The described reachable-subset / upper-boundary machinery would keep a merged
 instance alive only for a Case 1 merge below the root.  On graphs this
@@ -237,17 +243,15 @@ class LayeredGraph:
 
 def classify_duplicate_case(g: TrieLikeGraph, occurrences: Iterable[int]) -> str:
     """Case 1/2/3 for the trie nodes that generated one duplicate parent."""
-    occ = sorted(set(occurrences))
+    table = g.trie.ancestry
+    pre, last = table.pre, table.last
+    occ = sorted(set(occurrences), key=pre.__getitem__)
     if len(occ) < 2:
         raise NotADuplicateError(f"need at least two occurrences, got {occ}")
-    chains = {nid: g.trie.ancestors(nid) for nid in occ}
-    ancestor_sets = {nid: set(chain) for nid, chain in chains.items()}
-    def comparable(a: int, b: int) -> bool:
-        return a in ancestor_sets[b] or b in ancestor_sets[a]
-    if all(comparable(a, b) for i, a in enumerate(occ) for b in occ[i + 1 :]):
+    # in preorder, every pair is comparable exactly when each node's subtree holds the next
+    if all(pre[b] <= last[a] for a, b in zip(occ, occ[1:])):
         return DuplicateCase.CASE2
-    tops = {chain[1] if len(chain) > 1 else nid for nid, chain in chains.items()}
-    if len(tops) == len(occ):
+    if len({table.branch[nid] for nid in occ}) == len(occ):
         return DuplicateCase.CASE1
     return DuplicateCase.CASE3
 
@@ -269,17 +273,12 @@ def reachable_subset(
     When `v` is given, `u` must be a main-path ancestor of `v` and members are
     restricted to the subtree rooted at `v`.  The empty set is allowed.
     """
-    if v is not None:
-        if u not in anchor_candidates(g, v):
-            raise AnchorNotOnPathError(
-                f"n{u} is not between the root and repeated node n{v}"
-            )
-        scope = g.trie.subtree(v)
-    else:
-        scope = None
+    table = g.trie.ancestry
+    if v is not None and (u == v or not table.contains(u, v)):
+        raise AnchorNotOnPathError(f"n{u} is not between the root and repeated node n{v}")
     members = set()
     for nid in g.span_reachable_from(u):
-        if scope is not None and nid not in scope:
+        if v is not None and not table.contains(v, nid):
             continue
         if g.trie.node(nid).label_text == label:
             members.add(nid)
@@ -288,15 +287,10 @@ def reachable_subset(
 
 def _lowest_common_dominator(g: TrieLikeGraph, members: frozenset[int]) -> int:
     """Deepest main-trie node lying on every member's root path."""
-    paths = [g.trie.ancestors(nid) + [nid] for nid in sorted(members)]
-    common = paths[0]
-    for path in paths[1:]:
-        limit = min(len(common), len(path))
-        keep = 0
-        while keep < limit and common[keep] == path[keep]:
-            keep += 1
-        common = common[:keep]
-    return common[-1]
+    table = g.trie.ancestry
+    first = min(members, key=table.pre.__getitem__)
+    end = max(table.pre[nid] for nid in members)
+    return next(n for n in reversed(table.ancestors[first] + (first,)) if table.last[n] >= end)
 
 
 def upper_boundary(
@@ -320,6 +314,7 @@ class _Memo:
         self.g = g
         self.alg3 = mode == "alg3"
         self.table: dict[tuple[int, ...], Expansion] = {}
+        self.merges: dict[tuple[int, tuple[int, ...]], tuple[str, str, tuple[int, ...]]] = {}
         # indexed by trie node id, which starts at 1
         self.parents = [[]] + [g.parents_of(node.id) for node in g.trie.nodes]
         self.labels = [""] + [node.label_text for node in g.trie.nodes]
@@ -345,12 +340,15 @@ class _Memo:
                 if not gens[c] or gens[c][-1] != pos:  # one edge per pair: the first kind wins
                     edges.append((pos, c, kind))
                 gens[c].append(pos)
-        merged = [c for c, ps in enumerate(gens) if len(ps) >= 2] if self.alg3 else []
+        if self.alg3:
+            merged = [c for c, ps in enumerate(gens) if len(ps) >= 2]
+            plain = [c for c, ps in enumerate(gens) if len(ps) < 2]
+        else:
+            merged, plain = [], list(range(len(created)))
         merges = []
         for c in merged:
-            generators = tuple(sorted({key[pos] for pos in gens[c]}))
+            generators = tuple(sorted([key[pos] for pos in gens[c]]))  # key nodes are distinct
             merges.append((c, generators, *self._merge(created[c], generators)))
-        plain = [c for c in range(len(created)) if c not in merged]
         buckets: dict[str, list[int]] = {}
         for c in plain:
             buckets.setdefault(self.labels[created[c]], []).append(c)
@@ -391,17 +389,19 @@ class _Memo:
 
     def _merge(self, node: int, generators: tuple[int, ...]) -> tuple[str, str, tuple[int, ...]]:
         """(case, reason, anchors) of one Algorithm 3 merge; every one degenerates."""
-        case = classify_duplicate_case(self.g, generators)
-        anchors = tuple(anchor_candidates(self.g, node))
-        if case != DuplicateCase.CASE1:
+        found = self.merges.get((node, generators))
+        if found is None:
+            case = classify_duplicate_case(self.g, generators)
+            anchors = self.g.trie.ancestry.ancestors[node]
+            if case == DuplicateCase.CASE1 and anchors:
+                raise InternalError(
+                    f"Case 1 merge at non-root node n{node} (generators {generators}): "
+                    "a span edge leaves its owner's root path"
+                )
             # reachable subsets are only defined relative to a Case 1 repeat
-            return case, "non-case1-merge", anchors
-        if anchors:
-            raise InternalError(
-                f"Case 1 merge at non-root node n{node} (generators {generators}): "
-                "a span edge leaves its owner's root path"
-            )
-        return case, "anchor-not-on-path", anchors
+            reason = "anchor-not-on-path" if case == DuplicateCase.CASE1 else "non-case1-merge"
+            found = self.merges[node, generators] = case, reason, anchors
+        return found
 
 
 def _build(g: TrieLikeGraph, mode: str) -> LayeredGraph:

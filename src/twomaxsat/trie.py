@@ -18,6 +18,7 @@ labels are retained on each edge for the harness' diagnosis only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import UnmappedPositionError
@@ -55,6 +56,25 @@ class TrieNode:
         return self.variable.name
 
 
+@dataclass(frozen=True)
+class Ancestry:
+    """Main-path ancestry of every node of one trie, indexed by node id.
+
+    ``pre``/``last`` are each node's preorder number and the largest preorder
+    number in its subtree, from a depth-first walk over ``children``; `a` is
+    `b` or an ancestor of it exactly when ``pre[a] <= pre[b] <= last[a]``.
+    """
+
+    ancestors: list[tuple[int, ...]]  # root first, the node excluded
+    branch: list[int]  # the depth-1 ancestor, or the node itself at depth <= 1
+    pre: list[int]
+    last: list[int]
+
+    def contains(self, a: int, b: int) -> bool:
+        """Whether `b` lies in the subtree rooted at `a` (`a` itself included)."""
+        return self.pre[a] <= self.pre[b] <= self.last[a]
+
+
 @dataclass
 class Trie:
     nodes: list[TrieNode]
@@ -79,13 +99,33 @@ class Trie:
 
     def ancestors(self, node_id: int) -> list[int]:
         """Main-path ancestors of a node, root first, the node excluded."""
-        chain = []
-        cur = self.node(node_id).parent
-        while cur is not None:
-            chain.append(cur)
-            cur = self.node(cur).parent
-        chain.reverse()
-        return chain
+        return list(self.ancestry.ancestors[node_id])
+
+    @cached_property
+    def ancestry(self) -> Ancestry:
+        """Built on first read; a trie does not change once merged."""
+        size = len(self.nodes) + 1
+        ancestors: list[tuple[int, ...]] = [()] * size
+        branch = list(range(size))
+        pre = [0] * size
+        last = [0] * size
+        preorder: list[int] = []
+        stack = [n.id for n in reversed(self.nodes) if n.parent is None]
+        while stack:
+            nid = stack.pop()
+            pre[nid] = len(preorder)
+            preorder.append(nid)
+            children = self.node(nid).children
+            above = ancestors[nid] + (nid,)
+            for child in children:
+                ancestors[child] = above
+                if len(above) > 1:
+                    branch[child] = branch[nid]
+            stack.extend(reversed(children))
+        for nid in reversed(preorder):
+            children = self.node(nid).children
+            last[nid] = last[children[-1]] if children else pre[nid]
+        return Ancestry(ancestors, branch, pre, last)
 
     def subtree(self, node_id: int) -> set[int]:
         out = set()
@@ -95,7 +135,6 @@ class Trie:
             out.add(nid)
             stack.extend(self.node(nid).children)
         return out
-
 
 
 NodeMap = dict[str, tuple[int, ...]]

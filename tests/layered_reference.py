@@ -4,8 +4,11 @@ derivation for the memoised ones in ``twomaxsat.layered``/``twomaxsat.subsets``.
 ``_Builder``, ``build_layered_alg1``/``build_layered_alg3`` (with Algorithm 3's
 reachable-subset and merged-scoped branches), the ``_label_bits`` findSubset
 and ``diagnose_skip_over`` are the pre-memo code, unchanged except that they
-write into the plain containers below.  ``enumerate_rooted_subgraphs`` lists
-every root's closure of an unfolded ``LayeredGraph``.
+write into the plain containers below.  ``classify_duplicate_case`` and
+``anchor_candidates`` are the walk-based originals: they follow
+``TrieNode.parent`` themselves, never the trie's cached ancestry, so every
+merge's case and anchors are derived twice.  ``enumerate_rooted_subgraphs``
+lists every root's closure of an unfolded ``LayeredGraph``.
 ``assert_matches_reference`` is the equality gate: the counts, the answer,
 ``per_subgraph``, the diagnosis and the unfolded graph must all agree.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Sequence
 
-from twomaxsat.errors import EmptyGraphError
+from twomaxsat.errors import EmptyGraphError, NotADuplicateError
 from twomaxsat.harness import SkipOverEdge
 from twomaxsat.harness import diagnose_skip_over as memo_diagnose_skip_over
 from twomaxsat.layered import (
@@ -27,13 +30,46 @@ from twomaxsat.layered import (
     MergeEvent,
     NodeInstance,
     ReachableSubset,
-    anchor_candidates,
-    classify_duplicate_case,
     upper_boundary,
 )
 from twomaxsat.pipeline import FrontEnd, search
 from twomaxsat.subsets import RootedSubgraph, _subgraph
-from twomaxsat.trie import TrieLikeGraph
+from twomaxsat.trie import Trie, TrieLikeGraph
+
+
+def walk_ancestors(trie: Trie, node_id: int) -> list[int]:
+    """Main-path ancestors of a node, root first, found by following parents."""
+    chain = []
+    cur = trie.node(node_id).parent
+    while cur is not None:
+        chain.append(cur)
+        cur = trie.node(cur).parent
+    chain.reverse()
+    return chain
+
+
+def classify_duplicate_case(g: TrieLikeGraph, occurrences) -> str:
+    """Case 1/2/3 for the trie nodes that generated one duplicate parent."""
+    occ = sorted(set(occurrences))
+    if len(occ) < 2:
+        raise NotADuplicateError(f"need at least two occurrences, got {occ}")
+    chains = {nid: walk_ancestors(g.trie, nid) for nid in occ}
+    ancestor_sets = {nid: set(chain) for nid, chain in chains.items()}
+
+    def comparable(a: int, b: int) -> bool:
+        return a in ancestor_sets[b] or b in ancestor_sets[a]
+
+    if all(comparable(a, b) for i, a in enumerate(occ) for b in occ[i + 1 :]):
+        return DuplicateCase.CASE2
+    tops = {chain[1] if len(chain) > 1 else nid for nid, chain in chains.items()}
+    if len(tops) == len(occ):
+        return DuplicateCase.CASE1
+    return DuplicateCase.CASE3
+
+
+def anchor_candidates(g: TrieLikeGraph, v: int) -> list[int]:
+    """Valid anchors for repeated node `v`: its main-path ancestors, root included."""
+    return walk_ancestors(g.trie, v)
 
 
 @dataclass
