@@ -12,7 +12,6 @@ with exit 2.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -46,7 +45,7 @@ def _read_formula(path: str):
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(ex.dumps(payload))
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -91,8 +90,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     run = run_pipeline(f, ordering=args.ordering, algorithm=args.algorithm)
     payload = ex.answer_json(run)
     if args.export:
-        stages = [s.strip() for s in args.export.split(",") if s.strip()]
-        payload["exports"] = _write_exports(run, stages, args.format, args.out)
+        payload["exports"] = _write_exports(run, args.export, args.format, args.out)
     _emit(payload)
     return EXIT_OK
 
@@ -143,9 +141,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         "mismatches": [m.to_dict() for m in mismatches],
         "mismatch_count": len(mismatches),
     }
+    text = ex.dumps(payload)
     if args.report:
-        Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
-    _emit(payload)
+        Path(args.report).write_text(text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -159,8 +158,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     f = _read_formula(args.formula)
     run = run_pipeline(f, ordering=args.ordering, algorithm=args.algorithm)
-    stages = [s.strip() for s in args.stages.split(",") if s.strip()]
-    written = _write_exports(run, stages, args.format, args.out)
+    written = _write_exports(run, args.stages, args.format, args.out)
     _emit({"exports": written})
     return EXIT_OK
 
@@ -184,6 +182,15 @@ def _algorithm_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in parts)
 
 
+def _stage_list(raw: str) -> list[str]:
+    stages = [part.strip() for part in raw.split(",") if part.strip()]
+    if not all(stage in ex.STAGES for stage in stages):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of stages from {', '.join(ex.STAGES)}, got {raw!r}"
+        )
+    return stages
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twomaxsat",
@@ -203,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'frequency', 'lexical', or an explicit spec like 'y1>y2>v1'")
     p.add_argument("--algorithm", type=_algorithm, default=_env("ALGORITHM", "1"),
                    help="1 or 3")
-    p.add_argument("--export", default=None, help="comma-separated stages to write")
+    p.add_argument("--export", type=_stage_list, default=None,
+                   help="comma-separated stages to write")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", default="exports")
     p.set_defaults(func=cmd_pipeline)
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordering", default=_env("ORDERING", "frequency"))
     p.add_argument("--algorithm", type=_algorithm, default=_env("ALGORITHM", "1"),
                    help="1 or 3")
-    p.add_argument("--stages", default="trie,trielike,layered,answer")
+    p.add_argument("--stages", type=_stage_list, default="trie,trielike,layered,answer")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", default="exports")
     p.set_defaults(func=cmd_export)

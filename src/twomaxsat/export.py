@@ -4,14 +4,21 @@ Visual conventions: solid main-path edges, dashed spans, layers as
 same-rank rows, dashed boxes around groups, and the witness subgraph shaded
 with bold edges.  All iteration is over sorted or
 creation-ordered collections so exports are byte-stable.
+
+JSON goes through ``json.dumps(indent=2)``, except the layered graph's: it
+can hold millions of instances, so ``layered_json_text`` writes the same
+bytes from one replay of the memo and never unfolds the graph.  The layered
+DOT export reads the unfolded graph.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Any, Callable, Iterable
 
-from .layered import LayeredGraph
+from .layered import Expansion, LayeredGraph, replay
 from .pipeline import PipelineRun
 from .sequences import VarSequence
 from .spans import PGraph, PStarGraph
@@ -141,52 +148,165 @@ def trielike_json(g: TrieLikeGraph) -> dict[str, Any]:
     return payload
 
 
-def layered_json(lg: LayeredGraph) -> dict[str, Any]:
-    trie = lg.source.trie
-    return {
-        "mode": lg.mode,
-        "layers": [list(layer) for layer in lg.layers],
-        "instances": [
-            {
-                "id": inst.instance_id,
-                "trie_node": inst.trie_node,
-                "name": trie.node(inst.trie_node).name,
-                "label": trie.node(inst.trie_node).label_text,
-                "layer": inst.layer,
-            }
-            for _, inst in sorted(lg.instances.items())
-        ],
-        "edges": [
-            {"child": e.child, "parent": e.parent, "kind": e.kind} for e in lg.edges
-        ],
-        "groups": [
-            {
-                "id": g.group_id,
-                "label": g.label,
-                "members": list(g.members),
-                "layer": g.layer,
-                "child_group": g.child_group,
-                "pushed": g.pushed,
-                "origin": g.origin,
-            }
-            for g in lg.groups
-        ],
-        "merge_events": [
-            {
-                "layer": e.layer,
-                "trie_node": e.trie_node,
-                "instance": e.instance,
-                "generators": list(e.generators),
-                "case": e.case,
-                "degenerate": e.degenerate,
-                "reason": e.reason,
-                "anchors": list(e.anchors),
-                "subset_sizes": list(e.subset_sizes),
-                "boundary": sorted(e.boundary.members) if e.boundary else None,
-            }
-            for e in lg.merge_events
-        ],
-    }
+def _literal(text: str) -> str:
+    """`text` as a JSON string, with ``%`` doubled for use in a ``%`` template."""
+    return encode_basestring_ascii(text).replace("%", "%%")
+
+
+def _array(items: Iterable[str], depth: int) -> str:
+    """A JSON array of already encoded items, nested as ``json.dumps(indent=2)`` does."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}\n{'  ' * depth}]" if body else "[]"
+
+
+# One record of each kind, as json.dumps(indent=2) writes it inside a
+# top-level list, after its ",\n" separator.  Ids and layers are given as
+# their text or as a "%d" field; strings are given raw and pass through
+# _literal, except the trie node's pre-encoded lines.
+
+def _instance(iid: str, node: str, layer: str) -> str:
+    return f',\n    {{\n      "id": {iid},\n{node}      "layer": {layer}\n    }}'
+
+
+def _edge(child: str, parent: str, kind: str) -> str:
+    return (
+        f',\n    {{\n      "child": {child},\n      "parent": {parent},\n'
+        f'      "kind": {_literal(kind)}\n    }}'
+    )
+
+
+def _group(
+    gid: str, label: str, members: Iterable[str], layer: str, child: str, pushed: bool, origin: str
+) -> str:
+    return (
+        f',\n    {{\n      "id": {gid},\n      "label": {_literal(label)},\n'
+        f'      "members": {_array(members, 3)},\n      "layer": {layer},\n'
+        f'      "child_group": {child},\n      "pushed": {"true" if pushed else "false"},\n'
+        f'      "origin": {_literal(origin)}\n    }}'
+    )
+
+
+def _merge_event(
+    layer: str, node: int, instance: str, generators: tuple[int, ...], case: str, reason: str,
+    anchors: tuple[int, ...],
+) -> str:
+    # a memo merge always degenerates and never reaches the reachable subsets
+    return (
+        f',\n    {{\n      "layer": {layer},\n      "trie_node": {node},\n'
+        f'      "instance": {instance},\n      "generators": {_array(map(str, generators), 3)},\n'
+        f'      "case": {_literal(case)},\n      "degenerate": true,\n'
+        f'      "reason": {_literal(reason)},\n      "anchors": {_array(map(str, anchors), 3)},\n'
+        f'      "subset_sizes": [],\n      "boundary": null\n    }}'
+    )
+
+
+_Template = tuple[str, Callable[[tuple[int, ...]], Any] | None]
+
+
+def _pop_templates(exp: Expansion, width: int, nodes: list[str]) -> list[_Template]:
+    """What one pop of `exp` writes: its layer's ids, instances, edges, groups
+    and merge events, as ``%`` templates with the getters of their fields.
+
+    A pop's arguments are its group id, the created layer, the `width` member
+    ids, the created ids and the created group ids.  A section the pop adds
+    nothing to has the template "" and no getter.
+    """
+    parent, layer = 0, 1  # positions in a pop's arguments, as are the ranges
+    ids = range(2 + width, 2 + width + len(exp.created))
+    group_ids = range(ids.stop, ids.stop + len(exp.groups))
+    parts = [
+        (",\n      ".join(["%d"] * len(ids)), list(ids)),
+        (
+            "".join(_instance("%d", nodes[nid], "%d") for nid in exp.created),
+            [k for iid in ids for k in (iid, layer)],
+        ),
+        (
+            "".join(_edge("%d", "%d", kind) for _, _, kind in exp.edges),
+            [k for pos, c, _ in exp.edges for k in (2 + pos, ids[c])],
+        ),
+        (
+            "".join(
+                _group("%d", label, ["%d"] * len(cs), "%d", "%d", pushed, origin)
+                for label, cs, pushed, origin in exp.groups
+            ),
+            [
+                k
+                for gid, (_, cs, _, _) in zip(group_ids, exp.groups)
+                for k in (gid, *map(ids.__getitem__, cs), layer, parent)
+            ],
+        ),
+        (
+            "".join(
+                _merge_event("%d", exp.created[c], "%d", generators, case, reason, anchors)
+                for c, generators, case, reason, anchors in exp.merges
+            ),
+            [k for c, *_ in exp.merges for k in (layer, ids[c])],
+        ),
+    ]
+    return [(text, itemgetter(*fields) if fields else None) for text, fields in parts]
+
+
+def _json_list(name: str, records: list[str], last: bool = False) -> list[str]:
+    """Pieces of one top-level list whose records each start with ``",\n"``."""
+    end = "\n}\n" if last else ",\n"
+    if not records:
+        return [f'  "{name}": []{end}']
+    return [f'  "{name}": [\n', records[0][2:], *records[1:], f"\n  ]{end}"]
+
+
+def layered_json_text(lg: LayeredGraph) -> str:
+    """The layered graph's JSON export, written from the memo without unfolding it.
+
+    Byte for byte what ``json.dumps(payload, indent=2) + "\n"`` writes for
+    the payload with the fields ``mode``, ``layers``, ``instances``,
+    ``edges``, ``groups`` and ``merge_events`` (built from the unfolded graph
+    in ``tests/layered_reference.py``).  One replay of the memo fills every
+    section; each memo entry's records become ``%`` templates on its first
+    pop, and each trie node's name and label are encoded once.
+    """
+    nodes = [""] + [  # indexed by trie node id, which starts at 1
+        f'      "trie_node": {node.id},\n      "name": {_literal(node.name)},\n'
+        f'      "label": {_literal(node.label_text)},\n'
+        for node in lg.source.trie.nodes
+    ]
+    layers: list[list[str]] = []
+    instances: list[str] = []
+    edges: list[str] = []
+    groups: list[str] = []
+    merges: list[str] = []
+    if lg.leaves:
+        leaf_ids = [str(iid) for iid in range(1, len(lg.leaves) + 1)]
+        layers.append(leaf_ids)
+        # "% ()" undoubles the %s of the literals
+        instances.append(
+            "".join(_instance(iid, nodes[nid], "1") for iid, nid in zip(leaf_ids, lg.leaves)) % ()
+        )
+        groups.append(_group("1", "$", leaf_ids, "1", "null", True, "leaves") % ())
+    templates: dict[Expansion, list[_Template]] = {}
+    for exp, members, group_id, layer, ids, group_ids, _ in replay(lg):
+        if not exp.created:  # nothing to write, and no layer to open
+            continue
+        found = templates.get(exp)
+        if found is None:
+            found = templates[exp] = _pop_templates(exp, len(members), nodes)
+        if len(layers) == layer:
+            layers.append([])
+        args = (group_id, layer + 1, *members, *ids, *group_ids)
+        for out, (text, fields) in zip((layers[layer], instances, edges, groups, merges), found):
+            if text:
+                out.append(text % fields(args))
+    rows = [",\n    " + _array(row, 2) for row in layers]
+    return "".join(
+        [
+            f'{{\n  "mode": {encode_basestring_ascii(lg.mode)},\n',
+            *_json_list("layers", rows),
+            *_json_list("instances", instances),
+            *_json_list("edges", edges),
+            *_json_list("groups", groups),
+            *_json_list("merge_events", merges, last=True),
+        ]
+    )
 
 
 def answer_json(run: PipelineRun) -> dict[str, Any]:
@@ -240,7 +360,7 @@ def export_stage(run: PipelineRun, stage: str, fmt: str) -> str:
         return trielike_dot(run.trielike)
     if stage == "layered":
         if fmt == "json":
-            return dumps(layered_json(run.layered))
+            return layered_json_text(run.layered)
         return layered_dot(run.layered, run.answer.witness)
     if stage == "answer":
         return dumps(answer_json(run))

@@ -42,18 +42,20 @@ once into an ``Expansion`` that also sums its subtree's sizes.  The search
 is a depth-first stack, so every pushed group's subtree takes one contiguous
 block of instance ids and group ids -- its created parents first, then its
 child subtrees in pop order -- and the subtree sizes give every absolute id.
-``LayeredGraph`` therefore knows its counts without building anything; its
-``instances``, ``layers``, ``edges``, ``groups`` and ``merge_events`` are
-unfolded from the memo on first read, in exactly the order a materialising
-search creates them.  Only exports, DOT output and ``layer`` read them;
-findSubset (a memoised walk, see ``subsets``), the skip-over diagnosis, the
-audits and the fuzzer never unfold, and ``root_count`` lists no root.
+``LayeredGraph`` therefore knows its counts without building anything.
+``replay`` walks the memo in the search's pop order and hands out those ids;
+``unfold`` turns it into the ``instances``, ``layers``, ``edges``, ``groups``
+and ``merge_events`` read on first access, in exactly the order a
+materialising search creates them.  Only the DOT export and ``layer`` read
+them; the JSON export writes straight from ``replay``, and findSubset (a
+memoised walk, see ``subsets``), the skip-over diagnosis, the audits and the
+fuzzer never unfold.  ``root_count`` lists no root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AnchorNotOnPathError,
@@ -419,41 +421,57 @@ def build_layered_alg3(g: TrieLikeGraph) -> LayeredGraph:
     return _build(g, "alg3")
 
 
-def unfold(lg: LayeredGraph) -> _Unfolded:
-    """Every instance, layer, edge, group and merge event, in creation order.
+def replay(
+    lg: LayeredGraph,
+) -> Iterator[tuple[Expansion, tuple[int, ...], int, int, range, range, list[tuple[int, ...]]]]:
+    """The depth-first search replayed over the memo, one popped group at a time.
 
-    Replays the depth-first search over the memo: popping a group numbers its
-    created parents and groups next, then pushes its pushed groups.
+    Yields ``(expansion, members, group_id, layer, ids, group_ids, grouped)``:
+    the popped group's expansion, member instance ids, group id and layer; the
+    ids of its created parents (``ids[c]`` for created index ``c``, starting
+    at the first instance id) and of its created groups (starting at the
+    first group id); and the member id tuple of each created group.  Popping
+    numbers the created parents and groups next, then pushes the pushed
+    groups, so the yields come in creation order.  Nothing is yielded for a
+    graph with no leaves; the leaves are ids 1..L and the leaves group is
+    group 1.
     """
+    if not lg.leaves:
+        return
+    next_id = len(lg.leaves) + 1
+    next_group = 2
+    stack = [(lg.top, tuple(range(1, next_id)), 1, 1)]  # expansion, member ids, group id, layer
+    while stack:
+        exp, members, group_id, layer = stack.pop()
+        ids = range(next_id, next_id + len(exp.created))
+        group_ids = range(next_group, next_group + len(exp.groups))
+        grouped = [tuple(map(ids.__getitem__, cs)) for _, cs, _, _ in exp.groups]
+        yield exp, members, group_id, layer, ids, group_ids, grouped
+        next_id, next_group = ids.stop, group_ids.stop
+        for gi, child in reversed(exp.children):  # stored in pop order
+            stack.append((child, grouped[gi], group_ids[gi], layer + 1))
+
+
+def unfold(lg: LayeredGraph) -> _Unfolded:
+    """Every instance, layer, edge, group and merge event, in creation order."""
     out = _Unfolded({}, [], [], [], [])
     if not lg.leaves:
         return out
     for iid, nid in enumerate(lg.leaves, start=1):
         out.instances[iid] = NodeInstance(iid, nid, 1)
-    leaf_ids = tuple(out.instances)
-    out.groups.append(Group(1, "$", leaf_ids, 1, None, True, "leaves"))
-    stack = [(lg.top, leaf_ids, 1, 1)]  # expansion, member ids, group id, layer
-    while stack:
-        exp, members, group_id, layer = stack.pop()
-        # one int object per id, shared by every record that names it
-        first = len(out.instances) + 1
-        ids = list(range(first, first + len(exp.created)))
+    out.groups.append(Group(1, "$", tuple(out.instances), 1, None, True, "leaves"))
+    for exp, members, group_id, layer, ids, group_ids, grouped in replay(lg):
         for iid, nid in zip(ids, exp.created):
             out.instances[iid] = NodeInstance(iid, nid, layer + 1)
         out.edges.extend(LayeredEdge(members[pos], ids[c], kind) for pos, c, kind in exp.edges)
-        first_group = len(out.groups) + 1
-        for gi, (label, cs, pushed, origin) in enumerate(exp.groups):
-            members_here = tuple(ids[c] for c in cs)
-            out.groups.append(
-                Group(first_group + gi, label, members_here, layer + 1, group_id, pushed, origin)
-            )
+        out.groups.extend(
+            Group(gid, label, members_here, layer + 1, group_id, pushed, origin)
+            for gid, members_here, (label, _, pushed, origin) in zip(group_ids, grouped, exp.groups)
+        )
         out.merge_events.extend(
             MergeEvent(layer + 1, exp.created[c], ids[c], generators, case, True, reason, anchors)
             for c, generators, case, reason, anchors in exp.merges
         )
-        for gi, child in reversed(exp.children):  # stored in pop order
-            grp = out.groups[first_group - 1 + gi]
-            stack.append((child, grp.members, grp.group_id, layer + 1))
     for iid, inst in out.instances.items():
         while len(out.layers) < inst.layer:
             out.layers.append([])

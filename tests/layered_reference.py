@@ -8,7 +8,9 @@ write into the plain containers below.  ``classify_duplicate_case`` and
 ``anchor_candidates`` are the walk-based originals: they follow
 ``TrieNode.parent`` themselves, never the trie's cached ancestry, so every
 merge's case and anchors are derived twice.  ``enumerate_rooted_subgraphs``
-lists every root's closure of an unfolded ``LayeredGraph``.
+lists every root's closure of an unfolded ``LayeredGraph``, and
+``reference_layered_json`` builds the layered JSON export's payload from the
+unfolded graph, the dict ``json.dumps(..., indent=2)`` used to write.
 ``assert_matches_reference`` is the equality gate: the counts, the answer,
 ``per_subgraph``, the diagnosis and the unfolded graph must all agree.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Any, Sequence
 
 from twomaxsat.errors import EmptyGraphError, NotADuplicateError
 from twomaxsat.harness import SkipOverEdge
@@ -413,6 +415,55 @@ def enumerate_rooted_subgraphs(lg: LayeredGraph) -> list[RootedSubgraph]:
         edges = [lg.edges[k] for k in sorted(used)]
         out.append(_subgraph(lg.source.trie, lg.instances[root_id], nodes, edges))
     return out
+
+
+def reference_layered_json(lg: LayeredGraph) -> dict[str, Any]:
+    """The layered export's payload, built from the unfolded graph."""
+    trie = lg.source.trie
+    return {
+        "mode": lg.mode,
+        "layers": [list(layer) for layer in lg.layers],
+        "instances": [
+            {
+                "id": inst.instance_id,
+                "trie_node": inst.trie_node,
+                "name": trie.node(inst.trie_node).name,
+                "label": trie.node(inst.trie_node).label_text,
+                "layer": inst.layer,
+            }
+            for _, inst in sorted(lg.instances.items())
+        ],
+        "edges": [
+            {"child": e.child, "parent": e.parent, "kind": e.kind} for e in lg.edges
+        ],
+        "groups": [
+            {
+                "id": g.group_id,
+                "label": g.label,
+                "members": list(g.members),
+                "layer": g.layer,
+                "child_group": g.child_group,
+                "pushed": g.pushed,
+                "origin": g.origin,
+            }
+            for g in lg.groups
+        ],
+        "merge_events": [
+            {
+                "layer": e.layer,
+                "trie_node": e.trie_node,
+                "instance": e.instance,
+                "generators": list(e.generators),
+                "case": e.case,
+                "degenerate": e.degenerate,
+                "reason": e.reason,
+                "anchors": list(e.anchors),
+                "subset_sizes": list(e.subset_sizes),
+                "boundary": sorted(e.boundary.members) if e.boundary else None,
+            }
+            for e in lg.merge_events
+        ],
+    }
 
 
 def diagnose_skip_over(run) -> tuple[SkipOverEdge, ...]:

@@ -125,6 +125,24 @@ def test_export_determinism(capsys, tmp_path, ce1_file):
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "{formula}", "--stages", "bogus", "--out", "{out}"],
+        ["pipeline", "{formula}", "--export", "layered,bogus", "--format", "json", "--out", "{out}"],
+    ],
+)
+def test_unknown_stage_exit_2_writes_nothing(capsys, tmp_path, ce1_file, argv):
+    out = tmp_path / "stages"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(formula=ce1_file, out=out) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bogus" in captured.err
+    assert not out.exists()
+
+
 def test_repro_single(capsys, tmp_path):
     assert main(["repro", "ce1"]) == 0
     capsys.readouterr()

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
+from tests.layered_reference import reference_layered_json
 from twomaxsat.export import (
     answer_json,
     export_stage,
     layered_dot,
-    layered_json,
+    layered_json_text,
     pgraph_dot,
     sequence_text,
     trie_dot,
@@ -17,8 +19,14 @@ from twomaxsat.export import (
     trielike_json,
 )
 from twomaxsat.export import STAGES
-from twomaxsat.formula import parse_cnf
-from twomaxsat.harness import builtin_counterexamples
+from twomaxsat.formula import formula_from_ints, parse_cnf
+from twomaxsat.harness import (
+    FuzzParams,
+    builtin_counterexamples,
+    random_formula,
+    tie_consistent_orderings,
+)
+from twomaxsat.layered import LayeredGraph
 from twomaxsat.pipeline import front_end, run_pipeline, search
 
 
@@ -67,7 +75,7 @@ def test_trielike_json_shape(ce1):
 
 def test_layered_json_shape(ce1):
     run = run_pipeline(ce1, ordering="y1>y2>v1", algorithm=3)
-    payload = layered_json(run.layered)
+    payload = json.loads(export_stage(run, "layered", "json"))
     assert payload["mode"] == "alg3"
     assert len(payload["layers"]) == 4
     assert all(e["degenerate"] for e in payload["merge_events"])
@@ -135,3 +143,47 @@ def test_builtin_export_bytes_pinned():
                 for fmt in ("dot", "json"):
                     digest.update(export_stage(run, stage, fmt).encode())
     assert digest.hexdigest() == PINNED_BUILTIN_EXPORTS
+
+
+def _assert_layered_json_matches_reference(run, where: str) -> None:
+    text = export_stage(run, "layered", "json")
+    assert run.layered._unfolded is None, f"{where}: the export unfolded the graph"
+    assert text == json.dumps(reference_layered_json(run.layered), indent=2) + "\n", where
+
+
+def test_layered_json_bytes_match_reference():
+    # the writer renders from the memo; the reference dumps a dict of the unfolded graph
+    for spec in builtin_counterexamples():
+        f = parse_cnf(spec.dimacs)
+        for algorithm in (1, 3):
+            run = run_pipeline(f, ordering=spec.ordering, algorithm=algorithm)
+            _assert_layered_json_matches_reference(run, f"{spec.name} / alg{algorithm}")
+    params = FuzzParams()
+    rng = random.Random(42)
+    for _ in range(100):
+        f = random_formula(rng, params)
+        for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
+            front = front_end(f, list(ordering))
+            for algorithm in params.algorithms:
+                _assert_layered_json_matches_reference(search(front, algorithm), f"{f} / {ordering}")
+    # criterion 7's grid stream, graphs of up to 2,000 instances
+    rng = random.Random(1789)
+    grid = merged = 0
+    for _ in range(200):
+        n0 = rng.randint(1, 8)
+        m0 = rng.randint(1, 8)
+        clauses = []
+        for _ in range(n0):
+            a = rng.randint(1, m0) * rng.choice((1, -1))
+            b = a if rng.random() < 0.3 else rng.randint(1, m0) * rng.choice((1, -1))
+            clauses.append([a, b])
+        front = front_end(formula_from_ints(clauses, m0), "frequency")
+        for algorithm in (1, 3):
+            run = search(front, algorithm)
+            if run.layered.vertex_count <= 2_000:
+                _assert_layered_json_matches_reference(run, f"{clauses} / alg{algorithm}")
+                grid += 1
+                merged += run.layered.merge_event_count > 0
+    assert grid == 311 and merged == 136
+    empty = LayeredGraph("alg1", run.layered.source)
+    assert layered_json_text(empty) == json.dumps(reference_layered_json(empty), indent=2) + "\n"

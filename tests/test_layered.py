@@ -3,6 +3,8 @@ duplicate-node machinery."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from twomaxsat.errors import (
@@ -330,6 +332,7 @@ def test_search_audit_repro_and_fuzz_never_unfold(monkeypatch):
     import random
 
     from twomaxsat import layered, subsets
+    from twomaxsat.export import export_stage
     from twomaxsat.formula import formula_from_ints
     from twomaxsat.harness import audit_bounds, builtin_by_name, fuzz, run_counterexample
 
@@ -367,6 +370,10 @@ def test_search_audit_repro_and_fuzz_never_unfold(monkeypatch):
     family_report = run_counterexample(builtin_by_name("family(12)"), strict=False)
     assert family_report["runs"][0]["pipeline"] == 2 * 12 - 1
     assert fuzz(42, 20)
+    small = run_pipeline(seeded(6), algorithm=3)
+    payload = json.loads(export_stage(small, "layered", "json"))
+    assert len(payload["instances"]) == small.layered.vertex_count == 3_344
+    assert len(payload["merge_events"]) == small.layered.merge_event_count == 1_206
     # 17,304,034 instances and 9,699,328 roots, found from 138,516 walk states
     big = run_pipeline(seeded(16))
     assert big.answer.max_count == 26
