@@ -30,14 +30,7 @@ from .harness import (
     run_counterexample,
     shrink,
 )
-from .layered import (
-    anchor_candidates,
-    build_layered_alg1,
-    build_layered_alg3,
-    classify_duplicate_case,
-    reachable_subset,
-    upper_boundary,
-)
+from .layered import build_layered_alg1, build_layered_alg3, classify_duplicate_case
 from .oracle import decide_2maxsat, oracle_max_dnf, oracle_max_sat
 from .pipeline import FrontEnd, PipelineRun, front_end, run_pipeline, search
 from .sequences import (
@@ -61,13 +54,10 @@ __all__ = [
     "GlobalOrdering",
     "PipelineRun",
     "TwoMaxSatError",
-    "anchor_candidates",
     "audit_bounds",
     "build_layered_alg1",
     "build_layered_alg3",
     "classify_duplicate_case",
-    "reachable_subset",
-    "upper_boundary",
     "build_pgraph",
     "build_sequences",
     "builtin_counterexamples",

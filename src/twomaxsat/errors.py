@@ -49,14 +49,6 @@ class NotADuplicateError(TwoMaxSatError):
     pass
 
 
-class AnchorNotOnPathError(TwoMaxSatError):
-    """No valid anchor exists between the root and the repeated node."""
-
-
-class DegenerateSubsetsError(TwoMaxSatError):
-    """Reachable subsets are too small to derive an upper boundary."""
-
-
 class EmptyGraphError(TwoMaxSatError):
     pass
 

@@ -284,7 +284,7 @@ def layered_json_text(lg: LayeredGraph) -> str:
         )
         groups.append(_group("1", "$", leaf_ids, "1", "null", True, "leaves") % ())
     templates: dict[Expansion, list[_Template]] = {}
-    for exp, members, group_id, layer, ids, group_ids, _ in replay(lg):
+    for exp, members, group_id, layer, ids, group_ids in replay(lg):
         if not exp.created:  # nothing to write, and no layer to open
             continue
         found = templates.get(exp)

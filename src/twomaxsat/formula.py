@@ -77,11 +77,13 @@ class CnfFormula:
 
 
 def conjunction_label(index: int) -> str:
-    """Letter tag for conjunction `index`: a..z, then aa, ab, ..."""
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if index < 26:
-        return letters[index]
-    return letters[index // 26 - 1] + letters[index % 26]
+    """Letter tag for conjunction `index` in bijective base 26: a..z, aa..zz, aaa, ..."""
+    out = ""
+    index += 1
+    while index:
+        index, digit = divmod(index - 1, 26)
+        out = "abcdefghijklmnopqrstuvwxyz"[digit] + out
+    return out
 
 
 @dataclass(frozen=True)

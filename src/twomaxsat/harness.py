@@ -195,25 +195,16 @@ def diagnose_skip_over(run: PipelineRun) -> tuple[SkipOverEdge, ...]:
     """
     witness = run.answer.witness
     trie = run.trielike.trie
+    below = {
+        iid: set(trie.node(inst.trie_node).conjunction_labels) if inst.layer == 1 else set()
+        for iid, inst in witness.nodes.items()
+    }
     children: dict[int, list] = {}
+    # edges come in creation order, so every edge into a child precedes the
+    # child's own edges upward and its labels are complete when read
     for edge in witness.edges:
+        below[edge.parent] |= below[edge.child]
         children.setdefault(edge.parent, []).append(edge)
-
-    def labels_below(iid: int) -> frozenset[str]:
-        seen = set()
-        labels: set[str] = set()
-        stack = [iid]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            inst = witness.nodes[cur]
-            if inst.layer == 1:
-                labels.update(trie.node(inst.trie_node).conjunction_labels)
-            stack.extend(e.child for e in children.get(cur, ()))
-        return frozenset(labels)
-
     findings = []
     for edges in children.values():
         for edge in edges:
@@ -222,7 +213,7 @@ def diagnose_skip_over(run: PipelineRun) -> tuple[SkipOverEdge, ...]:
             child_node = witness.nodes[edge.child].trie_node
             parent_node = witness.nodes[edge.parent].trie_node
             owners = run.trielike.span_owners(child_node, parent_node)
-            violating = labels_below(edge.child) - owners
+            violating = below[edge.child] - owners
             if violating:
                 findings.append(
                     SkipOverEdge(
@@ -379,46 +370,43 @@ def fuzz(seed: int, iterations: int, params: FuzzParams = FuzzParams()) -> list[
     return mismatches
 
 
-def _clause_ints(f: CnfFormula) -> list[list[int]]:
-    return [[lit.dimacs for lit in clause.literals] for clause in f.clauses]
-
-
-def _drop_clause(
-    clauses: list[list[int]], ordering: Sequence[str], index: int
-) -> tuple[list[list[int]], list[str]]:
-    """Remove clause `index`; auxiliaries above it shift down one name."""
-    kept = [list(c) for i, c in enumerate(clauses) if i != index]
+def _rename(ordering: Sequence[str], prefix: str, k: int) -> list[str]:
+    """`ordering` without variable `{prefix}{k}`; those above it shift down one name."""
     names = []
     for name in ordering:
-        if name.startswith("y"):
+        if name.startswith(prefix):
             num = int(name[1:])
-            if num == index + 1:
+            if num == k:
                 continue
-            names.append(f"y{num - 1}" if num > index + 1 else name)
-        else:
-            names.append(name)
-    return kept, names
+            if num > k:
+                name = f"{prefix}{num - 1}"
+        names.append(name)
+    return names
 
 
-def _drop_variable(
-    clauses: list[list[int]], ordering: Sequence[str], m0: int, var: int
-) -> tuple[list[list[int]], list[str]]:
-    """Remove unused original variable `var` (1-based); higher ones renumber down."""
-    def shift(lit: int) -> int:
-        mag, sign = abs(lit), 1 if lit > 0 else -1
-        return sign * (mag - 1 if mag > var else mag)
+def _candidates(m: Mismatch) -> Iterator[tuple[list[list[int]], int, Sequence[str]]]:
+    """Every one-step reduction of `m` as (clauses, m0, ordering), in shrink's order.
 
-    kept = [[shift(l) for l in clause] for clause in clauses]
-    names = []
-    for name in ordering:
-        if name.startswith("v"):
-            num = int(name[1:])
-            if num == var:
-                continue
-            names.append(f"v{num - 1}" if num > var else name)
-        else:
-            names.append(name)
-    return kept, names
+    Clause drops by index, then unused-variable drops from m0 down, then the
+    default frequency ordering.  Lazy: the default ordering is built only
+    once every drop has been tried.
+    """
+    f = parse_cnf(m.dimacs)
+    clauses = [[lit.dimacs for lit in clause.literals] for clause in f.clauses]
+    for i in range(len(clauses)):
+        # auxiliary y{i+1} goes with its clause
+        yield clauses[:i] + clauses[i + 1 :], f.m0, _rename(m.ordering, "y", i + 1)
+    mentioned = {abs(lit) for clause in clauses for lit in clause}
+    for var in range(f.m0, 0, -1):
+        if var not in mentioned:
+            shifted = [
+                [lit - 1 if lit > var else lit + 1 if lit < -var else lit for lit in clause]
+                for clause in clauses
+            ]
+            yield shifted, f.m0 - 1, _rename(m.ordering, "v", var)
+    default = tuple(v.name for v in front_end(f, "frequency").ordering.variables)
+    if default != m.ordering:
+        yield clauses, f.m0, default
 
 
 def shrink(m: Mismatch, variable_cap: int = 24) -> Mismatch:
@@ -443,39 +431,14 @@ def shrink(m: Mismatch, variable_cap: int = 24) -> Mismatch:
             return None
 
     current = m
-    improved = True
-    while improved:
-        improved = False
-        f = parse_cnf(current.dimacs)
-        clauses = _clause_ints(f)
-        for i in range(len(clauses)):
-            cand_clauses, cand_names = _drop_clause(clauses, current.ordering, i)
-            found = replay(cand_clauses, f.m0, cand_names)
+    while True:
+        for clauses, m0, ordering in _candidates(current):
+            found = replay(clauses, m0, ordering)
             if found is not None:
                 current = found
-                improved = True
                 break
-        if improved:
-            continue
-        mentioned = {abs(l) for c in clauses for l in c}
-        for var in range(f.m0, 0, -1):
-            if var in mentioned:
-                continue
-            cand_clauses, cand_names = _drop_variable(clauses, current.ordering, f.m0, var)
-            found = replay(cand_clauses, f.m0 - 1, cand_names)
-            if found is not None:
-                current = found
-                improved = True
-                break
-        if improved:
-            continue
-        default_names = tuple(v.name for v in front_end(f, "frequency").ordering.variables)
-        if default_names != current.ordering:
-            found = replay(clauses, f.m0, default_names)
-            if found is not None:
-                current = found
-                improved = True
-    return current
+        else:
+            return current
 
 
 TRIE_VERTEX_BOUND = "trie_like_vertices<=n(m+2)-1"

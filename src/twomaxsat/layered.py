@@ -24,16 +24,15 @@ ancestors differ.  A merge's anchors are the cached ancestor tuple of the
 merged node, and each (merged node, generators) pair is classified once per
 search.
 
-The described reachable-subset / upper-boundary machinery would keep a merged
-instance alive only for a Case 1 merge below the root.  On graphs this
-pipeline builds that never happens: every span edge connects a node to an
-ancestor on its own root path, so all generators of a repeated non-root node
-share that node's root branch (never Case 1), and a Case 1 repeat can only
-be the root, which has no anchor.  Every merge therefore degenerates, which
-is precisely how the recorded counterexamples defeat the improved search; a
-Case 1 merge with anchors raises InternalError instead of running code that
-cannot run.  ``reachable_subset`` and ``upper_boundary`` stay public for
-hand-built graphs.
+The prose also describes reachable subsets and upper boundaries, never
+formally defined, that would keep a merged instance alive after a Case 1
+merge below the root.  On graphs this pipeline builds that merge never
+happens: every span edge connects a node to an ancestor on its own root path,
+so all generators of a repeated non-root node share that node's root branch
+(never Case 1), and a Case 1 repeat can only be the root, which has no
+anchor.  Every merge therefore degenerates, which is precisely how the
+recorded counterexamples defeat the improved search, so those structures
+have no code here: a Case 1 merge with anchors raises InternalError.
 
 Both searches are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): popping a group depends only on the
@@ -55,14 +54,9 @@ fuzzer never unfold.  ``root_count`` lists no root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .errors import (
-    AnchorNotOnPathError,
-    DegenerateSubsetsError,
-    InternalError,
-    NotADuplicateError,
-)
+from .errors import InternalError, NotADuplicateError
 from .trie import TrieLikeGraph
 
 
@@ -99,19 +93,6 @@ class Group:
     origin: str  # "leaves" | "label" | "merge-sibling"
 
 
-@dataclass(frozen=True)
-class ReachableSubset:
-    anchor: int
-    label: str
-    members: frozenset[int]
-
-
-@dataclass(frozen=True)
-class UpperBoundary:
-    derived_from: tuple[ReachableSubset, ...]
-    members: frozenset[int]
-
-
 @dataclass
 class MergeEvent:
     layer: int
@@ -119,13 +100,9 @@ class MergeEvent:
     instance: int
     generators: tuple[int, ...]  # trie nodes that produced the duplicate
     case: str
-    degenerate: bool
-    reason: str  # "" when not degenerate
+    degenerate: bool  # always true: see the module docstring
+    reason: str  # "non-case1-merge" | "anchor-not-on-path"
     anchors: tuple[int, ...] = ()
-    # always empty: no merge on a pipeline-built graph reaches the reachable
-    # subsets; kept so that exports keep their fields
-    subset_sizes: tuple[int, ...] = ()
-    boundary: UpperBoundary | None = None
 
 
 @dataclass(eq=False, repr=False)
@@ -258,57 +235,6 @@ def classify_duplicate_case(g: TrieLikeGraph, occurrences: Iterable[int]) -> str
     return DuplicateCase.CASE3
 
 
-def anchor_candidates(g: TrieLikeGraph, v: int) -> list[int]:
-    """Valid anchors for repeated node `v`: its main-path ancestors, root included.
-
-    Empty exactly when `v` is the root, the degenerate situation where no
-    reachable subset can be calculated.
-    """
-    return g.trie.ancestors(v)
-
-
-def reachable_subset(
-    g: TrieLikeGraph, u: int, label: str, v: int | None = None
-) -> ReachableSubset:
-    """Label-`label` nodes reachable from `u` through a single span.
-
-    When `v` is given, `u` must be a main-path ancestor of `v` and members are
-    restricted to the subtree rooted at `v`.  The empty set is allowed.
-    """
-    table = g.trie.ancestry
-    if v is not None and (u == v or not table.contains(u, v)):
-        raise AnchorNotOnPathError(f"n{u} is not between the root and repeated node n{v}")
-    members = set()
-    for nid in g.span_reachable_from(u):
-        if v is not None and not table.contains(v, nid):
-            continue
-        if g.trie.node(nid).label_text == label:
-            members.add(nid)
-    return ReachableSubset(u, label, frozenset(members))
-
-
-def _lowest_common_dominator(g: TrieLikeGraph, members: frozenset[int]) -> int:
-    """Deepest main-trie node lying on every member's root path."""
-    table = g.trie.ancestry
-    first = min(members, key=table.pre.__getitem__)
-    end = max(table.pre[nid] for nid in members)
-    return next(n for n in reversed(table.ancestors[first] + (first,)) if table.last[n] >= end)
-
-
-def upper_boundary(
-    g: TrieLikeGraph, subsets: Sequence[ReachableSubset]
-) -> UpperBoundary:
-    """Rootmost dominators of the reachable subsets.
-
-    Any subset below two members degenerates: Algorithm 3 then falls back to
-    its single-node recursion.
-    """
-    if not subsets or any(len(s.members) < 2 for s in subsets):
-        raise DegenerateSubsetsError("reachable subsets too small for an upper boundary")
-    members = frozenset(_lowest_common_dominator(g, s.members) for s in subsets)
-    return UpperBoundary(tuple(subsets), members)
-
-
 class _Memo:
     """The hash-cons table of one search: member trie-node tuple -> Expansion."""
 
@@ -421,20 +347,17 @@ def build_layered_alg3(g: TrieLikeGraph) -> LayeredGraph:
     return _build(g, "alg3")
 
 
-def replay(
-    lg: LayeredGraph,
-) -> Iterator[tuple[Expansion, tuple[int, ...], int, int, range, range, list[tuple[int, ...]]]]:
+def replay(lg: LayeredGraph) -> Iterator[tuple[Expansion, tuple[int, ...], int, int, range, range]]:
     """The depth-first search replayed over the memo, one popped group at a time.
 
-    Yields ``(expansion, members, group_id, layer, ids, group_ids, grouped)``:
-    the popped group's expansion, member instance ids, group id and layer; the
-    ids of its created parents (``ids[c]`` for created index ``c``, starting
-    at the first instance id) and of its created groups (starting at the
-    first group id); and the member id tuple of each created group.  Popping
-    numbers the created parents and groups next, then pushes the pushed
-    groups, so the yields come in creation order.  Nothing is yielded for a
-    graph with no leaves; the leaves are ids 1..L and the leaves group is
-    group 1.
+    Yields ``(expansion, members, group_id, layer, ids, group_ids)``: the
+    popped group's expansion, member instance ids, group id and layer, and
+    the ids of its created parents (``ids[c]`` for created index ``c``,
+    starting at the first instance id) and of its created groups (starting
+    at the first group id).  Popping numbers the created parents and groups
+    next, then pushes the pushed groups, so the yields come in creation
+    order.  Nothing is yielded for a graph with no leaves; the leaves are
+    ids 1..L and the leaves group is group 1.
     """
     if not lg.leaves:
         return
@@ -445,11 +368,11 @@ def replay(
         exp, members, group_id, layer = stack.pop()
         ids = range(next_id, next_id + len(exp.created))
         group_ids = range(next_group, next_group + len(exp.groups))
-        grouped = [tuple(map(ids.__getitem__, cs)) for _, cs, _, _ in exp.groups]
-        yield exp, members, group_id, layer, ids, group_ids, grouped
+        yield exp, members, group_id, layer, ids, group_ids
         next_id, next_group = ids.stop, group_ids.stop
         for gi, child in reversed(exp.children):  # stored in pop order
-            stack.append((child, grouped[gi], group_ids[gi], layer + 1))
+            pushed = tuple(map(ids.__getitem__, exp.groups[gi][1]))
+            stack.append((child, pushed, group_ids[gi], layer + 1))
 
 
 def unfold(lg: LayeredGraph) -> _Unfolded:
@@ -460,13 +383,13 @@ def unfold(lg: LayeredGraph) -> _Unfolded:
     for iid, nid in enumerate(lg.leaves, start=1):
         out.instances[iid] = NodeInstance(iid, nid, 1)
     out.groups.append(Group(1, "$", tuple(out.instances), 1, None, True, "leaves"))
-    for exp, members, group_id, layer, ids, group_ids, grouped in replay(lg):
+    for exp, members, group_id, layer, ids, group_ids in replay(lg):
         for iid, nid in zip(ids, exp.created):
             out.instances[iid] = NodeInstance(iid, nid, layer + 1)
         out.edges.extend(LayeredEdge(members[pos], ids[c], kind) for pos, c, kind in exp.edges)
         out.groups.extend(
-            Group(gid, label, members_here, layer + 1, group_id, pushed, origin)
-            for gid, members_here, (label, _, pushed, origin) in zip(group_ids, grouped, exp.groups)
+            Group(gid, label, tuple(map(ids.__getitem__, cs)), layer + 1, group_id, pushed, origin)
+            for gid, (label, cs, pushed, origin) in zip(group_ids, exp.groups)
         )
         out.merge_events.extend(
             MergeEvent(layer + 1, exp.created[c], ids[c], generators, case, True, reason, anchors)

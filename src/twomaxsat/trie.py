@@ -70,10 +70,6 @@ class Ancestry:
     pre: list[int]
     last: list[int]
 
-    def contains(self, a: int, b: int) -> bool:
-        """Whether `b` lies in the subtree rooted at `a` (`a` itself included)."""
-        return self.pre[a] <= self.pre[b] <= self.last[a]
-
 
 @dataclass
 class Trie:
@@ -126,15 +122,6 @@ class Trie:
             children = self.node(nid).children
             last[nid] = last[children[-1]] if children else pre[nid]
         return Ancestry(ancestors, branch, pre, last)
-
-    def subtree(self, node_id: int) -> set[int]:
-        out = set()
-        stack = [node_id]
-        while stack:
-            nid = stack.pop()
-            out.add(nid)
-            stack.extend(self.node(nid).children)
-        return out
 
 
 NodeMap = dict[str, tuple[int, ...]]
@@ -216,14 +203,10 @@ class TrieLikeGraph:
     def __post_init__(self) -> None:
         self._span_parents: dict[int, list[int]] = {}
         self._owners: dict[tuple[int, int], frozenset[str]] = {}
-        self._span_children: dict[int, list[int]] = {}
         for edge in self.span_edges:
             self._span_parents.setdefault(edge.child, []).append(edge.parent)
-            self._span_children.setdefault(edge.parent, []).append(edge.child)
             self._owners[(edge.child, edge.parent)] = edge.labels
         for targets in self._span_parents.values():
-            targets.sort()
-        for targets in self._span_children.values():
             targets.sort()
 
     def parents_of(self, node_id: int) -> list[tuple[int, str]]:
@@ -234,10 +217,6 @@ class TrieLikeGraph:
             out.append((parent, "main"))
         out.extend((pid, "span") for pid in self._span_parents.get(node_id, []))
         return out
-
-    def span_reachable_from(self, node_id: int) -> list[int]:
-        """Nodes reachable from `node_id` through one span, walking away from the root."""
-        return self._span_children.get(node_id, [])
 
     def span_owners(self, child: int, parent: int) -> frozenset[str]:
         return self._owners.get((child, parent), frozenset())

@@ -1,10 +1,12 @@
 """The materialising layered search and findSubset, kept as an independent
 derivation for the memoised ones in ``twomaxsat.layered``/``twomaxsat.subsets``.
 
-``_Builder``, ``build_layered_alg1``/``build_layered_alg3`` (with Algorithm 3's
-reachable-subset and merged-scoped branches), the ``_label_bits`` findSubset
-and ``diagnose_skip_over`` are the pre-memo code, unchanged except that they
-write into the plain containers below.  ``classify_duplicate_case`` and
+``_Builder``, ``build_layered_alg1``/``build_layered_alg3``, the
+``_label_bits`` findSubset and ``diagnose_skip_over`` are the pre-memo code,
+unchanged except that they write into the plain containers below and that a
+Case 1 merge with anchors raises InternalError, as the memo does: reachable
+subsets and upper boundaries would start there, and no pipeline-built graph
+gets there (see ``twomaxsat.layered``).  ``classify_duplicate_case`` and
 ``anchor_candidates`` are the walk-based originals: they follow
 ``TrieNode.parent`` themselves, never the trie's cached ancestry, so every
 merge's case and anchors are derived twice.  ``enumerate_rooted_subgraphs``
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Sequence
 
-from twomaxsat.errors import EmptyGraphError, NotADuplicateError
+from twomaxsat.errors import EmptyGraphError, InternalError, NotADuplicateError
 from twomaxsat.harness import SkipOverEdge
 from twomaxsat.harness import diagnose_skip_over as memo_diagnose_skip_over
 from twomaxsat.layered import (
@@ -31,8 +33,6 @@ from twomaxsat.layered import (
     LayeredGraph,
     MergeEvent,
     NodeInstance,
-    ReachableSubset,
-    upper_boundary,
 )
 from twomaxsat.pipeline import FrontEnd, search
 from twomaxsat.subsets import RootedSubgraph, _subgraph
@@ -231,30 +231,9 @@ class _Builder:
         if not anchors:
             event.reason = "anchor-not-on-path"
             return event
-        subsets = []
-        for u in anchors:
-            by_label: dict[str, ReachableSubset] = {}
-            scope = g.trie.subtree(inst.trie_node)
-            for nid in g.span_reachable_from(u):
-                if nid not in scope:
-                    continue
-                label = g.trie.node(nid).label_text
-                sub = by_label.get(label)
-                if sub is None:
-                    by_label[label] = ReachableSubset(u, label, frozenset({nid}))
-                else:
-                    by_label[label] = ReachableSubset(
-                        u, label, sub.members | {nid}
-                    )
-            subsets.extend(by_label[label] for label in sorted(by_label))
-        event.subset_sizes = tuple(len(s.members) for s in subsets)
-        usable = [s for s in subsets if len(s.members) >= 2]
-        if not usable:
-            event.reason = "degenerate-subsets"
-            return event
-        event.boundary = upper_boundary(g, usable)
-        event.degenerate = False
-        return event
+        raise InternalError(
+            f"Case 1 merge at non-root node n{inst.trie_node} (generators {gen_nodes})"
+        )
 
 
 def build_layered_alg1(g: TrieLikeGraph) -> RefGraph:
@@ -308,18 +287,6 @@ def build_layered_alg3(g: TrieLikeGraph) -> RefGraph:
                     origin="merge-sibling",
                 )
                 stack.append(single)
-        for event in events:
-            if not event.degenerate:
-                # a usable upper boundary keeps the merged instance expanding
-                scoped = b.new_group(
-                    b.g.trie.node(event.trie_node).label_text,
-                    (event.instance,),
-                    b.lg.instances[event.instance].layer,
-                    grp.group_id,
-                    pushed=True,
-                    origin="merged-scoped",
-                )
-                stack.append(scoped)
     return b.lg
 
 
@@ -458,8 +425,8 @@ def reference_layered_json(lg: LayeredGraph) -> dict[str, Any]:
                 "degenerate": e.degenerate,
                 "reason": e.reason,
                 "anchors": list(e.anchors),
-                "subset_sizes": list(e.subset_sizes),
-                "boundary": sorted(e.boundary.members) if e.boundary else None,
+                "subset_sizes": [],
+                "boundary": None,
             }
             for e in lg.merge_events
         ],

@@ -18,7 +18,7 @@ from twomaxsat.harness import (
     random_formula,
     tie_consistent_orderings,
 )
-from twomaxsat.layered import anchor_candidates, classify_duplicate_case
+from twomaxsat.layered import classify_duplicate_case
 from twomaxsat.pipeline import front_end
 from twomaxsat.trie import NodeKind, Trie, TrieLikeGraph, TrieNode
 
@@ -67,16 +67,15 @@ def test_table_matches_parent_walks():
     for name, g in _small_graphs():
         trie = g.trie
         table = trie.ancestry
-        ids = [node.id for node in trie.nodes]
-        for nid in ids:
-            chain = walk_ancestors(trie, nid)
+        chains = {node.id: walk_ancestors(trie, node.id) for node in trie.nodes}
+        for nid, chain in chains.items():
             assert table.ancestors[nid] == tuple(chain), (name, nid)
             assert trie.ancestors(nid) == chain, (name, nid)
-            assert anchor_candidates(g, nid) == chain, (name, nid)
             assert table.branch[nid] == (chain[1] if len(chain) > 1 else nid), (name, nid)
-            below = trie.subtree(nid)
-            for other in ids:
-                assert table.contains(nid, other) == (other in below), (name, nid, other)
+            for other, other_chain in chains.items():
+                in_subtree = other == nid or nid in other_chain
+                in_interval = table.pre[nid] <= table.pre[other] <= table.last[nid]
+                assert in_interval == in_subtree, (name, nid, other)
 
 
 def test_classification_matches_reference_on_pairs_and_triples():

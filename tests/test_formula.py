@@ -18,6 +18,7 @@ from twomaxsat.errors import (
 from twomaxsat.formula import (
     Assignment,
     cnf_to_dnf,
+    conjunction_label,
     eval_cnf,
     eval_dnf,
     formula_from_ints,
@@ -106,6 +107,14 @@ def test_dnf_size_relations():
         assert d.m == f.m0 + f.n0
         aux = [v for v in d.variables if v.name.startswith("y")]
         assert len(aux) == f.n0
+
+
+def test_conjunction_labels_past_zz():
+    # bijective base 26: the two-letter labels end at index 701
+    expected = {0: "a", 25: "z", 26: "aa", 701: "zz", 702: "aaa"}
+    assert {i: conjunction_label(i) for i in expected} == expected
+    d = cnf_to_dnf(parse_cnf("p cnf 1 352\n" + "1 1 0\n" * 352))
+    assert len({conj.label for conj in d.conjunctions}) == 704
 
 
 def test_pad_missing_running(running):

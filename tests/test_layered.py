@@ -1,5 +1,5 @@
-"""Layered graph construction: SEARCH, the improved variant, and the
-duplicate-node machinery."""
+"""Layered graph construction: SEARCH, the improved variant, and its
+duplicate-node classification."""
 
 from __future__ import annotations
 
@@ -7,21 +7,9 @@ import json
 
 import pytest
 
-from twomaxsat.errors import (
-    AnchorNotOnPathError,
-    DegenerateSubsetsError,
-    NotADuplicateError,
-)
+from twomaxsat.errors import NotADuplicateError
 from twomaxsat.formula import cnf_to_dnf, pad_missing, parse_cnf
-from twomaxsat.layered import (
-    ReachableSubset,
-    anchor_candidates,
-    build_layered_alg1,
-    build_layered_alg3,
-    classify_duplicate_case,
-    reachable_subset,
-    upper_boundary,
-)
+from twomaxsat.layered import build_layered_alg1, build_layered_alg3, classify_duplicate_case
 from twomaxsat.pipeline import resolve_ordering, run_pipeline
 from twomaxsat.sequences import build_sequences
 from twomaxsat.spans import build_pgraph, close_spans
@@ -171,62 +159,17 @@ def test_classify_cases(ce1, running):
         classify_duplicate_case(g, {3})
 
 
-def test_anchor_candidates_and_reachable_subset(ce1, running):
-    g = _trielike(ce1, "y1>y2>v1")
-    assert anchor_candidates(g, 1) == []  # the root: no valid anchor exists
-    with pytest.raises(AnchorNotOnPathError):
-        reachable_subset(g, 1, "y2", v=1)
+def test_every_public_name_resolves():
+    import twomaxsat
 
-    gr = _trielike(running, "lexical")
-    # u = n2 (v1 in this numbering), label v3, no subtree restriction:
-    # expected set computed by exhaustive single-span enumeration from n2
-    expected = {
-        nid
-        for nid in gr.span_reachable_from(2)
-        if gr.trie.node(nid).label_text == "v3"
-    }
-    rs = reachable_subset(gr, 2, "v3")
-    assert rs.members == frozenset(expected)
-    assert expected  # the running example does have a v3 reachable through a span
-
-    # a node with no outgoing spans reaches nothing
-    no_span_nodes = [
-        n.id for n in gr.trie.nodes if not gr.span_reachable_from(n.id)
-    ]
-    assert no_span_nodes
-    assert reachable_subset(gr, no_span_nodes[0], "v3").members == frozenset()
-
-
-def test_upper_boundary_degenerate(ce1):
-    g = _trielike(ce1, "y1>y2>v1")
-    with pytest.raises(DegenerateSubsetsError):
-        upper_boundary(g, [])
-    with pytest.raises(DegenerateSubsetsError):
-        upper_boundary(g, [ReachableSubset(2, "$", frozenset({3}))])
-
-
-def test_upper_boundary_lca():
-    # three-branch trie: (v1 v v1) gives paths that fork under the root
-    f = parse_cnf("p cnf 2 2\n1 1 0\n2 2 0\n")
-    g = _trielike(f, "v1>v2>y1>y2")
-    trie = g.trie
-
-    def brute_dominator(members):
-        paths = [set(trie.ancestors(nid)) | {nid} for nid in members]
-        shared = set.intersection(*paths)
-        return max(shared, key=lambda nid: len(trie.ancestors(nid)))
-
-    leaves = [n.id for n in trie.leaves()]
-    subset = ReachableSubset(1, "$", frozenset(leaves[:2]))
-    boundary = upper_boundary(g, [subset])
-    assert boundary.members == frozenset({brute_dominator(leaves[:2])})
-    assert boundary.derived_from == (subset,)
+    for name in twomaxsat.__all__:
+        assert hasattr(twomaxsat, name), name
 
 
 def test_every_merge_degenerates_on_pipeline_graphs():
     # span edges point at ancestors on the owner's root path, so duplicated
     # non-root parents never classify as Case 1 and a Case 1 repeat can only
-    # be the anchorless root: the upper-boundary machinery never engages
+    # be the anchorless root: no merge reaches reachable subsets or upper boundaries
     import random
 
     from twomaxsat.formula import formula_from_ints
@@ -272,7 +215,9 @@ def test_alg3_running_same_answer_as_alg1(running):
 
 def test_case1_merge_below_the_root_is_an_internal_error():
     # hand-built: a span edge from leaf n5 (branch n4) to n2 (branch n2) leaves
-    # its owner's root path, so n2 repeats as a Case 1 merge with anchor n1
+    # its owner's root path, so n2 repeats as a Case 1 merge with anchor n1;
+    # the memo and the reference builder both refuse it
+    from tests import layered_reference
     from twomaxsat.errors import InternalError
     from twomaxsat.formula import Variable
     from twomaxsat.trie import NodeKind, SpanEdge, Trie, TrieLikeGraph, TrieNode
@@ -290,8 +235,9 @@ def test_case1_merge_below_the_root_is_an_internal_error():
     g = TrieLikeGraph(trie, {}, (SpanEdge(5, 2, frozenset({"b"})),))
     assert classify_duplicate_case(g, {3, 5}) == "case1"
     assert build_layered_alg1(g).vertex_count == 4  # n2 and n4 form no group
-    with pytest.raises(InternalError, match="n2"):
-        build_layered_alg3(g)
+    for build in (build_layered_alg3, layered_reference.build_layered_alg3):
+        with pytest.raises(InternalError, match="n2"):
+            build(g)
 
 
 def test_memo_matches_reference_on_all_small_formulas():
