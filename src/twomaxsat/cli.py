@@ -18,14 +18,9 @@ from pathlib import Path
 
 from . import export as ex
 from . import harness
-from .errors import (
-    ExpectationFailedError,
-    FormulaParseError,
-    TooManyVariablesError,
-    TwoMaxSatError,
-)
+from .errors import FormulaParseError, TooManyVariablesError, TwoMaxSatError
 from .formula import parse_cnf
-from .oracle import decide_2maxsat, oracle_max_sat
+from .oracle import oracle_max_sat
 from .pipeline import run_pipeline
 
 EXIT_OK = 0
@@ -50,10 +45,9 @@ def _emit(payload: dict) -> None:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     f = _read_formula(args.formula)
-    cap = args.var_cap
+    result = oracle_max_sat(f, args.var_cap)
     if args.k is not None:
-        ok = decide_2maxsat(f, args.k, cap)
-        result = oracle_max_sat(f, cap)
+        ok = result.max_count >= args.k
         _emit(
             {
                 "k": args.k,
@@ -63,7 +57,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             }
         )
         return EXIT_OK if ok else EXIT_NEGATIVE
-    result = oracle_max_sat(f, cap)
     _emit(
         {
             "max_count": result.max_count,
@@ -101,7 +94,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
     else:
         try:
             specs = [harness.builtin_by_name(args.name)]
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:  # unknown name, or N in family(N) not in 2..12
             print(str(exc), file=sys.stderr)
             return EXIT_INPUT
     reports = []
@@ -200,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact 2-MAXSAT by exhaustive enumeration")
     p.add_argument("formula", help="DIMACS-like file ('-' for stdin)")
-    p.add_argument("--k", type=int, default=None, help="decision threshold")
+    p.add_argument("--k", type=_positive_int, default=None, help="decision threshold")
     p.add_argument("--var-cap", type=int, default=_env("VAR_CAP", "24"))
     p.set_defaults(func=cmd_oracle)
 
@@ -267,9 +260,6 @@ def main(argv: list[str] | None = None) -> int:
     except TooManyVariablesError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except ExpectationFailedError as exc:
-        print(f"expectation failed: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except TwoMaxSatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

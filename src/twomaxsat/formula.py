@@ -218,10 +218,6 @@ def parse_cnf(text: str | bytes) -> CnfFormula:
         raise EmptyFormulaError("empty formula rejected (2-MAXSAT needs positive k < n)")
     if len(raw_clauses) != n0:
         raise MalformedHeaderError(f"header declares {n0} clauses, found {len(raw_clauses)}")
-    for lineno_free in raw_clauses:
-        for raw in lineno_free:
-            if abs(raw) > m0:
-                raise UnknownVariableError(f"variable index {raw} exceeds declared m0={m0}")
     return formula_from_ints(raw_clauses, m0)
 
 

@@ -28,7 +28,7 @@ from .formula import (
 )
 from .oracle import oracle_max_sat
 from .pipeline import FrontEnd, PipelineRun, front_end, run_pipeline, search
-from .sequences import sequence_frequencies, tie_consistent
+from .sequences import frequency_ordering, sequence_frequencies, tie_consistent
 
 FAMILY_CAP = 12
 DUPLICATE_LITERAL_BIAS = 0.4  # chance a fuzz clause repeats its first literal
@@ -404,7 +404,7 @@ def _candidates(m: Mismatch) -> Iterator[tuple[list[list[int]], int, Sequence[st
                 for clause in clauses
             ]
             yield shifted, f.m0 - 1, _rename(m.ordering, "v", var)
-    default = tuple(v.name for v in front_end(f, "frequency").ordering.variables)
+    default = tuple(v.name for v in frequency_ordering(pad_missing(cnf_to_dnf(f))).variables)
     if default != m.ordering:
         yield clauses, f.m0, default
 

@@ -4,10 +4,14 @@ reconstructed "improved" variant with duplicate-node cases.
 Algorithm 1: layer 1 is the set of all leaves, pushed as one initial group.
 Popping a group adds every parent of every member (reversed main edges plus
 reversed span edges, with no label attribution -- the skip-over flaw) as an
-instance one layer up, deduplicated per trie node within that one expansion.
-The new parents partition into same-label groups (parents of one child group
-only); groups of two or more are pushed, singletons keep their instance and
-edges but never expand.
+instance one layer up, deduplicated per trie node within that one expansion,
+and one edge from the member to it.  That edge is the only record of who
+generated whom, and each (member, parent) pair has exactly one: a node's
+parents (``TrieLikeGraph.parents``) are distinct trie nodes, because its main
+parent is one level up, every span edge skips at least one level, and the
+overlay merges repeated spans into one edge.  The new parents partition into
+same-label groups (parents of one child group only); groups of two or more
+are pushed, singletons keep their instance and edges but never expand.
 
 Algorithm 3 exists only as prose and worked examples, never as pseudocode;
 this is a reconstruction of that described behavior.  Expansion works as in
@@ -110,15 +114,16 @@ class Expansion:
     """What popping a group with one member trie-node tuple creates, and its subtree.
 
     Members are positions in that tuple; created parents are indices into
-    ``created``.  The totals cover the whole subtree below the popped group:
-    everything its expansion creates plus every child subtree.  Entries are
-    shared, so comparing or printing one field by field would walk the
-    exponential tree; both are by identity.
+    ``created``.  ``edges`` hold one entry per (member, created parent) pair
+    and are the only generation record: a created parent's generators are
+    the members of the edges into it.  The totals cover the whole subtree
+    below the popped group: everything its expansion creates plus every
+    child subtree.  Entries are shared, so comparing or printing one field
+    by field would walk the exponential tree; both are by identity.
     """
 
     created: tuple[int, ...]  # trie nodes of the new parents, in creation order
     edges: tuple[tuple[int, int, str], ...]  # (member position, created index, kind)
-    generators: tuple[tuple[int, ...], ...]  # member positions behind each created parent
     groups: tuple[tuple[str, tuple[int, ...], bool, str], ...]
     # (label, created indices, pushed, origin)
     merges: tuple[tuple[int, tuple[int, ...], str, str, tuple[int, ...]], ...]
@@ -143,7 +148,7 @@ class _Unfolded:
     merge_events: list[MergeEvent]
 
 
-_NOTHING = Expansion((), (), (), (), (), (), (), 0, 0, 0, 0, 0, 0, 0)  # of a graph with no leaves
+_NOTHING = Expansion((), (), (), (), (), (), 0, 0, 0, 0, 0, 0, 0)  # of a graph with no leaves
 
 
 @dataclass
@@ -243,9 +248,6 @@ class _Memo:
         self.alg3 = mode == "alg3"
         self.table: dict[tuple[int, ...], Expansion] = {}
         self.merges: dict[tuple[int, tuple[int, ...]], tuple[str, str, tuple[int, ...]]] = {}
-        # indexed by trie node id, which starts at 1
-        self.parents = [[]] + [g.parents_of(node.id) for node in g.trie.nodes]
-        self.labels = [""] + [node.label_text for node in g.trie.nodes]
 
     def expansion(self, key: tuple[int, ...]) -> Expansion:
         found = self.table.get(key)
@@ -254,21 +256,21 @@ class _Memo:
         return found
 
     def _expand(self, key: tuple[int, ...]) -> Expansion:
+        parents, labels = self.g.parents, self.g.labels
         created: list[int] = []
         index: dict[int, int] = {}
-        gens: list[list[int]] = []
         edges: list[tuple[int, int, str]] = []
         for pos, nid in enumerate(key):
-            for parent, kind in self.parents[nid]:
+            for parent, kind in parents[nid]:  # distinct parents: one edge per pair
                 c = index.get(parent)
                 if c is None:
                     c = index[parent] = len(created)
                     created.append(parent)
-                    gens.append([])
-                if not gens[c] or gens[c][-1] != pos:  # one edge per pair: the first kind wins
-                    edges.append((pos, c, kind))
-                gens[c].append(pos)
+                edges.append((pos, c, kind))
         if self.alg3:
+            gens: list[list[int]] = [[] for _ in created]  # member positions per created parent
+            for pos, c, _ in edges:
+                gens[c].append(pos)
             merged = [c for c, ps in enumerate(gens) if len(ps) >= 2]
             plain = [c for c, ps in enumerate(gens) if len(ps) < 2]
         else:
@@ -279,13 +281,13 @@ class _Memo:
             merges.append((c, generators, *self._merge(created[c], generators)))
         buckets: dict[str, list[int]] = {}
         for c in plain:
-            buckets.setdefault(self.labels[created[c]], []).append(c)
+            buckets.setdefault(labels[created[c]], []).append(c)
         groups = [(label, tuple(cs), len(cs) >= 2, "label") for label, cs in buckets.items()]
         if merged:
             # a duplicate appeared: remaining parents recurse as single nodes
             grouped = {c for _, cs, pushed, _ in groups if pushed for c in cs}
             groups += [
-                (self.labels[created[c]], (c,), True, "merge-sibling")
+                (labels[created[c]], (c,), True, "merge-sibling")
                 for c in plain
                 if c not in grouped
             ]
@@ -301,7 +303,6 @@ class _Memo:
         return Expansion(
             created=tuple(created),
             edges=tuple(edges),
-            generators=tuple(tuple(ps) for ps in gens),
             groups=tuple(groups),
             merges=tuple(merges),
             children=children,

@@ -91,12 +91,9 @@ def _leaf_masks(lg: LayeredGraph) -> list[int]:
 
 def _created_masks(exp: Expansion, masks: Sequence[int]) -> list[int]:
     """Each created parent's mask: the union of its generators' masks."""
-    made = []
-    for positions in exp.generators:
-        mask = 0
-        for pos in positions:
-            mask |= masks[pos]
-        made.append(mask)
+    made = [0] * len(exp.created)
+    for pos, c, _ in exp.edges:
+        made[c] |= masks[pos]
     return made
 
 

@@ -196,27 +196,28 @@ class SpanEdge:
 
 @dataclass
 class TrieLikeGraph:
+    """The trie plus its span edges, with the layered search's tables.
+
+    ``parents[nid]`` lists ``(parent, kind)`` for node ``nid``: the main
+    parent first, then the span targets by id, with no label attribution.
+    ``labels[nid]`` is its label text.  Both are indexed by node id (row 0
+    is unused) and built once, since the graph does not change.
+    """
+
     trie: Trie
     node_map: NodeMap
     span_edges: tuple[SpanEdge, ...]
 
     def __post_init__(self) -> None:
-        self._span_parents: dict[int, list[int]] = {}
+        nodes = self.trie.nodes
+        self.parents: list[list[tuple[int, str]]] = [[]] + [
+            [] if n.parent is None else [(n.parent, "main")] for n in nodes
+        ]
+        self.labels = [""] + [n.label_text for n in nodes]
         self._owners: dict[tuple[int, int], frozenset[str]] = {}
-        for edge in self.span_edges:
-            self._span_parents.setdefault(edge.child, []).append(edge.parent)
+        for edge in sorted(self.span_edges, key=lambda e: e.parent):
+            self.parents[edge.child].append((edge.parent, "span"))
             self._owners[(edge.child, edge.parent)] = edge.labels
-        for targets in self._span_parents.values():
-            targets.sort()
-
-    def parents_of(self, node_id: int) -> list[tuple[int, str]]:
-        """Main parent first, then span targets by id; label attribution ignored."""
-        out: list[tuple[int, str]] = []
-        parent = self.trie.node(node_id).parent
-        if parent is not None:
-            out.append((parent, "main"))
-        out.extend((pid, "span") for pid in self._span_parents.get(node_id, []))
-        return out
 
     def span_owners(self, child: int, parent: int) -> frozenset[str]:
         return self._owners.get((child, parent), frozenset())

@@ -9,7 +9,9 @@ subsets and upper boundaries would start there, and no pipeline-built graph
 gets there (see ``twomaxsat.layered``).  ``classify_duplicate_case`` and
 ``anchor_candidates`` are the walk-based originals: they follow
 ``TrieNode.parent`` themselves, never the trie's cached ancestry, so every
-merge's case and anchors are derived twice.  ``enumerate_rooted_subgraphs``
+merge's case and anchors are derived twice; ``walk_parents`` likewise reads
+``TrieNode.parent`` and ``span_edges``, never ``TrieLikeGraph.parents``, so
+every expansion's parents are derived twice.  ``enumerate_rooted_subgraphs``
 lists every root's closure of an unfolded ``LayeredGraph``, and
 ``reference_layered_json`` builds the layered JSON export's payload from the
 unfolded graph, the dict ``json.dumps(..., indent=2)`` used to write.
@@ -48,6 +50,14 @@ def walk_ancestors(trie: Trie, node_id: int) -> list[int]:
         cur = trie.node(cur).parent
     chain.reverse()
     return chain
+
+
+def walk_parents(g: TrieLikeGraph, node_id: int) -> list[tuple[int, str]]:
+    """(parent, kind) of a node: its ``TrieNode.parent``, then span targets by id."""
+    parent = g.trie.node(node_id).parent
+    out = [] if parent is None else [(parent, "main")]
+    targets = sorted(e.parent for e in g.span_edges if e.child == node_id)
+    return out + [(pid, "span") for pid in targets]
 
 
 def classify_duplicate_case(g: TrieLikeGraph, occurrences) -> str:
@@ -124,6 +134,7 @@ class _Builder:
     def __init__(self, g: TrieLikeGraph, mode: str):
         self.g = g
         self.lg = RefGraph(mode=mode, source=g)
+        self._parents = {node.id: walk_parents(g, node.id) for node in g.trie.nodes}
         self._edge_seen: set[tuple[int, int]] = set()
         self._next_instance = 1
         self._next_group = 1
@@ -170,7 +181,7 @@ class _Builder:
         target = grp.layer + 1
         for member_iid in grp.members:
             member = self.lg.instances[member_iid]
-            for parent_node, kind in self.g.parents_of(member.trie_node):
+            for parent_node, kind in self._parents[member.trie_node]:
                 inst = created.get(parent_node)
                 if inst is None:
                     inst = self.new_instance(parent_node, target)

@@ -45,6 +45,14 @@ def test_oracle_threshold_exit_codes(capsys, ce1_file):
     assert code == 1 and payload["satisfiable_at_k"] is False
 
 
+@pytest.mark.parametrize("k", ["0", "-3", "x"])
+def test_oracle_nonpositive_k_exit_2(capsys, ce1_file, k):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", ce1_file, "--k", k])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
 def test_oracle_running(capsys, running_file):
     code, payload = _run(capsys, ["oracle", running_file])
     assert code == 0 and payload["max_count"] == 2
@@ -149,6 +157,10 @@ def test_repro_single(capsys, tmp_path):
     assert main(["repro", "running"]) == 0
     capsys.readouterr()
     assert main(["repro", "nonsense"]) == 2
+    for name in ("family(1)", "family(13)", "family(x)"):
+        assert main(["repro", name]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err, name
 
 
 def test_repro_all_reports_family_red(capsys):

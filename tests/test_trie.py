@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from tests.layered_reference import walk_parents
+from tests.test_ancestry import _small_graphs
 from twomaxsat.errors import UnmappedPositionError
 from twomaxsat.formula import cnf_to_dnf, pad_missing
 from twomaxsat.pipeline import resolve_ordering, run_pipeline
@@ -165,3 +167,17 @@ def test_trie_bounds(running, ce1):
         assert run.trielike.vertex_count <= n * (m + 2) - 1
         assert run.trie.edge_count <= (m + 1) * n
         assert run.trielike.edge_count <= (m + 2) * (m + 1) * n // 2
+
+
+def test_parent_table_matches_walks_and_repeats_no_parent():
+    # CE1-CE3, family(6) and the front ends fuzz(42, 100) checks
+    graphs = _small_graphs()
+    assert len(graphs) > 400
+    for name, g in graphs:
+        assert len(g.parents) == len(g.labels) == g.vertex_count + 1, name
+        for node in g.trie.nodes:
+            row = g.parents[node.id]
+            assert row == walk_parents(g, node.id), (name, node.id)
+            # distinct parents give the layered search one edge per (member, parent)
+            assert len({pid for pid, _ in row}) == len(row), (name, node.id)
+            assert g.labels[node.id] == node.label_text, (name, node.id)
