@@ -94,7 +94,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
     else:
         try:
             specs = [harness.builtin_by_name(args.name)]
-        except (KeyError, ValueError) as exc:  # unknown name, or N in family(N) not in 2..12
+        except (KeyError, ValueError) as exc:  # unknown name, or family(N) without N in 2..12
             print(str(exc), file=sys.stderr)
             return EXIT_INPUT
     reports = []

@@ -137,7 +137,7 @@ class AuditReport:
 def family(n: int) -> CnfFormula:
     """n copies of the duplicated-literal clause (~v1 v ~v1); n=2 is counterexample 1."""
     if not 2 <= n <= FAMILY_CAP:
-        raise ValueError(f"family size must be in 2..{FAMILY_CAP}, got {n}")
+        raise ValueError(f"family(N) needs N in 2..{FAMILY_CAP}, got {n}")
     return formula_from_ints([[-1, -1]] * n, 1)
 
 
@@ -177,8 +177,10 @@ def builtin_counterexamples(family_n: int = 4) -> list[CounterexampleSpec]:
 
 def builtin_by_name(name: str) -> CounterexampleSpec:
     if name.startswith("family(") and name.endswith(")"):
-        n = int(name[len("family(") : -1])
-        return builtin_counterexamples(n)[-1]
+        size = name[len("family(") : -1]
+        if not (size.isascii() and size.isdigit()):
+            raise ValueError(f"family(N) needs an integer N in 2..{FAMILY_CAP}, got {name!r}")
+        return builtin_counterexamples(int(size))[-1]
     for spec in builtin_counterexamples():
         if spec.name == name:
             return spec

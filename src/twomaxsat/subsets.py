@@ -15,9 +15,15 @@ generators' masks, and a parentless instance counts its mask's popcount.  A
 subtree's result depends only on its expansion and its members' masks, so
 the walk is memoised on that pair: each yields the best count in the subtree
 and the offset of the smallest winning root in its contiguous id block.
-Walk states still grow exponentially (2.2x per two clauses from n0 = 12 to
-24 on seeded m0 = 8 formulas), so findSubset is not polynomial.  The witness
-closure is rebuilt from the chain of groups above the winning root.
+The walk is also a branch and bound (Land & Doig, Econometrica 1960): every
+count below a child group is at most the popcount of the union of that
+group's member masks, so a child whose union cannot beat the best count so
+far is never entered.  How much that prunes depends on the data, and no
+polynomial bound on the walk states is shown: on seeded m0 = 8 formulas
+with Algorithm 1, ``PipelineAnswer.walk_states`` reads 710, 65, 291, 429,
+816 and 392 at n0 = 12, 16, 20, 24, 28 and 32, where the unpruned walk grew
+2.2x per two clauses.  The witness closure is rebuilt from the chain of
+groups above the winning root.
 ``per_subgraph`` runs the unmemoised walk over every root on first read.
 """
 
@@ -50,6 +56,7 @@ class PipelineAnswer:
     max_count: int
     witness: RootedSubgraph
     layered: LayeredGraph = field(repr=False, compare=False)
+    walk_states: int = field(compare=False)  # memo entries the walk filled
 
     @cached_property
     def per_subgraph(self) -> tuple[tuple[int, int], ...]:
@@ -122,9 +129,12 @@ def _best(exp: Expansion, masks: tuple[int, ...], memo: dict) -> tuple[int, int]
 
     Count -1 when the subtree has no root.  Ids ascend through the created
     parents, then the child blocks in pop order, so only a strictly larger
-    count replaces the best so far.  Module level, not a recursive closure:
-    that closure's reference cycle would keep the memo alive until the next
-    cyclic garbage collection.
+    count replaces the best so far.  Every mask below a child is an OR of
+    some of the child's member masks, so a child whose members' union has no
+    more labels than the best so far cannot replace it and is skipped; a
+    skipped child is not memoised, so every memo entry stays exact.  Module
+    level, not a recursive closure: that closure's reference cycle would keep
+    the memo alive until the next cyclic garbage collection.
     """
     found = memo.get((exp, masks))
     if found is not None:
@@ -136,9 +146,14 @@ def _best(exp: Expansion, masks: tuple[int, ...], memo: dict) -> tuple[int, int]
             top, at = made[c].bit_count(), c
     start = len(made)
     for gi, child in exp.children:
-        count, offset = _best(child, tuple([made[c] for c in exp.groups[gi][1]]), memo)
-        if count > top:
-            top, at = count, start + offset
+        members = [made[c] for c in exp.groups[gi][1]]
+        union = 0
+        for mask in members:
+            union |= mask
+        if union.bit_count() > top:
+            count, offset = _best(child, tuple(members), memo)
+            if count > top:
+                top, at = count, start + offset
         start += child.instances
     memo[exp, masks] = top, at
     return top, at
@@ -185,5 +200,6 @@ def find_subset_alg2(lg: LayeredGraph) -> PipelineAnswer:
     """Maximum claimed count over all rooted subgraphs, smallest root id winning ties."""
     if not lg.vertex_count:
         raise EmptyGraphError("layered graph has no instances")
-    count, offset = _best(lg.top, tuple(_leaf_masks(lg)), {})
-    return PipelineAnswer(count, _witness(lg, len(lg.leaves) + 1 + offset), lg)
+    memo: dict = {}
+    count, offset = _best(lg.top, tuple(_leaf_masks(lg)), memo)
+    return PipelineAnswer(count, _witness(lg, len(lg.leaves) + 1 + offset), lg, len(memo))

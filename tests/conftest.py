@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -52,3 +53,15 @@ def all_formulas(max_n0: int, max_m0: int):
         for n0 in range(1, max_n0 + 1):
             for combo in itertools.product(shapes, repeat=n0):
                 yield formula_from_ints([list(c) for c in combo], m0)
+
+
+def seed1_formula(n0: int, m0: int = 8) -> CnfFormula:
+    """Criterion 7's clause rule drawn from ``random.Random(1)``: literal a,
+    then b = a with probability 0.3 (``bench/workloads.py::criterion7_clauses``)."""
+    rng = random.Random(1)
+    clauses = []
+    for _ in range(n0):
+        a = rng.randint(1, m0) * rng.choice((1, -1))
+        b = a if rng.random() < 0.3 else rng.randint(1, m0) * rng.choice((1, -1))
+        clauses.append([a, b])
+    return formula_from_ints(clauses, m0)

@@ -15,29 +15,35 @@ every expansion's parents are derived twice.  ``enumerate_rooted_subgraphs``
 lists every root's closure of an unfolded ``LayeredGraph``, and
 ``reference_layered_json`` builds the layered JSON export's payload from the
 unfolded graph, the dict ``json.dumps(..., indent=2)`` used to write.
+``unpruned_best`` is findSubset's memoised walk before its branch-and-bound
+skip: it enters every child subtree, so it checks that the skip never changes
+a (count, offset) pair.  ``fuzz_fronts`` yields the front ends that
+``fuzz(seed, iters)`` checks.
 ``assert_matches_reference`` is the equality gate: the counts, the answer,
 ``per_subgraph``, the diagnosis and the unfolded graph must all agree.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Sequence
 
 from twomaxsat.errors import EmptyGraphError, InternalError, NotADuplicateError
-from twomaxsat.harness import SkipOverEdge
+from twomaxsat.harness import FuzzParams, SkipOverEdge, random_formula, tie_consistent_orderings
 from twomaxsat.harness import diagnose_skip_over as memo_diagnose_skip_over
 from twomaxsat.layered import (
     DuplicateCase,
+    Expansion,
     Group,
     LayeredEdge,
     LayeredGraph,
     MergeEvent,
     NodeInstance,
 )
-from twomaxsat.pipeline import FrontEnd, search
-from twomaxsat.subsets import RootedSubgraph, _subgraph
+from twomaxsat.pipeline import FrontEnd, front_end, search
+from twomaxsat.subsets import RootedSubgraph, _created_masks, _subgraph
 from twomaxsat.trie import Trie, TrieLikeGraph
 
 
@@ -364,6 +370,37 @@ def find_subset_alg2(lg: RefGraph) -> RefAnswer:
         witness=witness,
         per_subgraph=per,
     )
+
+
+def unpruned_best(exp: Expansion, masks: tuple[int, ...], memo: dict) -> tuple[int, int]:
+    """``subsets._best`` without the branch-and-bound skip: every child is walked."""
+    found = memo.get((exp, masks))
+    if found is not None:
+        return found
+    made = _created_masks(exp, masks)
+    top, at = -1, -1
+    for c in exp.roots:
+        if made[c].bit_count() > top:
+            top, at = made[c].bit_count(), c
+    start = len(made)
+    for gi, child in exp.children:
+        count, offset = unpruned_best(child, tuple([made[c] for c in exp.groups[gi][1]]), memo)
+        if count > top:
+            top, at = count, start + offset
+        start += child.instances
+    memo[exp, masks] = top, at
+    return top, at
+
+
+def fuzz_fronts(seed: int, iters: int, params: FuzzParams = FuzzParams()):
+    """(front end, algorithm) for exactly the items ``fuzz(seed, iters, params)`` checks."""
+    rng = random.Random(seed)
+    for _ in range(iters):
+        f = random_formula(rng, params)
+        for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
+            front = front_end(f, list(ordering))
+            for algorithm in params.algorithms:
+                yield front, algorithm
 
 
 def enumerate_rooted_subgraphs(lg: LayeredGraph) -> list[RootedSubgraph]:

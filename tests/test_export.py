@@ -6,7 +6,7 @@ import hashlib
 import json
 import random
 
-from tests.layered_reference import reference_layered_json
+from tests.layered_reference import fuzz_fronts, reference_layered_json
 from twomaxsat.export import (
     answer_json,
     export_stage,
@@ -20,12 +20,7 @@ from twomaxsat.export import (
 )
 from twomaxsat.export import STAGES
 from twomaxsat.formula import formula_from_ints, parse_cnf
-from twomaxsat.harness import (
-    FuzzParams,
-    builtin_counterexamples,
-    random_formula,
-    tie_consistent_orderings,
-)
+from twomaxsat.harness import builtin_counterexamples
 from twomaxsat.layered import LayeredGraph
 from twomaxsat.pipeline import front_end, run_pipeline, search
 
@@ -158,14 +153,9 @@ def test_layered_json_bytes_match_reference():
         for algorithm in (1, 3):
             run = run_pipeline(f, ordering=spec.ordering, algorithm=algorithm)
             _assert_layered_json_matches_reference(run, f"{spec.name} / alg{algorithm}")
-    params = FuzzParams()
-    rng = random.Random(42)
-    for _ in range(100):
-        f = random_formula(rng, params)
-        for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
-            front = front_end(f, list(ordering))
-            for algorithm in params.algorithms:
-                _assert_layered_json_matches_reference(search(front, algorithm), f"{f} / {ordering}")
+    for front, algorithm in fuzz_fronts(42, 100):
+        where = f"{front.formula} / {front.ordering.display()}"
+        _assert_layered_json_matches_reference(search(front, algorithm), where)
     # criterion 7's grid stream, graphs of up to 2,000 instances
     rng = random.Random(1789)
     grid = merged = 0

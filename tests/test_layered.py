@@ -255,44 +255,23 @@ def test_memo_matches_reference_on_all_small_formulas():
 
 def test_memo_matches_reference_on_fuzz_stream():
     # exactly the (formula, ordering, algorithm) items fuzz(42, 100) checks
-    import random
+    from tests.layered_reference import assert_matches_reference, fuzz_fronts
 
-    from tests.layered_reference import assert_matches_reference
-    from twomaxsat.harness import FuzzParams, random_formula, tie_consistent_orderings
-    from twomaxsat.pipeline import front_end
-
-    params = FuzzParams()
-    rng = random.Random(42)
     items = 0
-    for _ in range(100):
-        f = random_formula(rng, params)
-        for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
-            front = front_end(f, list(ordering))
-            for algorithm in params.algorithms:
-                assert_matches_reference(front, algorithm)
-                items += 1
+    for front, algorithm in fuzz_fronts(42, 100):
+        assert_matches_reference(front, algorithm)
+        items += 1
     assert items > 200
 
 
 def test_search_audit_repro_and_fuzz_never_unfold(monkeypatch):
-    import random
-
+    from tests.conftest import seed1_formula as seeded
     from twomaxsat import layered, subsets
     from twomaxsat.export import export_stage
-    from twomaxsat.formula import formula_from_ints
     from twomaxsat.harness import audit_bounds, builtin_by_name, fuzz, run_counterexample
 
     def refuse(lg):
         raise AssertionError("the layered graph was unfolded")
-
-    def seeded(n0):
-        rng = random.Random(1)
-        clauses = []
-        for _ in range(n0):
-            a = rng.randint(1, 8) * rng.choice((1, -1))
-            b = a if rng.random() < 0.3 else rng.randint(1, 8) * rng.choice((1, -1))
-            clauses.append([a, b])
-        return formula_from_ints(clauses, 8)
 
     monkeypatch.setattr(layered, "unfold", refuse)
     f = seeded(14)
@@ -320,11 +299,20 @@ def test_search_audit_repro_and_fuzz_never_unfold(monkeypatch):
     payload = json.loads(export_stage(small, "layered", "json"))
     assert len(payload["instances"]) == small.layered.vertex_count == 3_344
     assert len(payload["merge_events"]) == small.layered.merge_event_count == 1_206
-    # 17,304,034 instances and 9,699,328 roots, found from 138,516 walk states
+    # 17,304,034 instances and 9,699,328 roots: the unpruned walk filled
+    # 138,516 memo entries, the branch and bound fills 65 (Algorithm 3: 10)
     big = run_pipeline(seeded(16))
     assert big.answer.max_count == 26
     assert big.answer.witness.root.instance_id == 9_461_917
     assert big.layered.root_count == 9_699_328
+    assert big.answer.walk_states == 65
+    assert run_pipeline(seeded(16), algorithm=3).answer.walk_states == 10
+    # 4.8e9 instances; the unpruned walk took 3,335,052 states, 29 s and 1.2 GB
+    # to find these answers
+    huge = run_pipeline(seeded(24))
+    assert (huge.answer.max_count, huge.answer.witness.root.instance_id) == (37, 3_546_210_574)
+    huge = run_pipeline(seeded(24), algorithm=3)
+    assert (huge.answer.max_count, huge.answer.witness.root.instance_id) == (32, 33)
     with pytest.raises(AssertionError, match="unfolded"):
         lg.edges
     with pytest.raises(AssertionError, match="listed"):

@@ -193,3 +193,45 @@ def test_empty_graph_error(running):
     empty = LayeredGraph(mode="alg1", source=run.trielike)
     with pytest.raises(EmptyGraphError):
         find_subset_alg2(empty)
+
+
+def _assert_walks_agree(front, algorithm):
+    from tests.layered_reference import unpruned_best
+    from twomaxsat.pipeline import search
+    from twomaxsat.subsets import _best, _leaf_masks
+
+    run = search(front, algorithm)
+    lg = run.layered
+    masks = tuple(_leaf_masks(lg))
+    reference: dict = {}
+    count, offset = unpruned_best(lg.top, masks, reference)
+    memo: dict = {}
+    assert _best(lg.top, masks, memo) == (count, offset)
+    assert run.answer.max_count == count
+    assert run.answer.witness.root.instance_id == len(lg.leaves) + 1 + offset
+    assert run.answer.walk_states == len(memo) <= len(reference)
+    # the pruned walk fills a subset of the unpruned entries, each exact
+    for key, value in memo.items():
+        assert reference[key] == value
+    return len(memo), len(reference)
+
+
+def test_pruned_walk_matches_unpruned_on_seed1_formulas():
+    from tests.conftest import seed1_formula
+    from twomaxsat.pipeline import front_end
+
+    pruned = unpruned = 0
+    for n0 in range(8, 17):
+        front = front_end(seed1_formula(n0), "frequency")
+        for algorithm in (1, 3):
+            states = _assert_walks_agree(front, algorithm)
+            pruned += states[0]
+            unpruned += states[1]
+    assert pruned < unpruned
+
+
+def test_pruned_walk_matches_unpruned_on_fuzz_stream():
+    from tests.layered_reference import fuzz_fronts
+
+    for front, algorithm in fuzz_fronts(42, 100):
+        _assert_walks_agree(front, algorithm)
