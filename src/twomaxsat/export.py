@@ -5,10 +5,13 @@ same-rank rows, dashed boxes around groups, and the witness subgraph shaded
 with bold edges.  All iteration is over sorted or
 creation-ordered collections so exports are byte-stable.
 
-JSON goes through ``json.dumps(indent=2)``, except the layered graph's: it
-can hold millions of instances, so ``layered_json_text`` writes the same
-bytes from one replay of the memo and never unfolds the graph.  The layered
-DOT export reads the unfolded graph.
+The graph exports write the bytes ``json.dumps(indent=2)`` would, from
+``%`` templates instead of a dict payload and the pure-Python indented
+encoder: ``trie_json_text`` and ``trielike_json_text`` straight from the
+trie and the owner map (no span edge objects), and ``layered_json_text``
+from one replay of the memo, since the layered graph can hold millions of
+instances and is never unfolded for it.  The answer export goes through
+``json.dumps``.  The layered DOT export reads the unfolded graph.
 """
 
 from __future__ import annotations
@@ -116,38 +119,6 @@ def layered_dot(lg: LayeredGraph, witness: RootedSubgraph | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trie_json(trie: Trie) -> dict[str, Any]:
-    return {
-        "nodes": [
-            {
-                "id": node.id,
-                "name": node.name,
-                "label": node.label_text,
-                "parent": node.parent,
-                "conjunctions": sorted(node.conjunction_labels),
-            }
-            for node in trie.nodes
-        ],
-        "tree_edges": [
-            {"child": child, "parent": node.id}
-            for node in trie.nodes
-            for child in node.children
-        ],
-    }
-
-
-def trielike_json(g: TrieLikeGraph) -> dict[str, Any]:
-    payload = trie_json(g.trie)
-    payload["span_edges"] = [
-        {"child": e.child, "parent": e.parent, "labels": sorted(e.labels)}
-        for e in g.span_edges
-    ]
-    payload["node_map"] = {
-        label: list(path) for label, path in sorted(g.node_map.items())
-    }
-    return payload
-
-
 def _literal(text: str) -> str:
     """`text` as a JSON string, with ``%`` doubled for use in a ``%`` template."""
     return encode_basestring_ascii(text).replace("%", "%%")
@@ -247,12 +218,72 @@ def _pop_templates(exp: Expansion, width: int, nodes: list[str]) -> list[_Templa
     return [(text, itemgetter(*fields) if fields else None) for text, fields in parts]
 
 
-def _json_list(name: str, records: list[str], last: bool = False) -> list[str]:
-    """Pieces of one top-level list whose records each start with ``",\n"``."""
+def _json_list(
+    name: str, records: list[str], last: bool = False, brackets: str = "[]"
+) -> list[str]:
+    """Pieces of one top-level list (or object, with ``brackets="{}"``) whose
+    records each start with ``",\n"``."""
     end = "\n}\n" if last else ",\n"
+    start, stop = brackets
     if not records:
-        return [f'  "{name}": []{end}']
-    return [f'  "{name}": [\n', records[0][2:], *records[1:], f"\n  ]{end}"]
+        return [f'  "{name}": {brackets}{end}']
+    return [f'  "{name}": {start}\n', records[0][2:], *records[1:], f"\n  {stop}{end}"]
+
+
+# The trie and trie-like records, as json.dumps(indent=2) writes them in a
+# top-level list, after their ",\n" separator; strings come pre-encoded.
+_TRIE_NODE = (
+    ',\n    {\n      "id": %d,\n      "name": %s,\n      "label": %s,\n'
+    '      "parent": %s,\n      "conjunctions": %s\n    }'
+)
+_TREE_EDGE = ',\n    {\n      "child": %d,\n      "parent": %d\n    }'
+_SPAN_EDGE = ',\n    {\n      "child": %d,\n      "parent": %d,\n      "labels": %s\n    }'
+
+
+def _trie_sections(trie: Trie, last: bool) -> list[str]:
+    nodes = [
+        _TRIE_NODE
+        % (
+            node.id,
+            encode_basestring_ascii(node.name),
+            encode_basestring_ascii(node.label_text),
+            "null" if node.parent is None else node.parent,
+            _array(map(encode_basestring_ascii, sorted(node.conjunction_labels)), 3),
+        )
+        for node in trie.nodes
+    ]
+    tree_edges = [
+        _TREE_EDGE % (child, node.id) for node in trie.nodes for child in node.children
+    ]
+    return [*_json_list("nodes", nodes), *_json_list("tree_edges", tree_edges, last)]
+
+
+def trie_json_text(trie: Trie) -> str:
+    """The trie's JSON export: its nodes and tree edges, as ``json.dumps(indent=2)``
+    writes them (``tests/layered_reference.py::reference_trie_json``)."""
+    return "".join(["{\n", *_trie_sections(trie, last=True)])
+
+
+def trielike_json_text(g: TrieLikeGraph) -> str:
+    """The trie-like graph's JSON export: the trie's sections, then the span
+    edges by (child, parent) with their sorted owners and the node map by
+    conjunction label, written from the owner map without building span edges."""
+    span_edges = [
+        _SPAN_EDGE % (child, parent, _array(map(encode_basestring_ascii, sorted(labels)), 3))
+        for (child, parent), labels in sorted(g.owners.items())
+    ]
+    node_map = [
+        f",\n    {encode_basestring_ascii(label)}: {_array(map(str, path), 2)}"
+        for label, path in sorted(g.node_map.items())
+    ]
+    return "".join(
+        [
+            "{\n",
+            *_trie_sections(g.trie, last=False),
+            *_json_list("span_edges", span_edges),
+            *_json_list("node_map", node_map, last=True, brackets="{}"),
+        ]
+    )
 
 
 def layered_json_text(lg: LayeredGraph) -> str:
@@ -352,11 +383,11 @@ def export_stage(run: PipelineRun, stage: str, fmt: str) -> str:
         return "".join(pstar_dot(p) for p in run.pstars)
     if stage == "trie":
         if fmt == "json":
-            return dumps(trie_json(run.trie))
+            return trie_json_text(run.trie)
         return trie_dot(run.trie)
     if stage == "trielike":
         if fmt == "json":
-            return dumps(trielike_json(run.trielike))
+            return trielike_json_text(run.trielike)
         return trielike_dot(run.trielike)
     if stage == "layered":
         if fmt == "json":

@@ -466,7 +466,7 @@ def audit_bounds(
         algorithm=algorithm,
         frame_value_n0_6=216 * f.n0**6,
     )
-    max_spans = max(len(ps.closed_spans) for ps in run.pstars)
+    max_spans = max(ps.span_count for ps in run.pstars)
     report.bounds = [
         BoundCheck(SPAN_BOUND, max_spans, (m + 2) * (m + 1) // 2),
         BoundCheck(TRIE_VERTEX_BOUND, run.trielike.vertex_count, n * (m + 2) - 1),
@@ -482,10 +482,10 @@ def audit_bounds(
         "conjunctions": run.dnf.n,
         "sequence_items": sum(len(s.items) for s in run.sequences),
         "base_spans": sum(len(p.spans) for p in run.pgraphs),
-        "closed_spans": sum(len(ps.closed_spans) for ps in run.pstars),
+        "closed_spans": sum(ps.span_count for ps in run.pstars),
         "trie_vertices": run.trie.vertex_count,
         "trie_edges": run.trie.edge_count,
-        "span_edges": len(run.trielike.span_edges),
+        "span_edges": run.trielike.span_edge_count,
         "layered_instances": run.layered.vertex_count,
         "layered_edges": run.layered.edge_count,
         "layered_layers": run.layered.layer_count,

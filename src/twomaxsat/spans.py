@@ -4,14 +4,22 @@ A p-graph is the sequence's path plus one base span per starred interior
 position: the edge that jumps over it.  The paper closes the spans by merging
 overlapping ones -- whenever the two-node suffix of one span equals the
 two-node prefix of another, their union is added (originals kept) -- until a
-fixpoint.  That fixpoint has a closed form, which ``close_spans`` enumerates
-directly; the tests keep the merge rule as a second oracle.  Spans are stored
-positionally because endpoints may themselves be starred items.
+fixpoint.  That fixpoint has a closed form: the closed spans are exactly the
+(i, j) with j - i >= 2 whose interior lies inside one maximal run of covered
+(for base spans: consecutive starred) positions.  So ``close_spans`` stores
+only those runs, as (first, last) position pairs; a run of r positions
+closes r(r+1)/2 spans, which is ``PStarGraph.span_count``.  The trie overlay
+reads the runs directly.  ``PStarGraph.closed_spans`` lists the spans as
+``Span`` objects on first read, for the pstars export, the traced benchmark
+and the tests; the tests keep the merge rule and the per-span closure as
+independent oracles.  Spans are stored positionally because endpoints may
+themselves be starred items.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .sequences import ItemTag, VarSequence
 
@@ -41,8 +49,29 @@ class PGraph:
 
 @dataclass(frozen=True)
 class PStarGraph:
+    """A p-graph closed under span merging, stored as its runs of covered positions.
+
+    ``runs`` holds each maximal run of consecutive covered positions as
+    (first, last), in position order; the closed spans are the (i, j) with
+    first - 1 <= i and i + 2 <= j <= last + 1 for one run.
+    """
+
     base: PGraph
-    closed_spans: tuple[Span, ...]
+    runs: tuple[tuple[int, int], ...]
+
+    @property
+    def span_count(self) -> int:
+        return sum((last - first + 1) * (last - first + 2) // 2 for first, last in self.runs)
+
+    @cached_property
+    def closed_spans(self) -> tuple[Span, ...]:
+        """Every closed span, ordered by (from_pos, to_pos); built on first read."""
+        return tuple(
+            Span(i, j)
+            for first, last in self.runs
+            for i in range(first - 1, last)
+            for j in range(i + 2, last + 2)
+        )
 
 
 def build_pgraph(seq: VarSequence) -> PGraph:
@@ -55,18 +84,16 @@ def build_pgraph(seq: VarSequence) -> PGraph:
 
 
 def close_spans(p: PGraph) -> PStarGraph:
-    """Every (i, j) with j - i >= 2 whose positions in between the spans all cover.
+    """The closure as the maximal runs of positions the spans cover.
 
-    On base spans, each jumping one starred position, this is the fixpoint of
-    the overlap-merge rule: merging chains base spans across a run of
-    consecutive starred positions, so exactly the (i, j) whose interior lies
-    inside one run are reached.
+    On base spans, each jumping one starred position, the overlap-merge rule
+    chains base spans across a run of consecutive starred positions, so its
+    fixpoint is exactly the (i, j) whose interior lies inside one run.
     """
-    covered = {pos for s in p.spans for pos in s.covered}
-    spans = []
-    for i in range(len(p.items)):
-        j = i + 1
-        while j in covered:
-            j += 1
-            spans.append(Span(i, j))
-    return PStarGraph(p, tuple(spans))
+    runs: list[tuple[int, int]] = []
+    for pos in sorted({pos for s in p.spans for pos in s.covered}):
+        if runs and runs[-1][1] == pos - 1:
+            runs[-1] = (runs[-1][0], pos)
+        else:
+            runs.append((pos, pos))
+    return PStarGraph(p, tuple(runs))

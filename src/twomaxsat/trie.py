@@ -10,9 +10,16 @@ reproducing the n1, n2, ... numbering the recorded counterexamples use.
 
 The NodeMap remembers, per conjunction, which trie node each sequence
 position landed on; overlaying a closed span (i, j) adds the rootward edge
-map[j] -> map[i].  Parent discovery for the layered search deliberately
-ignores which conjunctions own a span edge (the skip-over flaw); the owner
-labels are retained on each edge for the harness' diagnosis only.
+map[j] -> map[i].  The overlay reads each p*-graph's runs of covered
+positions, never a span object: it fills one ``owners`` dict from
+(child, parent) to the conjunctions that put the edge there, and the
+``TrieLikeGraph`` sorts its keys once into the ``parents`` rows.  Parent
+discovery for the layered search deliberately ignores which conjunctions own
+a span edge (the skip-over flaw); the owners are read by the harness'
+diagnosis (``span_owners``), the audit (``span_edge_count``) and the
+trie-like JSON export only.  ``TrieLikeGraph.span_edges`` lists the edges as
+``SpanEdge`` objects on first read, for the trie-like DOT export, the traced
+benchmark and the tests.
 """
 
 from __future__ import annotations
@@ -194,19 +201,25 @@ class SpanEdge:
     labels: frozenset[str]
 
 
+Owners = dict[tuple[int, int], list[str]]
+
+
 @dataclass
 class TrieLikeGraph:
     """The trie plus its span edges, with the layered search's tables.
 
-    ``parents[nid]`` lists ``(parent, kind)`` for node ``nid``: the main
-    parent first, then the span targets by id, with no label attribution.
-    ``labels[nid]`` is its label text.  Both are indexed by node id (row 0
-    is unused) and built once, since the graph does not change.
+    ``owners`` maps each span edge (child, parent) to the conjunctions whose
+    closed spans put it there, each named once: a conjunction's spans all lie
+    on its own path, so it adds a given edge once.  ``parents[nid]`` lists
+    ``(parent, kind)`` for node ``nid``: the main parent first, then the span
+    targets by id, with no label attribution.  ``labels[nid]`` is its label
+    text.  Both are indexed by node id (row 0 is unused) and built once,
+    since the graph does not change.
     """
 
     trie: Trie
     node_map: NodeMap
-    span_edges: tuple[SpanEdge, ...]
+    owners: Owners
 
     def __post_init__(self) -> None:
         nodes = self.trie.nodes
@@ -214,46 +227,58 @@ class TrieLikeGraph:
             [] if n.parent is None else [(n.parent, "main")] for n in nodes
         ]
         self.labels = [""] + [n.label_text for n in nodes]
-        self._owners: dict[tuple[int, int], frozenset[str]] = {}
-        for edge in sorted(self.span_edges, key=lambda e: e.parent):
-            self.parents[edge.child].append((edge.parent, "span"))
-            self._owners[(edge.child, edge.parent)] = edge.labels
+        parents = self.parents
+        for child, parent in sorted(self.owners):
+            parents[child].append((parent, "span"))
 
     def span_owners(self, child: int, parent: int) -> frozenset[str]:
-        return self._owners.get((child, parent), frozenset())
+        return frozenset(self.owners.get((child, parent), ()))
+
+    @cached_property
+    def span_edges(self) -> tuple[SpanEdge, ...]:
+        """Every span edge by (child, parent), with its owners; built on first read."""
+        return tuple(
+            SpanEdge(child, parent, frozenset(labels))
+            for (child, parent), labels in sorted(self.owners.items())
+        )
 
     @property
     def vertex_count(self) -> int:
         return self.trie.vertex_count
 
     @property
+    def span_edge_count(self) -> int:
+        return len(self.owners)
+
+    @property
     def edge_count(self) -> int:
-        return self.trie.edge_count + len(self.span_edges)
+        return self.trie.edge_count + len(self.owners)
 
 
 def overlay_spans(
     trie: Trie, node_map: NodeMap, pstars: Iterable[PStarGraph]
 ) -> TrieLikeGraph:
-    """Step 8: add every closed span as a rootward edge; duplicates merge labels."""
-    edges: dict[tuple[int, int], set[str]] = {}
-    order: list[tuple[int, int]] = []
+    """Step 8: add every closed span as a rootward edge; duplicates merge labels.
+
+    A run (first, last) closes the spans (i, j) with first - 1 <= i and
+    i + 2 <= j <= last + 1, so each i adds the edges from the nodes at
+    ``mapped[i + 2 : last + 2]`` to the node at ``mapped[i]``.
+    """
+    owners: Owners = {}
+    add_owner = owners.setdefault
     for ps in pstars:
         label = ps.base.label
         if label not in node_map:
             raise UnmappedPositionError(f"no node map entry for conjunction {label}")
         mapped = node_map[label]
-        for span in ps.closed_spans:
-            if span.to_pos >= len(mapped) or span.from_pos >= len(mapped):
+        for first, last in ps.runs:
+            if last + 1 >= len(mapped):
                 raise UnmappedPositionError(
-                    f"span {span} of {label} outside the mapped sequence"
+                    f"positions {first - 1}..{last + 1} of {label} outside the mapped "
+                    f"sequence of {len(mapped)} positions"
                 )
-            key = (mapped[span.to_pos], mapped[span.from_pos])
-            if key not in edges:
-                edges[key] = set()
-                order.append(key)
-            edges[key].add(label)
-    span_edges = tuple(
-        SpanEdge(child, parent, frozenset(edges[(child, parent)]))
-        for child, parent in sorted(order)
-    )
-    return TrieLikeGraph(trie, node_map, span_edges)
+            for i in range(first - 1, last):
+                parent = mapped[i]
+                for child in mapped[i + 2 : last + 2]:
+                    add_owner((child, parent), []).append(label)
+    return TrieLikeGraph(trie, node_map, owners)

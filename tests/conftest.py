@@ -55,6 +55,21 @@ def all_formulas(max_n0: int, max_m0: int):
                 yield formula_from_ints([list(c) for c in combo], m0)
 
 
+def criterion7_stream(count: int):
+    """The first `count` (m0, clauses) draws of criterion 7's ``random.Random(1789)``
+    grid: n0 and m0 in 1..8, each clause literal a, then b = a with probability 0.3."""
+    rng = random.Random(1789)
+    for _ in range(count):
+        n0 = rng.randint(1, 8)
+        m0 = rng.randint(1, 8)
+        clauses = []
+        for _ in range(n0):
+            a = rng.randint(1, m0) * rng.choice((1, -1))
+            b = a if rng.random() < 0.3 else rng.randint(1, m0) * rng.choice((1, -1))
+            clauses.append([a, b])
+        yield m0, clauses
+
+
 def seed1_formula(n0: int, m0: int = 8) -> CnfFormula:
     """Criterion 7's clause rule drawn from ``random.Random(1)``: literal a,
     then b = a with probability 0.3 (``bench/workloads.py::criterion7_clauses``)."""

@@ -21,6 +21,15 @@ a (count, offset) pair.  ``fuzz_fronts`` yields the front ends that
 ``fuzz(seed, iters)`` checks.
 ``assert_matches_reference`` is the equality gate: the counts, the answer,
 ``per_subgraph``, the diagnosis and the unfolded graph must all agree.
+
+The front end has its own gate.  ``reference_close_spans`` and
+``reference_overlay`` are the per-span closure and overlay that the run-based
+``close_spans``/``overlay_spans`` replaced: one ``Span`` per closed span and
+one ``SpanEdge`` per distinct edge, sorted twice.
+``assert_front_matches_reference`` requires the run-based front end to give
+the same spans, counts, span edges, parent rows and owners.
+``reference_trie_json``/``reference_trielike_json`` are the payloads whose
+``json.dumps(..., indent=2)`` the trie and trie-like JSON exports write.
 """
 
 from __future__ import annotations
@@ -30,7 +39,12 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Sequence
 
-from twomaxsat.errors import EmptyGraphError, InternalError, NotADuplicateError
+from twomaxsat.errors import (
+    EmptyGraphError,
+    InternalError,
+    NotADuplicateError,
+    UnmappedPositionError,
+)
 from twomaxsat.harness import FuzzParams, SkipOverEdge, random_formula, tie_consistent_orderings
 from twomaxsat.harness import diagnose_skip_over as memo_diagnose_skip_over
 from twomaxsat.layered import (
@@ -43,8 +57,9 @@ from twomaxsat.layered import (
     NodeInstance,
 )
 from twomaxsat.pipeline import FrontEnd, front_end, search
+from twomaxsat.spans import PGraph, Span
 from twomaxsat.subsets import RootedSubgraph, _created_masks, _subgraph
-from twomaxsat.trie import Trie, TrieLikeGraph
+from twomaxsat.trie import NodeMap, SpanEdge, Trie, TrieLikeGraph
 
 
 def walk_ancestors(trie: Trie, node_id: int) -> list[int]:
@@ -430,6 +445,98 @@ def enumerate_rooted_subgraphs(lg: LayeredGraph) -> list[RootedSubgraph]:
         edges = [lg.edges[k] for k in sorted(used)]
         out.append(_subgraph(lg.source.trie, lg.instances[root_id], nodes, edges))
     return out
+
+
+def reference_close_spans(p: PGraph) -> tuple[Span, ...]:
+    """Every (i, j) with j - i >= 2 whose positions in between the spans all cover."""
+    covered = {pos for s in p.spans for pos in s.covered}
+    spans = []
+    for i in range(len(p.items)):
+        j = i + 1
+        while j in covered:
+            j += 1
+            spans.append(Span(i, j))
+    return tuple(spans)
+
+
+def reference_overlay(node_map: NodeMap, pgraphs: Sequence[PGraph]) -> tuple[SpanEdge, ...]:
+    """One rootward edge map[j] -> map[i] per closed span (i, j); duplicates merge labels."""
+    edges: dict[tuple[int, int], set[str]] = {}
+    order: list[tuple[int, int]] = []
+    for p in pgraphs:
+        label = p.label
+        if label not in node_map:
+            raise UnmappedPositionError(f"no node map entry for conjunction {label}")
+        mapped = node_map[label]
+        for span in reference_close_spans(p):
+            if span.to_pos >= len(mapped) or span.from_pos >= len(mapped):
+                raise UnmappedPositionError(
+                    f"span {span} of {label} outside the mapped sequence"
+                )
+            key = (mapped[span.to_pos], mapped[span.from_pos])
+            if key not in edges:
+                edges[key] = set()
+                order.append(key)
+            edges[key].add(label)
+    return tuple(
+        SpanEdge(child, parent, frozenset(edges[(child, parent)]))
+        for child, parent in sorted(order)
+    )
+
+
+def assert_front_matches_reference(front: FrontEnd) -> None:
+    """Run-based closure and overlay == the per-span ones, field by field."""
+    where = f"{front.formula} / {front.ordering.display()}"
+    for p, ps in zip(front.pgraphs, front.pstars, strict=True):
+        closed = reference_close_spans(p)
+        assert ps.span_count == len(closed), (where, p.label)
+        assert ps.closed_spans == closed, (where, p.label)
+    g = front.trielike
+    edges = reference_overlay(front.node_map, front.pgraphs)
+    assert g.span_edge_count == len(edges), where
+    assert g.edge_count == g.trie.edge_count + len(edges), where
+    assert g.span_edges == edges, where
+    # the rows as the per-span TrieLikeGraph built them: main parent, then
+    # the span edges stably sorted by parent
+    rows = {node.id: [] if node.parent is None else [(node.parent, "main")] for node in g.trie.nodes}
+    for edge in sorted(edges, key=lambda e: e.parent):
+        rows[edge.child].append((edge.parent, "span"))
+    for node in g.trie.nodes:
+        assert g.parents[node.id] == rows[node.id], (where, node.id)
+    for edge in edges:
+        assert g.span_owners(edge.child, edge.parent) == edge.labels, (where, edge)
+
+
+def reference_trie_json(trie: Trie) -> dict[str, Any]:
+    return {
+        "nodes": [
+            {
+                "id": node.id,
+                "name": node.name,
+                "label": node.label_text,
+                "parent": node.parent,
+                "conjunctions": sorted(node.conjunction_labels),
+            }
+            for node in trie.nodes
+        ],
+        "tree_edges": [
+            {"child": child, "parent": node.id}
+            for node in trie.nodes
+            for child in node.children
+        ],
+    }
+
+
+def reference_trielike_json(g: TrieLikeGraph) -> dict[str, Any]:
+    payload = reference_trie_json(g.trie)
+    payload["span_edges"] = [
+        {"child": e.child, "parent": e.parent, "labels": sorted(e.labels)}
+        for e in g.span_edges
+    ]
+    payload["node_map"] = {
+        label: list(path) for label, path in sorted(g.node_map.items())
+    }
+    return payload
 
 
 def reference_layered_json(lg: LayeredGraph) -> dict[str, Any]:

@@ -37,7 +37,7 @@ def _shuffled_ids() -> TrieLikeGraph:
             TrieNode(7, NodeKind.END, None, 3, [], frozenset({"c"})),
         ]
     )
-    return TrieLikeGraph(trie, {}, ())
+    return TrieLikeGraph(trie, {}, {})
 
 
 @functools.cache

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 
-from tests.layered_reference import fuzz_fronts, reference_layered_json
+from tests.conftest import criterion7_stream
+from tests.layered_reference import (
+    fuzz_fronts,
+    reference_layered_json,
+    reference_trie_json,
+    reference_trielike_json,
+)
 from twomaxsat.export import (
     answer_json,
     export_stage,
@@ -15,8 +20,9 @@ from twomaxsat.export import (
     pgraph_dot,
     sequence_text,
     trie_dot,
+    trie_json_text,
     trielike_dot,
-    trielike_json,
+    trielike_json_text,
 )
 from twomaxsat.export import STAGES
 from twomaxsat.formula import formula_from_ints, parse_cnf
@@ -62,7 +68,7 @@ def test_layered_dot_groups_and_witness(ce1):
 
 def test_trielike_json_shape(ce1):
     run = run_pipeline(ce1, ordering="y1>y2>v1", algorithm=1)
-    payload = trielike_json(run.trielike)
+    payload = json.loads(export_stage(run, "trielike", "json"))
     assert len(payload["nodes"]) == 7
     assert payload["node_map"]["a"] == [1, 2, 4, 5]
     assert {"child": 5, "parent": 2, "labels": ["a"]} in payload["span_edges"]
@@ -146,6 +152,34 @@ def _assert_layered_json_matches_reference(run, where: str) -> None:
     assert text == json.dumps(reference_layered_json(run.layered), indent=2) + "\n", where
 
 
+def _assert_trie_json_matches_reference(g, where: str) -> None:
+    text = trie_json_text(g.trie)
+    assert text == json.dumps(reference_trie_json(g.trie), indent=2) + "\n", where
+    text = trielike_json_text(g)
+    assert text == json.dumps(reference_trielike_json(g), indent=2) + "\n", where
+
+
+def test_trie_json_bytes_match_reference():
+    # the writers render from the trie and the owner map; the reference dumps a dict
+    for spec in builtin_counterexamples():
+        front = front_end(parse_cnf(spec.dimacs), spec.ordering)
+        _assert_trie_json_matches_reference(front.trielike, spec.name)
+    fronts = 0
+    for front, algorithm in fuzz_fronts(42, 100):
+        if algorithm == 1:
+            where = f"{front.formula} / {front.ordering.display()}"
+            _assert_trie_json_matches_reference(front.trielike, where)
+            fronts += 1
+    assert fronts > 100
+    # a sample of criterion 7's grid stream, span edges shared by several owners included
+    shared = 0
+    for m0, clauses in criterion7_stream(200):
+        front = front_end(formula_from_ints(clauses, m0), "frequency")
+        _assert_trie_json_matches_reference(front.trielike, str(clauses))
+        shared += any(len(labels) > 1 for labels in front.trielike.owners.values())
+    assert shared > 100
+
+
 def test_layered_json_bytes_match_reference():
     # the writer renders from the memo; the reference dumps a dict of the unfolded graph
     for spec in builtin_counterexamples():
@@ -157,16 +191,8 @@ def test_layered_json_bytes_match_reference():
         where = f"{front.formula} / {front.ordering.display()}"
         _assert_layered_json_matches_reference(search(front, algorithm), where)
     # criterion 7's grid stream, graphs of up to 2,000 instances
-    rng = random.Random(1789)
     grid = merged = 0
-    for _ in range(200):
-        n0 = rng.randint(1, 8)
-        m0 = rng.randint(1, 8)
-        clauses = []
-        for _ in range(n0):
-            a = rng.randint(1, m0) * rng.choice((1, -1))
-            b = a if rng.random() < 0.3 else rng.randint(1, m0) * rng.choice((1, -1))
-            clauses.append([a, b])
+    for m0, clauses in criterion7_stream(200):
         front = front_end(formula_from_ints(clauses, m0), "frequency")
         for algorithm in (1, 3):
             run = search(front, algorithm)

@@ -220,7 +220,7 @@ def test_case1_merge_below_the_root_is_an_internal_error():
     from tests import layered_reference
     from twomaxsat.errors import InternalError
     from twomaxsat.formula import Variable
-    from twomaxsat.trie import NodeKind, SpanEdge, Trie, TrieLikeGraph, TrieNode
+    from twomaxsat.trie import NodeKind, Trie, TrieLikeGraph, TrieNode
 
     v1, v2 = Variable(0, "v1"), Variable(1, "v2")
     trie = Trie(
@@ -232,7 +232,7 @@ def test_case1_merge_below_the_root_is_an_internal_error():
             TrieNode(5, NodeKind.END, None, 4, [], frozenset({"b"})),
         ]
     )
-    g = TrieLikeGraph(trie, {}, (SpanEdge(5, 2, frozenset({"b"})),))
+    g = TrieLikeGraph(trie, {}, {(5, 2): ["b"]})
     assert classify_duplicate_case(g, {3, 5}) == "case1"
     assert build_layered_alg1(g).vertex_count == 4  # n2 and n4 form no group
     for build in (build_layered_alg3, layered_reference.build_layered_alg3):
@@ -244,11 +244,12 @@ def test_memo_matches_reference_on_all_small_formulas():
     # every formula with n0 <= 3 clauses over m0 <= 3 variables (52,440),
     # both algorithms, default ordering
     from tests.conftest import all_formulas
-    from tests.layered_reference import assert_matches_reference
+    from tests.layered_reference import assert_front_matches_reference, assert_matches_reference
     from twomaxsat.pipeline import front_end
 
     for f in all_formulas(3, 3):
         front = front_end(f, "frequency")
+        assert_front_matches_reference(front)
         for algorithm in (1, 3):
             assert_matches_reference(front, algorithm)
 

@@ -134,6 +134,29 @@ def test_closure_matches_characterization_property(flags):
     assert closed == closure_oracle(seq) == fixpoint_closure(p)
 
 
+@st.composite
+def base_span_sets(draw):
+    """A path of 2..14 positions and any set of spans on it, long ones included."""
+    length = draw(st.integers(min_value=2, max_value=14))
+    pairs = st.tuples(
+        st.integers(min_value=0, max_value=length - 1),
+        st.integers(min_value=0, max_value=length - 1),
+    ).filter(lambda ij: ij[1] - ij[0] >= 2)
+    spans = draw(st.lists(pairs, max_size=6, unique=True))
+    return PGraph("a", (START_ITEM,) * length, tuple(Span(i, j) for i, j in spans))
+
+
+@given(base_span_sets())
+@settings(max_examples=400, deadline=None)
+def test_span_count_matches_per_span_closure(p):
+    from tests.layered_reference import reference_close_spans
+
+    closed = close_spans(p)
+    reference = reference_close_spans(p)
+    assert closed.span_count == len(reference)
+    assert closed.closed_spans == reference
+
+
 def test_span_count_bound(running, ce1, ce2, ce3):
     # at most (m+2)(m+1)/2 closed spans per graph
     for f, spec in ((running, "lexical"), (ce1, "y1>y2>v1"), (ce2, "v1>y1>y2"), (ce3, "y2>y1>v1")):

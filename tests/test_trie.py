@@ -160,6 +160,36 @@ def test_overlay_unmapped_position(ce1):
         overlay_spans(trie, broken, pstars)
 
 
+def test_overlay_short_mapped_path(ce1):
+    # d's node map ends one position early: its run's last span lands past it
+    _, pgraphs, pstars = _stages(ce1, "y1>y2>v1")
+    trie, node_map = merge_main_paths(pgraphs)
+    broken = dict(node_map)
+    broken["d"] = node_map["d"][:-1]
+    with pytest.raises(UnmappedPositionError, match=r"0\.\.2 of d .* 2 positions"):
+        overlay_spans(trie, broken, pstars)
+
+
+def test_run_closure_and_overlay_match_per_span_reference():
+    # the builtins, the seed-1 formulas n0 = 8..16 and the front ends fuzz(42, 100) checks
+    from tests.conftest import seed1_formula
+    from tests.layered_reference import assert_front_matches_reference, fuzz_fronts
+    from twomaxsat.formula import parse_cnf
+    from twomaxsat.harness import builtin_counterexamples
+    from twomaxsat.pipeline import front_end
+
+    for spec in builtin_counterexamples():
+        assert_front_matches_reference(front_end(parse_cnf(spec.dimacs), spec.ordering))
+    for n0 in range(8, 17):
+        assert_front_matches_reference(front_end(seed1_formula(n0), "frequency"))
+    fronts = 0
+    for front, algorithm in fuzz_fronts(42, 100):
+        if algorithm == 1:
+            assert_front_matches_reference(front)
+            fronts += 1
+    assert fronts > 100
+
+
 def test_trie_bounds(running, ce1):
     for f, spec in ((running, "lexical"), (ce1, "y1>y2>v1")):
         run = run_pipeline(f, ordering=spec, algorithm=1)
@@ -181,3 +211,77 @@ def test_parent_table_matches_walks_and_repeats_no_parent():
             # distinct parents give the layered search one edge per (member, parent)
             assert len({pid for pid, _ in row}) == len(row), (name, node.id)
             assert g.labels[node.id] == node.label_text, (name, node.id)
+
+
+def test_search_audit_and_fuzz_build_no_closed_span_objects(monkeypatch):
+    # only build_pgraph's base spans are objects; closed spans and span edges
+    # are built on read, by the pstars and trie-like DOT exports
+    from tests.conftest import criterion7_stream, seed1_formula
+    from twomaxsat import pipeline
+    from twomaxsat.export import STAGES, export_stage
+    from twomaxsat.formula import formula_from_ints, parse_cnf
+    from twomaxsat.harness import (
+        LAYERED_EDGE_BOUND,
+        LAYERED_VERTEX_BOUND,
+        SPAN_BOUND,
+        audit_bounds,
+        builtin_by_name,
+        builtin_counterexamples,
+        fuzz,
+        run_counterexample,
+    )
+    from twomaxsat.pipeline import front_end, search
+    from twomaxsat.spans import Span
+    from twomaxsat.trie import SpanEdge
+
+    base = [False]
+    real_build_pgraph = pipeline.build_pgraph
+
+    def build_pgraph(seq):
+        base[0] = True
+        try:
+            return real_build_pgraph(seq)
+        finally:
+            base[0] = False
+
+    def refuse_span(self):
+        if not base[0]:
+            raise AssertionError(f"{self} was built")
+
+    def refuse_edge(self, *args):
+        raise AssertionError("a SpanEdge was built")
+
+    monkeypatch.setattr(pipeline, "build_pgraph", build_pgraph)
+    monkeypatch.setattr(Span, "__post_init__", refuse_span)
+    monkeypatch.setattr(SpanEdge, "__init__", refuse_edge)
+    # criterion 7's 1005 audits
+    audits = [(formula_from_ints(c, m0), "frequency") for m0, c in criterion7_stream(1000)]
+    audits += [(parse_cnf(s.dimacs), s.ordering) for s in builtin_counterexamples()]
+    reports = [audit_bounds(f, ordering=ordering) for f, ordering in audits]
+    layered_bounds = {LAYERED_VERTEX_BOUND, LAYERED_EDGE_BOUND}
+    assert sum(not r.all_pass for r in reports) == 180
+    assert all(b.ok or b.name in layered_bounds for r in reports for b in r.bounds)
+    assert fuzz(42, 20)
+    assert run_counterexample(builtin_by_name("ce1"))["runs"]
+    front = front_end(seed1_formula(12), "frequency")
+    runs = [search(front, 1), pipeline.run_pipeline(seed1_formula(12), algorithm=3)]
+    small = front_end(seed1_formula(6), "frequency")
+    for run in (search(small, 1), search(small, 3)):
+        for stage in STAGES:
+            for fmt in ("dot", "json"):
+                if stage == "pstars" or (stage, fmt) == ("trielike", "dot"):
+                    with pytest.raises(AssertionError, match="was built"):
+                        export_stage(run, stage, fmt)
+                else:
+                    export_stage(run, stage, fmt)
+    monkeypatch.undo()
+    # every counter reads what the materialised spans and span edges give
+    for (f, ordering), report in zip(audits, reports):
+        run = pipeline.run_pipeline(f, ordering=ordering)
+        closed = [len(ps.closed_spans) for ps in run.pstars]
+        assert report.counters["closed_spans"] == sum(closed)
+        assert report.counters["span_edges"] == len(run.trielike.span_edges)
+        assert report.counters["base_spans"] == sum(len(p.spans) for p in run.pgraphs)
+        span_bound = next(b for b in report.bounds if b.name == SPAN_BOUND)
+        assert span_bound.measured == max(closed)
+    assert runs[0].trielike.edge_count == runs[0].trie.edge_count + len(runs[0].trielike.span_edges)
