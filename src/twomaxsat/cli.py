@@ -2,7 +2,8 @@
 
 Subcommands: oracle, pipeline, repro, fuzz, audit, export.
 Exit codes: 0 success / expectations met; 1 semantic negative (decision false,
-expectation failed, bound violated); 2 input error; 3 resource cap exceeded.
+expectation failed, bound violated); 2 input error; 3 resource cap exceeded
+or out of memory.
 Config precedence: flags > environment (MAXSAT_ prefix) > defaults.  An
 environment value is parsed like the flag it stands for, and only by the
 subcommand that has that flag, so a bad value fails that subcommand alone,
@@ -20,13 +21,14 @@ from . import export as ex
 from . import harness
 from .errors import FormulaParseError, TooManyVariablesError, TwoMaxSatError
 from .formula import parse_cnf
-from .oracle import oracle_max_sat
-from .pipeline import run_pipeline
+from .oracle import DEFAULT_VARIABLE_CAP, oracle_max_sat
+from .pipeline import front_end, run_pipeline, search
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXPORT_CHUNK = 1 << 20  # characters encoded and written at a time
 
 
 def _env(name: str, default: str | None = None) -> str | None:
@@ -73,7 +75,10 @@ def _write_exports(run, stages: list[str], fmt: str, out_dir: str) -> list[str]:
     written = []
     for stage in stages:
         path = out / f"{stage}.{ex.stage_suffix(stage, fmt)}"
-        path.write_text(ex.export_stage(run, stage, fmt))
+        text = ex.export_stage(run, stage, fmt)
+        with path.open("w") as fh:
+            for start in range(0, len(text), EXPORT_CHUNK):
+                fh.write(text[start : start + EXPORT_CHUNK])
         written.append(str(path))
     return written
 
@@ -104,11 +109,10 @@ def cmd_repro(args: argparse.Namespace) -> int:
         reports.append(report)
         all_ok = all_ok and report["ok"]
         if args.export:
-            f = parse_cnf(spec.dimacs)
+            front = front_end(parse_cnf(spec.dimacs), spec.ordering)
             for algorithm in spec.algorithms:
-                run = run_pipeline(f, ordering=spec.ordering, algorithm=algorithm)
                 _write_exports(
-                    run,
+                    search(front, algorithm),
                     ["trie", "trielike", "layered", "answer"],
                     "dot",
                     str(Path(args.export) / f"{spec.name}-alg{algorithm}"),
@@ -194,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact 2-MAXSAT by exhaustive enumeration")
     p.add_argument("formula", help="DIMACS-like file ('-' for stdin)")
     p.add_argument("--k", type=_positive_int, default=None, help="decision threshold")
-    p.add_argument("--var-cap", type=int, default=_env("VAR_CAP", "24"))
+    p.add_argument("--var-cap", type=int, default=_env("VAR_CAP", str(DEFAULT_VARIABLE_CAP)))
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("pipeline", help="run conversion steps 1-10 and report the claimed maximum")
@@ -222,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orderings", type=_positive_int, default=6)
     p.add_argument("--algorithms", type=_algorithm_list, default=(1, 3),
                    help="comma-separated, each 1 or 3 (default 1,3)")
-    p.add_argument("--var-cap", type=int, default=_env("VAR_CAP", "24"))
+    p.add_argument("--var-cap", type=int, default=_env("VAR_CAP", str(DEFAULT_VARIABLE_CAP)))
     p.add_argument("--shrink", action="store_true", help="minimize each mismatch")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_fuzz)
@@ -259,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except TooManyVariablesError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
         return EXIT_CAP
     except TwoMaxSatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .formula import (
     parse_cnf,
     render_cnf,
 )
-from .oracle import oracle_max_sat
+from .oracle import DEFAULT_VARIABLE_CAP, oracle_max_sat
 from .pipeline import FrontEnd, PipelineRun, front_end, run_pipeline, search
 from .sequences import frequency_ordering, sequence_frequencies, tie_consistent
 
@@ -270,7 +270,7 @@ class FuzzParams:
     max_m0: int = 3
     orderings_per_formula: int = 6
     algorithms: tuple[int, ...] = (1, 3)
-    variable_cap: int = 24
+    variable_cap: int = DEFAULT_VARIABLE_CAP
 
     def __post_init__(self) -> None:
         if not self.algorithms or not set(self.algorithms) <= {1, 3}:
@@ -295,17 +295,18 @@ def tie_consistent_orderings(f: CnfFormula, cap: int) -> list[tuple[str, ...]]:
     for var, count in freq.items():
         by_count.setdefault(count, []).append(var.name)
     tiers = [sorted(by_count[count]) for count in sorted(by_count, reverse=True)]
+    return list(itertools.islice(_orderings(tiers), cap))
 
-    def orderings(rest: list[list[str]]) -> Iterator[tuple[str, ...]]:
-        # the last tier varies fastest, as in itertools.product
-        if not rest:
-            yield ()
-            return
-        for head in itertools.permutations(rest[0]):
-            for tail in orderings(rest[1:]):
-                yield head + tail
 
-    return list(itertools.islice(orderings(tiers), cap))
+def _orderings(tiers: list[list[str]]) -> Iterator[tuple[str, ...]]:
+    """Every permutation of each tier, concatenated; the last tier varies fastest,
+    as in itertools.product."""
+    if not tiers:
+        yield ()
+        return
+    for head in itertools.permutations(tiers[0]):
+        for tail in _orderings(tiers[1:]):
+            yield head + tail
 
 
 def random_formula(rng: random.Random, params: FuzzParams) -> CnfFormula:
@@ -345,7 +346,7 @@ def check_one(
     f: CnfFormula,
     ordering: Sequence[str],
     algorithm: int,
-    variable_cap: int = 24,
+    variable_cap: int = DEFAULT_VARIABLE_CAP,
 ) -> Mismatch | None:
     """Compare one pipeline run against the oracle; None when they agree."""
     truth = oracle_max_sat(f, variable_cap).max_count
@@ -411,7 +412,7 @@ def _candidates(m: Mismatch) -> Iterator[tuple[list[list[int]], int, Sequence[st
         yield clauses, f.m0, default
 
 
-def shrink(m: Mismatch, variable_cap: int = 24) -> Mismatch:
+def shrink(m: Mismatch, variable_cap: int = DEFAULT_VARIABLE_CAP) -> Mismatch:
     """Greedy local minimization; the result still disagrees with the oracle.
 
     Tries clause removal, unused-variable removal, and swapping the rigged

@@ -111,17 +111,18 @@ def _root_counts(lg: LayeredGraph) -> list[tuple[int, int]]:
     leaf has a main parent.
     """
     out: list[tuple[int, int]] = []
-
-    def walk(exp: Expansion, masks: list[int], first: int) -> None:
-        made = _created_masks(exp, masks)
-        out.extend((first + c, made[c].bit_count()) for c in exp.roots)
-        first += len(made)
-        for gi, child in exp.children:
-            walk(child, [made[c] for c in exp.groups[gi][1]], first)
-            first += child.instances
-
-    walk(lg.top, _leaf_masks(lg), len(lg.leaves) + 1)
+    _walk_roots(lg.top, _leaf_masks(lg), len(lg.leaves) + 1, out)
     return out
+
+
+def _walk_roots(exp: Expansion, masks: list[int], first: int, out: list[tuple[int, int]]) -> None:
+    """Append (root id, count) for the roots of `exp`'s subtree, whose ids start at `first`."""
+    made = _created_masks(exp, masks)
+    out.extend((first + c, made[c].bit_count()) for c in exp.roots)
+    first += len(made)
+    for gi, child in exp.children:
+        _walk_roots(child, [made[c] for c in exp.groups[gi][1]], first, out)
+        first += child.instances
 
 
 def _best(exp: Expansion, masks: tuple[int, ...], memo: dict) -> tuple[int, int]:

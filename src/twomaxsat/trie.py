@@ -1,12 +1,17 @@
 """Trie of merged main paths plus overlaid spans (steps 7-8).
 
 Main paths merge by item label with star annotations ignored, so a starred
-and an un-starred occurrence of the same variable land on the same node.  At
-each level, p-graphs whose remainder is a single '$' item collapse into one
-leaf child first (created before any subtrees, carrying all their conjunction
-labels); the remaining p-graphs are grouped by their next label, in first
-appearance order, and merged recursively.  Node ids record creation order,
-reproducing the n1, n2, ... numbering the recorded counterexamples use.
+and an un-starred occurrence of the same variable land on the same node.
+Below each node, the p-graphs whose remainder is a single '$' item collapse
+into one leaf child carrying all their conjunction labels, and the rest are
+grouped by their next label, in first appearance order, one child per group.
+``merge_main_paths`` builds this in one loop over an explicit stack: popping
+an entry creates its node and appends the node's id to the path of each
+p-graph landing on it, then pushes the groups in reverse order and the leaf
+last.  So the leaf is created first and each group's subtree is finished
+before the next group starts: node ids are preorder with the leaf first,
+reproducing the n1, n2, ... numbering the recorded counterexamples use, and
+every sequence position is mapped by construction.
 
 The NodeMap remembers, per conjunction, which trie node each sequence
 position landed on; overlaying a closed span (i, j) adds the rootward edge
@@ -135,61 +140,41 @@ NodeMap = dict[str, tuple[int, ...]]
 
 
 def merge_main_paths(pgraphs: Sequence[PGraph]) -> tuple[Trie, NodeMap]:
-    """Step 7: recursively merge main paths; spans are ignored here."""
+    """Step 7: merge main paths in one preorder pass; spans are ignored here.
+
+    Each stack entry is a node still to create: (kind, variable, parent id,
+    [(p-graph, position)]) for the p-graph positions that land on it.
+    """
     for pg in pgraphs:
         if pg.items[0].tag is not ItemTag.START:
             raise ValueError(f"p-graph {pg.label} does not begin with '#'")
     nodes: list[TrieNode] = []
-    positions: dict[str, list[int | None]] = {
-        pg.label: [None] * len(pg.items) for pg in pgraphs
-    }
-
-    def new_node(kind: str, variable: Variable | None, parent: int | None) -> TrieNode:
-        node = TrieNode(len(nodes) + 1, kind, variable, parent)
-        nodes.append(node)
+    paths: dict[str, list[int]] = {pg.label: [] for pg in pgraphs}
+    stack: list[tuple[str, Variable | None, int | None, list[tuple[PGraph, int]]]] = [
+        (NodeKind.START, None, None, [(pg, 0) for pg in pgraphs])
+    ]
+    while stack:
+        kind, variable, parent, entries = stack.pop()
+        nid = len(nodes) + 1
+        labels = frozenset(pg.label for pg, _ in entries) if kind == NodeKind.END else frozenset()
+        nodes.append(TrieNode(nid, kind, variable, parent, conjunction_labels=labels))
         if parent is not None:
-            nodes[parent - 1].children.append(node.id)
-        return node
-
-    root = new_node(NodeKind.START, None, None)
-    for pg in pgraphs:
-        positions[pg.label][0] = root.id
-
-    def merge(entries: list[tuple[PGraph, int]], parent_id: int) -> None:
-        # entries: (p-graph, position of its next unconsumed item)
-        finished = [(pg, pos) for pg, pos in entries if pos == len(pg.items) - 1]
-        pending = [(pg, pos) for pg, pos in entries if pos < len(pg.items) - 1]
-        if finished:
-            leaf = new_node(NodeKind.END, None, parent_id)
-            leaf.conjunction_labels = frozenset(pg.label for pg, _ in finished)
-            for pg, pos in finished:
-                positions[pg.label][pos] = leaf.id
+            nodes[parent - 1].children.append(nid)
+        finished: list[tuple[PGraph, int]] = []
         groups: dict[int, list[tuple[PGraph, int]]] = {}
-        order: list[int] = []
-        for pg, pos in pending:
-            var = pg.items[pos].variable
-            assert var is not None
-            if var.id not in groups:
-                groups[var.id] = []
-                order.append(var.id)
-            groups[var.id].append((pg, pos))
-        for var_id in order:
-            members = groups[var_id]
-            var = members[0][0].items[members[0][1]].variable
-            node = new_node(NodeKind.VAR, var, parent_id)
-            for pg, pos in members:
-                positions[pg.label][pos] = node.id
-            merge([(pg, pos + 1) for pg, pos in members], node.id)
-
-    merge([(pg, 1) for pg in pgraphs], root.id)
-    trie = Trie(nodes)
-    node_map: NodeMap = {}
-    for pg in pgraphs:
-        mapped = positions[pg.label]
-        if any(nid is None for nid in mapped):
-            raise UnmappedPositionError(f"p-graph {pg.label} left unmapped positions")
-        node_map[pg.label] = tuple(mapped)  # type: ignore[arg-type]
-    return trie, node_map
+        for pg, pos in entries:
+            paths[pg.label].append(nid)
+            pos += 1
+            if pos == len(pg.items) - 1:
+                finished.append((pg, pos))
+            elif pos < len(pg.items) - 1:
+                groups.setdefault(pg.items[pos].variable.id, []).append((pg, pos))
+        for members in reversed(groups.values()):
+            pg, pos = members[0]
+            stack.append((NodeKind.VAR, pg.items[pos].variable, nid, members))
+        if finished:
+            stack.append((NodeKind.END, None, nid, finished))
+    return Trie(nodes), {label: tuple(path) for label, path in paths.items()}
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ one ``SpanEdge`` per distinct edge, sorted twice.
 the same spans, counts, span edges, parent rows and owners.
 ``reference_trie_json``/``reference_trielike_json`` are the payloads whose
 ``json.dumps(..., indent=2)`` the trie and trie-like JSON exports write.
+``reference_merge_main_paths`` is the recursive step-7 merge that the
+explicit-stack ``merge_main_paths`` replaced; ``assert_trie_matches_reference``
+requires both to give the same nodes and node map.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from twomaxsat.errors import (
     NotADuplicateError,
     UnmappedPositionError,
 )
+from twomaxsat.formula import Variable
 from twomaxsat.harness import FuzzParams, SkipOverEdge, random_formula, tie_consistent_orderings
 from twomaxsat.harness import diagnose_skip_over as memo_diagnose_skip_over
 from twomaxsat.layered import (
@@ -57,9 +61,18 @@ from twomaxsat.layered import (
     NodeInstance,
 )
 from twomaxsat.pipeline import FrontEnd, front_end, search
+from twomaxsat.sequences import ItemTag
 from twomaxsat.spans import PGraph, Span
 from twomaxsat.subsets import RootedSubgraph, _created_masks, _subgraph
-from twomaxsat.trie import NodeMap, SpanEdge, Trie, TrieLikeGraph
+from twomaxsat.trie import (
+    NodeKind,
+    NodeMap,
+    SpanEdge,
+    Trie,
+    TrieLikeGraph,
+    TrieNode,
+    merge_main_paths,
+)
 
 
 def walk_ancestors(trie: Trie, node_id: int) -> list[int]:
@@ -505,6 +518,73 @@ def assert_front_matches_reference(front: FrontEnd) -> None:
         assert g.parents[node.id] == rows[node.id], (where, node.id)
     for edge in edges:
         assert g.span_owners(edge.child, edge.parent) == edge.labels, (where, edge)
+
+
+def reference_merge_main_paths(pgraphs: Sequence[PGraph]) -> tuple[Trie, NodeMap]:
+    """Step 7 as a recursive merge: at each level the '$' leaf first, then one
+    subtree per next label in first appearance order."""
+    for pg in pgraphs:
+        if pg.items[0].tag is not ItemTag.START:
+            raise ValueError(f"p-graph {pg.label} does not begin with '#'")
+    nodes: list[TrieNode] = []
+    positions: dict[str, list[int | None]] = {
+        pg.label: [None] * len(pg.items) for pg in pgraphs
+    }
+
+    def new_node(kind: str, variable: Variable | None, parent: int | None) -> TrieNode:
+        node = TrieNode(len(nodes) + 1, kind, variable, parent)
+        nodes.append(node)
+        if parent is not None:
+            nodes[parent - 1].children.append(node.id)
+        return node
+
+    root = new_node(NodeKind.START, None, None)
+    for pg in pgraphs:
+        positions[pg.label][0] = root.id
+
+    def merge(entries: list[tuple[PGraph, int]], parent_id: int) -> None:
+        # entries: (p-graph, position of its next unconsumed item)
+        finished = [(pg, pos) for pg, pos in entries if pos == len(pg.items) - 1]
+        pending = [(pg, pos) for pg, pos in entries if pos < len(pg.items) - 1]
+        if finished:
+            leaf = new_node(NodeKind.END, None, parent_id)
+            leaf.conjunction_labels = frozenset(pg.label for pg, _ in finished)
+            for pg, pos in finished:
+                positions[pg.label][pos] = leaf.id
+        groups: dict[int, list[tuple[PGraph, int]]] = {}
+        order: list[int] = []
+        for pg, pos in pending:
+            var = pg.items[pos].variable
+            assert var is not None
+            if var.id not in groups:
+                groups[var.id] = []
+                order.append(var.id)
+            groups[var.id].append((pg, pos))
+        for var_id in order:
+            members = groups[var_id]
+            var = members[0][0].items[members[0][1]].variable
+            node = new_node(NodeKind.VAR, var, parent_id)
+            for pg, pos in members:
+                positions[pg.label][pos] = node.id
+            merge([(pg, pos + 1) for pg, pos in members], node.id)
+
+    merge([(pg, 1) for pg in pgraphs], root.id)
+    trie = Trie(nodes)
+    node_map: NodeMap = {}
+    for pg in pgraphs:
+        mapped = positions[pg.label]
+        if any(nid is None for nid in mapped):
+            raise UnmappedPositionError(f"p-graph {pg.label} left unmapped positions")
+        node_map[pg.label] = tuple(mapped)  # type: ignore[arg-type]
+    return trie, node_map
+
+
+def assert_trie_matches_reference(pgraphs: Sequence[PGraph]) -> None:
+    """Stack-built trie == recursively merged trie, node by node, and equal node maps."""
+    trie, node_map = merge_main_paths(pgraphs)
+    ref, ref_map = reference_merge_main_paths(pgraphs)
+    assert trie.nodes == ref.nodes, [pg.label for pg in pgraphs]
+    assert node_map == ref_map, [pg.label for pg in pgraphs]
 
 
 def reference_trie_json(trie: Trie) -> dict[str, Any]:

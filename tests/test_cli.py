@@ -2,13 +2,28 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from twomaxsat.cli import main
-from twomaxsat.harness import CE1_DIMACS, CE3_DIMACS, RUNNING_DIMACS
+from twomaxsat import cli
+from twomaxsat.cli import build_parser, main
+from twomaxsat.export import STAGES, export_stage
+from twomaxsat.formula import parse_cnf
+from twomaxsat.harness import (
+    CE1_DIMACS,
+    CE3_DIMACS,
+    RUNNING_DIMACS,
+    FuzzParams,
+    builtin_by_name,
+    builtin_counterexamples,
+    fuzz,
+)
+from twomaxsat.pipeline import run_pipeline
 
 
 @pytest.fixture
@@ -165,6 +180,41 @@ def test_repro_single(capsys, tmp_path):
         assert "family(N)" in captured.err and "2..12" in captured.err, name
 
 
+def test_repro_export_writes_each_algorithms_stages(capsys, tmp_path):
+    assert main(["repro", "ce1", "--export", str(tmp_path)]) == 0
+    capsys.readouterr()
+    spec = builtin_by_name("ce1")
+    for algorithm in (1, 3):
+        run = run_pipeline(parse_cnf(spec.dimacs), ordering=spec.ordering, algorithm=algorithm)
+        out = tmp_path / f"ce1-alg{algorithm}"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "answer.json", "layered.dot", "trie.dot", "trielike.dot"
+        ]
+        for stage in ("trie", "trielike", "layered", "answer"):
+            path = out / f"{stage}.{'json' if stage == 'answer' else 'dot'}"
+            assert path.read_bytes() == export_stage(run, stage, "dot").encode(), path
+
+
+def test_written_exports_equal_export_stage_for_builtins(capsys, tmp_path, monkeypatch):
+    # a slice size of 7 characters makes every file take several writes
+    monkeypatch.setattr(cli, "EXPORT_CHUNK", 7)
+    for spec in builtin_counterexamples():
+        formula = tmp_path / "formula.cnf"
+        formula.write_text(spec.dimacs)
+        for algorithm in spec.algorithms:
+            run = run_pipeline(parse_cnf(spec.dimacs), ordering=spec.ordering, algorithm=algorithm)
+            for fmt in ("dot", "json"):
+                out = tmp_path / f"{spec.name}-{algorithm}-{fmt}"
+                argv = ["export", str(formula), "--ordering", spec.ordering,
+                        "--algorithm", str(algorithm), "--stages", ",".join(STAGES),
+                        "--format", fmt, "--out", str(out)]
+                code, payload = _run(capsys, argv)
+                assert code == 0 and len(payload["exports"]) == len(STAGES)
+                for stage, path in zip(STAGES, payload["exports"]):
+                    expected = export_stage(run, stage, fmt).encode()
+                    assert Path(path).read_bytes() == expected, path
+
+
 def test_repro_all_reports_family_red(capsys):
     # the family expectation (n+1) does not reproduce (measured: 2n-1),
     # so the honest composition exits 1 while still printing all five reports
@@ -219,6 +269,15 @@ def test_fuzz_report_bytes_pinned(capsys, tmp_path, extra, count, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("raw, algorithms", [("1", (1,)), ("3, 1", (3, 1))])
+def test_fuzz_algorithms_flag(capsys, raw, algorithms):
+    code, payload = _run(capsys, ["fuzz", "--seed", "5", "--iters", "15", "--algorithms", raw])
+    assert code == 0
+    expected = fuzz(5, 15, FuzzParams(algorithms=algorithms))
+    assert expected
+    assert payload["mismatches"] == [m.to_dict() for m in expected]
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -266,6 +325,19 @@ def test_audit_exit_codes(capsys, running_file):
     assert code == 0
     assert payload["all_pass"] is True
     assert payload["worst_case_frame_216_n0^6"] == 216 * 2**6
+
+
+def test_out_of_memory_exit_3(capsys, monkeypatch, running_file):
+    from twomaxsat import pipeline
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline, "overlay_spans", exhausted)
+    assert main(["audit", running_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap: out of memory\n"
 
 
 def test_env_precedence(capsys, monkeypatch, ce1_file):
@@ -321,3 +393,20 @@ def test_bad_env_value_ignored_by_other_subcommands(capsys, monkeypatch, ce1_fil
     monkeypatch.setenv("MAXSAT_VAR_CAP", "x")
     code, payload = _run(capsys, ["pipeline", ce1_file, "--ordering", "y1>y2>v1"])
     assert code == 0 and payload["mode"] == "alg3" and payload["max_count"] == 3
+
+
+def test_readme_synopsis_names_every_long_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    # one entry per subcommand: its "twomaxsat NAME" line and the indented lines after it
+    entries = {
+        entry.split(None, 1)[0]: entry for entry in re.split(r"^twomaxsat ", block, flags=re.M)[1:]
+    }
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(entries) == sorted(subparsers.choices)
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                if option.startswith("--") and option != "--help":
+                    assert re.search(re.escape(option) + r"(?![\w-])", entries[name]), (name, option)

@@ -244,11 +244,16 @@ def test_memo_matches_reference_on_all_small_formulas():
     # every formula with n0 <= 3 clauses over m0 <= 3 variables (52,440),
     # both algorithms, default ordering
     from tests.conftest import all_formulas
-    from tests.layered_reference import assert_front_matches_reference, assert_matches_reference
+    from tests.layered_reference import (
+        assert_front_matches_reference,
+        assert_matches_reference,
+        assert_trie_matches_reference,
+    )
     from twomaxsat.pipeline import front_end
 
     for f in all_formulas(3, 3):
         front = front_end(f, "frequency")
+        assert_trie_matches_reference(front.pgraphs)
         assert_front_matches_reference(front)
         for algorithm in (1, 3):
             assert_matches_reference(front, algorithm)

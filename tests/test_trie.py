@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tests.layered_reference import walk_parents
+from tests.layered_reference import assert_trie_matches_reference, walk_parents
 from tests.test_ancestry import _small_graphs
 from twomaxsat.errors import UnmappedPositionError
-from twomaxsat.formula import cnf_to_dnf, pad_missing
+from twomaxsat.formula import Variable, cnf_to_dnf, pad_missing
 from twomaxsat.pipeline import resolve_ordering, run_pipeline
-from twomaxsat.sequences import build_sequences
-from twomaxsat.spans import build_pgraph, close_spans
+from twomaxsat.sequences import END_ITEM, START_ITEM, ItemTag, SeqItem, build_sequences
+from twomaxsat.spans import PGraph, build_pgraph, close_spans
 from twomaxsat.trie import merge_main_paths, overlay_spans
 
 
@@ -118,6 +120,48 @@ def test_leaf_partition(running, ce1):
             assert bool(node.conjunction_labels) == (node.kind == "$")
             child_labels = [trie.node(c).label_text for c in node.children]
             assert len(child_labels) == len(set(child_labels))
+
+
+def test_stack_merge_matches_recursive_reference():
+    # the builtins, the seed-1 formulas n0 = 8..32 and the front ends fuzz(42, 100) checks
+    from tests.conftest import seed1_formula
+    from tests.layered_reference import fuzz_fronts
+    from twomaxsat.formula import parse_cnf
+    from twomaxsat.harness import builtin_counterexamples
+    from twomaxsat.pipeline import front_end
+
+    for spec in builtin_counterexamples():
+        assert_trie_matches_reference(front_end(parse_cnf(spec.dimacs), spec.ordering).pgraphs)
+    for n0 in range(8, 33):
+        assert_trie_matches_reference(front_end(seed1_formula(n0), "frequency").pgraphs)
+    fronts = 0
+    for front, algorithm in fuzz_fronts(42, 100):
+        if algorithm == 1:
+            assert_trie_matches_reference(front.pgraphs)
+            fronts += 1
+    assert fronts > 100
+
+
+_ITEMS = st.builds(
+    SeqItem,
+    st.sampled_from((ItemTag.VAR, ItemTag.STARRED)),
+    st.sampled_from([Variable(i, f"v{i}") for i in (1, 2, 3)]),
+)
+# '#'-only paths, '#$' paths and '#', up to four variable items, '$'; drawn
+# from a small pool, so lists share prefixes and repeat whole paths
+_PATHS = st.one_of(
+    st.just((START_ITEM,)),
+    st.lists(_ITEMS, max_size=4).map(lambda items: (START_ITEM, *items, END_ITEM)),
+)
+_PGRAPH_LISTS = st.lists(_PATHS, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=8)
+).map(lambda paths: [PGraph(f"c{k}", items, ()) for k, items in enumerate(paths)])
+
+
+@given(_PGRAPH_LISTS)
+@settings(max_examples=400, deadline=None)
+def test_stack_merge_matches_reference_on_arbitrary_pgraphs(pgraphs):
+    assert_trie_matches_reference(pgraphs)
 
 
 def test_ce1_span_overlay_exact(ce1):
