@@ -22,7 +22,7 @@ from . import harness
 from .errors import FormulaParseError, TooManyVariablesError, TwoMaxSatError
 from .formula import parse_cnf
 from .oracle import DEFAULT_VARIABLE_CAP, oracle_max_sat
-from .pipeline import front_end, run_pipeline, search
+from .pipeline import run_pipeline
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -103,20 +103,14 @@ def cmd_repro(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             return EXIT_INPUT
     reports = []
-    all_ok = True
     for spec in specs:
-        report = harness.run_counterexample(spec, strict=False)
+        report, runs = harness.replay_counterexample(spec)
         reports.append(report)
-        all_ok = all_ok and report["ok"]
         if args.export:
-            front = front_end(parse_cnf(spec.dimacs), spec.ordering)
-            for algorithm in spec.algorithms:
-                _write_exports(
-                    search(front, algorithm),
-                    ["trie", "trielike", "layered", "answer"],
-                    "dot",
-                    str(Path(args.export) / f"{spec.name}-alg{algorithm}"),
-                )
+            for algorithm, run in zip(spec.algorithms, runs):
+                out = str(Path(args.export) / f"{spec.name}-alg{algorithm}")
+                _write_exports(run, ["trie", "trielike", "layered", "answer"], "dot", out)
+    all_ok = all(report["ok"] for report in reports)
     _emit({"reports": reports, "ok": all_ok})
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
@@ -160,8 +154,14 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _non_negative_int(raw: str) -> int:
+    if not (raw.isascii() and raw.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def _positive_int(raw: str) -> int:
-    if not raw.isdigit() or int(raw) < 1:
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
     return int(raw)
 
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="differential-test random formulas against the oracle")
     p.add_argument("--seed", type=int, default=_env("SEED", "0"))
-    p.add_argument("--iters", type=int, default=_env("ITERS", "100"))
+    p.add_argument("--iters", type=_non_negative_int, default=_env("ITERS", "100"))
     p.add_argument("--max-n0", type=_positive_int, default=4)
     p.add_argument("--max-m0", type=_positive_int, default=3)
     p.add_argument("--orderings", type=_positive_int, default=6)

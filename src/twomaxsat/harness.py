@@ -229,8 +229,8 @@ def diagnose_skip_over(run: PipelineRun) -> tuple[SkipOverEdge, ...]:
     return tuple(findings)
 
 
-def run_counterexample(spec: CounterexampleSpec, strict: bool = True) -> dict:
-    """Replay one builtin spec under each of its algorithms; compare with the oracle."""
+def replay_counterexample(spec: CounterexampleSpec) -> tuple[dict, list[PipelineRun]]:
+    """``run_counterexample``'s report and the runs: one front end, one search per algorithm."""
     f = parse_cnf(spec.dimacs)
     oracle = oracle_max_sat(f)
     report: dict = {
@@ -243,8 +243,9 @@ def run_counterexample(spec: CounterexampleSpec, strict: bool = True) -> dict:
         "runs": [],
     }
     ok = report["oracle_ok"]
-    for algorithm in spec.algorithms:
-        run = run_pipeline(f, ordering=spec.ordering, algorithm=algorithm)
+    front = front_end(f, spec.ordering)
+    runs = [search(front, algorithm) for algorithm in spec.algorithms]
+    for algorithm, run in zip(spec.algorithms, runs):
         got = run.answer.max_count
         entry = {
             "algorithm": algorithm,
@@ -259,7 +260,13 @@ def run_counterexample(spec: CounterexampleSpec, strict: bool = True) -> dict:
         report["runs"].append(entry)
         ok = ok and entry["pipeline_ok"]
     report["ok"] = ok
-    if strict and not ok:
+    return report, runs
+
+
+def run_counterexample(spec: CounterexampleSpec, strict: bool = True) -> dict:
+    """Replay one builtin spec under each of its algorithms; compare with the oracle."""
+    report, _ = replay_counterexample(spec)
+    if strict and not report["ok"]:
         raise ExpectationFailedError(f"{spec.name}: recorded expectations not reproduced")
     return report
 
@@ -359,6 +366,8 @@ def fuzz(seed: int, iterations: int, params: FuzzParams = FuzzParams()) -> list[
     The oracle runs once per formula and the front end once per ordering;
     only the search runs once per algorithm.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be non-negative, got {iterations}")
     rng = random.Random(seed)
     mismatches: list[Mismatch] = []
     for _ in range(iterations):

@@ -21,12 +21,12 @@ pairwise-distinct root branches; Case 2: on one root-to-leaf path; Case 3:
 the unexplained catch-all).  The merged instance is not expanded further and
 the expansion's non-merged parents that form no pushed group continue as
 single-node recursions.  The cases read the trie's ``ancestry`` table, built
-once on the first merge: sorted by preorder, the generators lie on one path
-(Case 2) exactly when each one's preorder interval holds the next, and
-they are in pairwise-distinct root branches (Case 1) when their depth-1
-ancestors differ.  A merge's anchors are the cached ancestor tuple of the
-merged node, and each (merged node, generators) pair is classified once per
-search.
+once on the first merge: trie ids are preorder, so sorted by id the
+generators lie on one path (Case 2) exactly when each one's subtree, the ids
+up to its ``last``, holds the next, and they are in pairwise-distinct root
+branches (Case 1) when their depth-1 ancestors differ.  A merge's anchors
+are the cached ancestor tuple of the merged node, and each (merged node,
+generators) pair is classified once per search.
 
 The prose also describes reachable subsets and upper boundaries, never
 formally defined, that would keep a merged instance alive after a Case 1
@@ -228,12 +228,12 @@ class LayeredGraph:
 def classify_duplicate_case(g: TrieLikeGraph, occurrences: Iterable[int]) -> str:
     """Case 1/2/3 for the trie nodes that generated one duplicate parent."""
     table = g.trie.ancestry
-    pre, last = table.pre, table.last
-    occ = sorted(set(occurrences), key=pre.__getitem__)
+    last = table.last
+    occ = sorted(set(occurrences))
     if len(occ) < 2:
         raise NotADuplicateError(f"need at least two occurrences, got {occ}")
-    # in preorder, every pair is comparable exactly when each node's subtree holds the next
-    if all(pre[b] <= last[a] for a, b in zip(occ, occ[1:])):
+    # ids are preorder: every pair is comparable exactly when each node's subtree holds the next
+    if all(b <= last[a] for a, b in zip(occ, occ[1:])):
         return DuplicateCase.CASE2
     if len({table.branch[nid] for nid in occ}) == len(occ):
         return DuplicateCase.CASE1

@@ -9,9 +9,10 @@ grouped by their next label, in first appearance order, one child per group.
 an entry creates its node and appends the node's id to the path of each
 p-graph landing on it, then pushes the groups in reverse order and the leaf
 last.  So the leaf is created first and each group's subtree is finished
-before the next group starts: node ids are preorder with the leaf first,
-reproducing the n1, n2, ... numbering the recorded counterexamples use, and
-every sequence position is mapped by construction.
+before the next group starts: node ids are preorder with the leaf first
+(the contract ``Trie.ancestry`` reads; see ``Trie``), reproducing the
+n1, n2, ... numbering the recorded counterexamples use, and every sequence
+position is mapped by construction.
 
 The NodeMap remembers, per conjunction, which trie node each sequence
 position landed on; overlaying a closed span (i, j) adds the rootward edge
@@ -70,21 +71,18 @@ class TrieNode:
 
 @dataclass(frozen=True)
 class Ancestry:
-    """Main-path ancestry of every node of one trie, indexed by node id.
-
-    ``pre``/``last`` are each node's preorder number and the largest preorder
-    number in its subtree, from a depth-first walk over ``children``; `a` is
-    `b` or an ancestor of it exactly when ``pre[a] <= pre[b] <= last[a]``.
-    """
+    """Main-path ancestry of every node of one trie, indexed by node id."""
 
     ancestors: list[tuple[int, ...]]  # root first, the node excluded
     branch: list[int]  # the depth-1 ancestor, or the node itself at depth <= 1
-    pre: list[int]
-    last: list[int]
+    last: list[int]  # the largest id in the node's subtree
 
 
 @dataclass
 class Trie:
+    """``nodes[i]`` has id ``i + 1``, and ids are preorder: `a` is `b` or an
+    ancestor of `b` exactly when ``a <= b <= ancestry.last[a]``."""
+
     nodes: list[TrieNode]
 
     @property
@@ -115,25 +113,17 @@ class Trie:
         size = len(self.nodes) + 1
         ancestors: list[tuple[int, ...]] = [()] * size
         branch = list(range(size))
-        pre = [0] * size
-        last = [0] * size
-        preorder: list[int] = []
-        stack = [n.id for n in reversed(self.nodes) if n.parent is None]
-        while stack:
-            nid = stack.pop()
-            pre[nid] = len(preorder)
-            preorder.append(nid)
-            children = self.node(nid).children
-            above = ancestors[nid] + (nid,)
-            for child in children:
+        for node in self.nodes:  # in preorder a parent comes before its children
+            above = ancestors[node.id] + (node.id,)
+            for child in node.children:
                 ancestors[child] = above
                 if len(above) > 1:
-                    branch[child] = branch[nid]
-            stack.extend(reversed(children))
-        for nid in reversed(preorder):
-            children = self.node(nid).children
-            last[nid] = last[children[-1]] if children else pre[nid]
-        return Ancestry(ancestors, branch, pre, last)
+                    branch[child] = branch[node.id]
+        last = list(range(size))
+        for node in reversed(self.nodes):
+            if node.children:
+                last[node.id] = last[node.children[-1]]
+        return Ancestry(ancestors, branch, last)
 
 
 NodeMap = dict[str, tuple[int, ...]]

@@ -9,9 +9,10 @@ subsets and upper boundaries would start there, and no pipeline-built graph
 gets there (see ``twomaxsat.layered``).  ``classify_duplicate_case`` and
 ``anchor_candidates`` are the walk-based originals: they follow
 ``TrieNode.parent`` themselves, never the trie's cached ancestry, so every
-merge's case and anchors are derived twice; ``walk_parents`` likewise reads
-``TrieNode.parent`` and ``span_edges``, never ``TrieLikeGraph.parents``, so
-every expansion's parents are derived twice.  ``enumerate_rooted_subgraphs``
+merge's case and anchors are derived twice, and
+``assert_ancestry_matches_walks`` checks the cached table itself;
+``walk_parents`` likewise reads ``TrieNode.parent`` and ``span_edges``, never
+``TrieLikeGraph.parents``, so every expansion's parents are derived twice.  ``enumerate_rooted_subgraphs``
 lists every root's closure of an unfolded ``LayeredGraph``, and
 ``reference_layered_json`` builds the layered JSON export's payload from the
 unfolded graph, the dict ``json.dumps(..., indent=2)`` used to write.
@@ -84,6 +85,24 @@ def walk_ancestors(trie: Trie, node_id: int) -> list[int]:
         cur = trie.node(cur).parent
     chain.reverse()
     return chain
+
+
+def assert_ancestry_matches_walks(trie: Trie, context: object = None) -> None:
+    """``trie.ancestry`` against parent walks: every ancestor tuple and root
+    branch, and ``nid <= other <= last[nid]`` exactly when a walk puts
+    ``other`` in ``nid``'s subtree."""
+    table = trie.ancestry
+    subtree = {node.id: {node.id} for node in trie.nodes}
+    for node in trie.nodes:
+        nid = node.id
+        chain = walk_ancestors(trie, nid)
+        assert table.ancestors[nid] == tuple(chain), (context, nid)
+        assert trie.ancestors(nid) == chain, (context, nid)
+        assert table.branch[nid] == (chain[1] if len(chain) > 1 else nid), (context, nid)
+        for above in chain:
+            subtree[above].add(nid)
+    for nid, below in subtree.items():
+        assert set(range(nid, table.last[nid] + 1)) == below, (context, nid)
 
 
 def walk_parents(g: TrieLikeGraph, node_id: int) -> list[tuple[int, str]]:

@@ -7,8 +7,9 @@ import functools
 import itertools
 import random
 
+from tests.conftest import seed1_formula
+from tests.layered_reference import assert_ancestry_matches_walks
 from tests.layered_reference import classify_duplicate_case as ref_classify
-from tests.layered_reference import walk_ancestors
 from twomaxsat.formula import Variable, parse_cnf
 from twomaxsat.harness import (
     FuzzParams,
@@ -23,18 +24,18 @@ from twomaxsat.pipeline import front_end
 from twomaxsat.trie import NodeKind, Trie, TrieLikeGraph, TrieNode
 
 
-def _shuffled_ids() -> TrieLikeGraph:
-    # preorder over children is n1 n4 n6 n3 n7 n2 n5: ids are not preorder
+def _two_branches() -> TrieLikeGraph:
+    # two root branches, v2 (n2) and v1 (n6), with v1 also under v2 (n4)
     v1, v2 = Variable(0, "v1"), Variable(1, "v2")
     trie = Trie(
         [
-            TrieNode(1, NodeKind.START, None, None, [4, 2]),
-            TrieNode(2, NodeKind.VAR, v1, 1, [5]),
-            TrieNode(3, NodeKind.VAR, v1, 4, [7]),
-            TrieNode(4, NodeKind.VAR, v2, 1, [6, 3]),
-            TrieNode(5, NodeKind.END, None, 2, [], frozenset({"a"})),
-            TrieNode(6, NodeKind.END, None, 4, [], frozenset({"b"})),
-            TrieNode(7, NodeKind.END, None, 3, [], frozenset({"c"})),
+            TrieNode(1, NodeKind.START, None, None, [2, 6]),
+            TrieNode(2, NodeKind.VAR, v2, 1, [3, 4]),
+            TrieNode(3, NodeKind.END, None, 2, [], frozenset({"b"})),
+            TrieNode(4, NodeKind.VAR, v1, 2, [5]),
+            TrieNode(5, NodeKind.END, None, 4, [], frozenset({"c"})),
+            TrieNode(6, NodeKind.VAR, v1, 1, [7]),
+            TrieNode(7, NodeKind.END, None, 6, [], frozenset({"a"})),
         ]
     )
     return TrieLikeGraph(trie, {}, {})
@@ -42,7 +43,7 @@ def _shuffled_ids() -> TrieLikeGraph:
 
 @functools.cache
 def _small_graphs() -> list[tuple[str, TrieLikeGraph]]:
-    graphs = [("shuffled ids", _shuffled_ids())]
+    graphs = [("two branches", _two_branches())]
     for name in ("ce1", "ce2", "ce3"):
         spec = builtin_by_name(name)
         graphs.append((name, front_end(parse_cnf(spec.dimacs), spec.ordering).trielike))
@@ -57,25 +58,12 @@ def _small_graphs() -> list[tuple[str, TrieLikeGraph]]:
     return graphs
 
 
-def test_shuffled_trie_is_not_in_preorder():
-    table = _shuffled_ids().trie.ancestry
-    assert sorted(range(1, 8), key=table.pre.__getitem__) == [1, 4, 6, 3, 7, 2, 5]
-
-
 def test_table_matches_parent_walks():
-    assert len(_small_graphs()) > 400
+    assert len(_small_graphs()) > 500
     for name, g in _small_graphs():
-        trie = g.trie
-        table = trie.ancestry
-        chains = {node.id: walk_ancestors(trie, node.id) for node in trie.nodes}
-        for nid, chain in chains.items():
-            assert table.ancestors[nid] == tuple(chain), (name, nid)
-            assert trie.ancestors(nid) == chain, (name, nid)
-            assert table.branch[nid] == (chain[1] if len(chain) > 1 else nid), (name, nid)
-            for other, other_chain in chains.items():
-                in_subtree = other == nid or nid in other_chain
-                in_interval = table.pre[nid] <= table.pre[other] <= table.last[nid]
-                assert in_interval == in_subtree, (name, nid, other)
+        assert_ancestry_matches_walks(g.trie, name)
+    for n0 in range(8, 33):
+        assert_ancestry_matches_walks(front_end(seed1_formula(n0), "frequency").trie, n0)
 
 
 def test_classification_matches_reference_on_pairs_and_triples():

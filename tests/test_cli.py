@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import re
 from pathlib import Path
@@ -60,12 +61,18 @@ def test_oracle_threshold_exit_codes(capsys, ce1_file):
     assert code == 1 and payload["satisfiable_at_k"] is False
 
 
-@pytest.mark.parametrize("k", ["0", "-3", "x"])
+@pytest.mark.parametrize("k", ["0", "-3", "x", "³"])
 def test_oracle_nonpositive_k_exit_2(capsys, ce1_file, k):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", ce1_file, "--k", k])
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_oracle_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(CE1_DIMACS))
+    code, payload = _run(capsys, ["oracle", "-"])
+    assert code == 0 and payload["max_count"] == 2
 
 
 def test_oracle_running(capsys, running_file):
@@ -215,6 +222,28 @@ def test_written_exports_equal_export_stage_for_builtins(capsys, tmp_path, monke
                     assert Path(path).read_bytes() == expected, path
 
 
+def test_repro_builds_one_front_end_per_spec(capsys, tmp_path, monkeypatch):
+    from twomaxsat import harness, pipeline
+
+    built = []
+    original = pipeline.front_end
+
+    def counting(f, ordering):
+        built.append(ordering)
+        return original(f, ordering)
+
+    # run_pipeline looks front_end up in pipeline, the harness and the CLI in their own modules
+    for module in (pipeline, harness, cli):
+        if hasattr(module, "front_end"):
+            monkeypatch.setattr(module, "front_end", counting)
+    assert main(["repro", "ce1", "--export", str(tmp_path)]) == 0
+    assert len(built) == 1
+    built.clear()
+    assert main(["repro", "all"]) == 1
+    assert len(built) == 5
+    capsys.readouterr()
+
+
 def test_repro_all_reports_family_red(capsys):
     # the family expectation (n+1) does not reproduce (measured: 2n-1),
     # so the honest composition exits 1 while still printing all five reports
@@ -286,6 +315,7 @@ def test_fuzz_algorithms_flag(capsys, raw, algorithms):
         ["--orderings", "0"],
         ["--max-n0", "0"],
         ["--max-m0", "-1"],
+        ["--iters", "-3"],
     ],
 )
 def test_fuzz_rejects_bad_input_exit_2(capsys, bad):
@@ -340,6 +370,13 @@ def test_out_of_memory_exit_3(capsys, monkeypatch, running_file):
     assert captured.err == "resource cap: out of memory\n"
 
 
+def test_unknown_ordering_variable_exit_2(capsys, ce1_file):
+    assert main(["pipeline", ce1_file, "--ordering", "y1>y2>v9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown variable name: v9\n"
+
+
 def test_env_precedence(capsys, monkeypatch, ce1_file):
     monkeypatch.setenv("MAXSAT_ALGORITHM", "3")
     monkeypatch.setenv("MAXSAT_ORDERING", "y1>y2>v1")
@@ -368,6 +405,7 @@ def test_ce3_pipeline_value(capsys, tmp_path):
         ("ALGORITHM", "2", ["pipeline", "{ce1}"]),
         ("ALGORITHM", "one", ["audit", "{ce1}"]),
         ("ALGORITHM", "2", ["export", "{ce1}"]),
+        ("ITERS", "-3", ["fuzz"]),
     ],
 )
 def test_bad_env_value_fails_its_subcommand_exit_2(

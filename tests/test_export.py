@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from tests.conftest import criterion7_stream
 from tests.layered_reference import (
     fuzz_fronts,
@@ -114,6 +116,8 @@ def test_export_stage_roundtrip_and_determinism(running):
     for stage in ("dnf", "sequences", "pgraphs", "pstars", "trie", "trielike", "layered", "answer"):
         assert export_stage(run1, stage, "dot") == export_stage(run2, stage, "dot")
     assert export_stage(run1, "layered", "json") == export_stage(run2, "layered", "json")
+    with pytest.raises(ValueError, match="unknown stage 'bogus'"):
+        export_stage(run1, "bogus", "dot")
 
 
 def test_shared_front_end_exports_match_separate_runs(running, ce1, ce3):

@@ -168,6 +168,11 @@ def test_fuzz_zero_iterations_empty():
     assert fuzz(seed=42, iterations=0) == []
 
 
+def test_fuzz_negative_iterations_rejected():
+    with pytest.raises(ValueError, match="non-negative, got -3"):
+        fuzz(seed=42, iterations=-3)
+
+
 @pytest.mark.parametrize(
     "bad",
     [

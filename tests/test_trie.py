@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.layered_reference import assert_trie_matches_reference, walk_parents
+from tests.layered_reference import (
+    assert_ancestry_matches_walks,
+    assert_trie_matches_reference,
+    walk_parents,
+)
 from tests.test_ancestry import _small_graphs
 from twomaxsat.errors import UnmappedPositionError
 from twomaxsat.formula import Variable, cnf_to_dnf, pad_missing
@@ -162,6 +166,7 @@ _PGRAPH_LISTS = st.lists(_PATHS, min_size=1, max_size=4).flatmap(
 @settings(max_examples=400, deadline=None)
 def test_stack_merge_matches_reference_on_arbitrary_pgraphs(pgraphs):
     assert_trie_matches_reference(pgraphs)
+    assert_ancestry_matches_walks(merge_main_paths(pgraphs)[0], [pg.label for pg in pgraphs])
 
 
 def test_ce1_span_overlay_exact(ce1):
