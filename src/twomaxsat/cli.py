@@ -198,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact 2-MAXSAT by exhaustive enumeration")
     p.add_argument("formula", help="DIMACS-like file ('-' for stdin)")
     p.add_argument("--k", type=_positive_int, default=None, help="decision threshold")
-    p.add_argument("--var-cap", type=int, default=_env("VAR_CAP", str(DEFAULT_VARIABLE_CAP)))
+    p.add_argument(
+        "--var-cap", type=_non_negative_int, default=_env("VAR_CAP", str(DEFAULT_VARIABLE_CAP))
+    )
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("pipeline", help="run conversion steps 1-10 and report the claimed maximum")
@@ -226,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orderings", type=_positive_int, default=6)
     p.add_argument("--algorithms", type=_algorithm_list, default=(1, 3),
                    help="comma-separated, each 1 or 3 (default 1,3)")
-    p.add_argument("--var-cap", type=int, default=_env("VAR_CAP", str(DEFAULT_VARIABLE_CAP)))
+    p.add_argument(
+        "--var-cap", type=_non_negative_int, default=_env("VAR_CAP", str(DEFAULT_VARIABLE_CAP))
+    )
     p.add_argument("--shrink", action="store_true", help="minimize each mismatch")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_fuzz)

@@ -10,8 +10,9 @@ The graph exports write the bytes ``json.dumps(indent=2)`` would, from
 encoder: ``trie_json_text`` and ``trielike_json_text`` straight from the
 trie and the owner map (no span edge objects), and ``layered_json_text``
 from one replay of the memo, since the layered graph can hold millions of
-instances and is never unfolded for it.  The answer export goes through
-``json.dumps``.  The layered DOT export reads the unfolded graph.
+instances.  The answer export goes through ``json.dumps``.  The layered DOT
+export is written from one replay too: per-layer rows of instances, then the
+group clusters and the edges, each straight from the popped expansions.
 """
 
 from __future__ import annotations
@@ -23,14 +24,9 @@ from typing import Any, Callable, Iterable
 
 from .layered import Expansion, LayeredGraph, replay
 from .pipeline import PipelineRun
-from .sequences import VarSequence
 from .spans import PGraph, PStarGraph
 from .subsets import RootedSubgraph
-from .trie import Trie, TrieLikeGraph
-
-
-def sequence_text(seq: VarSequence) -> str:
-    return seq.display()
+from .trie import Trie, TrieLikeGraph, TrieNode
 
 
 def _path_graph_dot(name: str, label: str, items, spans) -> str:
@@ -56,13 +52,16 @@ def pstar_dot(ps: PStarGraph) -> str:
     return _path_graph_dot("pstar", ps.base.label, ps.base.items, ps.closed_spans)
 
 
+def _node_label(node: TrieNode) -> str:
+    """A trie node's DOT label: its label text, then its sorted conjunction tags."""
+    if not node.conjunction_labels:
+        return node.label_text
+    return node.label_text + "\\n{" + ",".join(sorted(node.conjunction_labels)) + "}"
+
+
 def _trie_nodes_dot(trie: Trie, lines: list[str]) -> None:
     for node in trie.nodes:
-        label = node.label_text
-        if node.conjunction_labels:
-            tags = ",".join(sorted(node.conjunction_labels))
-            label += f"\\n{{{tags}}}"
-        lines.append(f'  {node.name} [label="{label}"];')
+        lines.append(f'  {node.name} [label="{_node_label(node)}"];')
     for node in trie.nodes:
         for child in node.children:
             lines.append(f"  {node.name} -> {trie.node(child).name} [dir=none];")
@@ -89,33 +88,43 @@ def trielike_dot(g: TrieLikeGraph) -> str:
 
 
 def layered_dot(lg: LayeredGraph, witness: RootedSubgraph | None = None) -> str:
+    """The layered graph as DOT, written from one replay of the memo.
+
+    Instances go into per-layer rows, each created group of two or more
+    members into a dashed cluster and each edge into one line, all in
+    creation order; the witness's instances are shaded and the edges
+    between them bold.
+    """
     shaded = witness.instances if witness is not None else frozenset()
-    trie = lg.source.trie
-    lines = ["digraph layered {", "  rankdir=BT;", "  node [shape=circle];"]
-    for layer_index, layer in enumerate(lg.layers, start=1):
-        lines.append(f"  subgraph layer_{layer_index} {{")
-        lines.append("    rank=same;")
-        for iid in layer:
-            node = trie.node(lg.instances[iid].trie_node)
-            label = node.label_text
-            if node.conjunction_labels:
-                label += "\\n{" + ",".join(sorted(node.conjunction_labels)) + "}"
-            label += f"\\n{node.name}"
-            style = ' style=filled fillcolor=lightgray' if iid in shaded else ""
-            lines.append(f'    i{iid} [label="{label}"{style}];')
-        lines.append("  }")
-    for grp in lg.groups:
-        if len(grp.members) < 2 or grp.origin == "leaves":
+    labels = [""] + [  # indexed by trie node id, which starts at 1
+        f'[label="{_node_label(node)}\\n{node.name}"' for node in lg.source.trie.nodes
+    ]
+
+    def instance(iid: int, nid: int) -> str:
+        style = " style=filled fillcolor=lightgray" if iid in shaded else ""
+        return f"    i{iid} {labels[nid]}{style}];"
+
+    layers = [list(map(instance, range(1, len(lg.leaves) + 1), lg.leaves))] if lg.leaves else []
+    clusters: list[str] = []
+    edges: list[str] = []
+    for exp, members, _, layer, ids, group_ids in replay(lg):
+        if not exp.created:  # nothing to write, and no layer to open
             continue
-        members = " ".join(f"i{iid}" for iid in grp.members)
-        lines.append(f"  subgraph cluster_g{grp.group_id} {{ style=dashed; {members}; }}")
-    for edge in lg.edges:
-        bold = (
-            edge.child in shaded and edge.parent in shaded
-        )
-        attrs = " [penwidth=2]" if bold else ""
-        lines.append(f"  i{edge.child} -> i{edge.parent}{attrs};")
-    lines.append("}")
+        if len(layers) == layer:
+            layers.append([])
+        layers[layer].extend(map(instance, ids, exp.created))
+        for gid, (_, cs, _, _) in zip(group_ids, exp.groups):
+            if len(cs) >= 2:
+                boxed = " ".join(f"i{ids[c]}" for c in cs)
+                clusters.append(f"  subgraph cluster_g{gid} {{ style=dashed; {boxed}; }}")
+        for pos, c, _ in exp.edges:
+            child, parent = members[pos], ids[c]
+            bold = " [penwidth=2]" if child in shaded and parent in shaded else ""
+            edges.append(f"  i{child} -> i{parent}{bold};")
+    lines = ["digraph layered {", "  rankdir=BT;", "  node [shape=circle];"]
+    for index, row in enumerate(layers, start=1):
+        lines += [f"  subgraph layer_{index} {{", "    rank=same;", *row, "  }"]
+    lines += [*clusters, *edges, "}"]
     return "\n".join(lines) + "\n"
 
 
@@ -287,7 +296,7 @@ def trielike_json_text(g: TrieLikeGraph) -> str:
 
 
 def layered_json_text(lg: LayeredGraph) -> str:
-    """The layered graph's JSON export, written from the memo without unfolding it.
+    """The layered graph's JSON export, written from one replay of the memo.
 
     Byte for byte what ``json.dumps(payload, indent=2) + "\n"`` writes for
     the payload with the fields ``mode``, ``layers``, ``instances``,
@@ -376,7 +385,7 @@ def export_stage(run: PipelineRun, stage: str, fmt: str) -> str:
     if stage == "dnf":
         return str(run.dnf) + "\n"
     if stage == "sequences":
-        return "".join(sequence_text(s) + "\n" for s in run.sequences)
+        return "".join(s.display() + "\n" for s in run.sequences)
     if stage == "pgraphs":
         return "".join(pgraph_dot(p) for p in run.pgraphs)
     if stage == "pstars":

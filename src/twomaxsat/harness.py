@@ -287,6 +287,8 @@ class FuzzParams:
         for name in ("orderings_per_formula", "max_n0", "max_m0"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.variable_cap < 0:
+            raise ValueError(f"variable_cap must be at least 0, got {self.variable_cap}")
 
 
 def tie_consistent_orderings(f: CnfFormula, cap: int) -> list[tuple[str, ...]]:

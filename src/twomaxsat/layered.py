@@ -46,18 +46,18 @@ is a depth-first stack, so every pushed group's subtree takes one contiguous
 block of instance ids and group ids -- its created parents first, then its
 child subtrees in pop order -- and the subtree sizes give every absolute id.
 ``LayeredGraph`` therefore knows its counts without building anything.
-``replay`` walks the memo in the search's pop order and hands out those ids;
-``unfold`` turns it into the ``instances``, ``layers``, ``edges``, ``groups``
-and ``merge_events`` read on first access, in exactly the order a
-materialising search creates them.  Only the DOT export and ``layer`` read
-them; the JSON export writes straight from ``replay``, and findSubset (a
-memoised walk, see ``subsets``), the skip-over diagnosis, the audits and the
-fuzzer never unfold.  ``root_count`` lists no root.
+``replay`` walks the memo in the search's pop order and hands out those ids,
+in exactly the order a materialising search creates them.  Both exports
+write straight from it, and findSubset (a memoised walk, see ``subsets``),
+the skip-over diagnosis, the audits and the fuzzer read the memo alone, so
+no list of every instance, edge or layer is ever built.  ``groups`` and
+``merge_events`` build their records from ``replay`` on each read, for
+callers that want them as objects.  ``root_count`` lists no root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InternalError, NotADuplicateError
@@ -139,21 +139,12 @@ class Expansion:
     height: int  # layers the subtree adds above the popped group
 
 
-@dataclass
-class _Unfolded:
-    instances: dict[int, NodeInstance]
-    layers: list[list[int]]
-    edges: list[LayeredEdge]
-    groups: list[Group]
-    merge_events: list[MergeEvent]
-
-
 _NOTHING = Expansion((), (), (), (), (), (), 0, 0, 0, 0, 0, 0, 0)  # of a graph with no leaves
 
 
 @dataclass
 class LayeredGraph:
-    """A layered search result: eager counts, and the graph unfolded on demand.
+    """A layered search result: eager counts, read off the memo.
 
     ``leaves`` are the trie nodes of the layer-1 instances (ids 1..L) and
     ``top`` is the memoised expansion of the initial leaves group.
@@ -163,7 +154,6 @@ class LayeredGraph:
     source: TrieLikeGraph
     leaves: tuple[int, ...] = ()
     top: Expansion = _NOTHING
-    _unfolded: _Unfolded | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def vertex_count(self) -> int:
@@ -196,33 +186,25 @@ class LayeredGraph:
         return self.top.merge_total
 
     @property
-    def instances(self) -> dict[int, NodeInstance]:
-        return self.unfold().instances
-
-    @property
-    def layers(self) -> list[list[int]]:
-        return self.unfold().layers
-
-    @property
-    def edges(self) -> list[LayeredEdge]:
-        return self.unfold().edges
-
-    @property
     def groups(self) -> list[Group]:
-        return self.unfold().groups
+        """Every group in creation order, built from ``replay`` on each read."""
+        if not self.leaves:
+            return []
+        out = [Group(1, "$", tuple(range(1, len(self.leaves) + 1)), 1, None, True, "leaves")]
+        for exp, _, group_id, layer, ids, group_ids in replay(self):
+            for gid, (label, cs, pushed, origin) in zip(group_ids, exp.groups):
+                members = tuple(map(ids.__getitem__, cs))
+                out.append(Group(gid, label, members, layer + 1, group_id, pushed, origin))
+        return out
 
     @property
     def merge_events(self) -> list[MergeEvent]:
-        return self.unfold().merge_events
-
-    def unfold(self) -> _Unfolded:
-        if self._unfolded is None:
-            self._unfolded = unfold(self)
-        return self._unfolded
-
-    def layer(self, index: int) -> list[NodeInstance]:
-        """Instances of 1-based layer `index`."""
-        return [self.instances[iid] for iid in self.layers[index - 1]]
+        """Every merge event in creation order, built from ``replay`` on each read."""
+        return [
+            MergeEvent(layer + 1, exp.created[c], ids[c], generators, case, True, reason, anchors)
+            for exp, _, _, layer, ids, _ in replay(self)
+            for c, generators, case, reason, anchors in exp.merges
+        ]
 
 
 def classify_duplicate_case(g: TrieLikeGraph, occurrences: Iterable[int]) -> str:
@@ -374,30 +356,3 @@ def replay(lg: LayeredGraph) -> Iterator[tuple[Expansion, tuple[int, ...], int, 
         for gi, child in reversed(exp.children):  # stored in pop order
             pushed = tuple(map(ids.__getitem__, exp.groups[gi][1]))
             stack.append((child, pushed, group_ids[gi], layer + 1))
-
-
-def unfold(lg: LayeredGraph) -> _Unfolded:
-    """Every instance, layer, edge, group and merge event, in creation order."""
-    out = _Unfolded({}, [], [], [], [])
-    if not lg.leaves:
-        return out
-    for iid, nid in enumerate(lg.leaves, start=1):
-        out.instances[iid] = NodeInstance(iid, nid, 1)
-    out.groups.append(Group(1, "$", tuple(out.instances), 1, None, True, "leaves"))
-    for exp, members, group_id, layer, ids, group_ids in replay(lg):
-        for iid, nid in zip(ids, exp.created):
-            out.instances[iid] = NodeInstance(iid, nid, layer + 1)
-        out.edges.extend(LayeredEdge(members[pos], ids[c], kind) for pos, c, kind in exp.edges)
-        out.groups.extend(
-            Group(gid, label, tuple(map(ids.__getitem__, cs)), layer + 1, group_id, pushed, origin)
-            for gid, (label, cs, pushed, origin) in zip(group_ids, exp.groups)
-        )
-        out.merge_events.extend(
-            MergeEvent(layer + 1, exp.created[c], ids[c], generators, case, True, reason, anchors)
-            for c, generators, case, reason, anchors in exp.merges
-        )
-    for iid, inst in out.instances.items():
-        while len(out.layers) < inst.layer:
-            out.layers.append([])
-        out.layers[inst.layer - 1].append(iid)
-    return out

@@ -13,15 +13,22 @@ merge's case and anchors are derived twice, and
 ``assert_ancestry_matches_walks`` checks the cached table itself;
 ``walk_parents`` likewise reads ``TrieNode.parent`` and ``span_edges``, never
 ``TrieLikeGraph.parents``, so every expansion's parents are derived twice.  ``enumerate_rooted_subgraphs``
-lists every root's closure of an unfolded ``LayeredGraph``, and
-``reference_layered_json`` builds the layered JSON export's payload from the
-unfolded graph, the dict ``json.dumps(..., indent=2)`` used to write.
+lists every root's closure of an unfolded ``LayeredGraph``.  ``unfold`` turns
+a memoised graph into the materialising search's ``RefGraph``: every
+instance, layer and edge replayed from the memo, with the graph's own
+``groups`` and ``merge_events``.  ``reference_layered_json`` builds the
+layered JSON export's payload from the unfolded graph, the dict
+``json.dumps(..., indent=2)`` used to write, and ``reference_layered_dot`` is
+the DOT writer that read the unfolded graph; both exports must write their
+bytes.  Inside ``refusing_groups`` building a ``Group`` or ``MergeEvent`` in
+``twomaxsat.layered`` raises, which shows that a caller never unfolds.
 ``unpruned_best`` is findSubset's memoised walk before its branch-and-bound
 skip: it enters every child subtree, so it checks that the skip never changes
 a (count, offset) pair.  ``fuzz_fronts`` yields the front ends that
 ``fuzz(seed, iters)`` checks.
 ``assert_matches_reference`` is the equality gate: the counts, the answer,
-``per_subgraph``, the diagnosis and the unfolded graph must all agree.
+``per_subgraph``, the diagnosis and the unfolded graph must all agree, and
+the search must build no ``Group`` or ``MergeEvent`` on its way.
 
 The front end has its own gate.  ``reference_close_spans`` and
 ``reference_overlay`` are the per-span closure and overlay that the run-based
@@ -39,10 +46,12 @@ requires both to give the same nodes and node map.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
+from twomaxsat import layered
 from twomaxsat.errors import (
     EmptyGraphError,
     InternalError,
@@ -60,6 +69,7 @@ from twomaxsat.layered import (
     LayeredGraph,
     MergeEvent,
     NodeInstance,
+    replay,
 )
 from twomaxsat.pipeline import FrontEnd, front_end, search
 from twomaxsat.sequences import ItemTag
@@ -158,6 +168,10 @@ class RefGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    def layer(self, index: int) -> list[NodeInstance]:
+        """Instances of 1-based layer `index`."""
+        return [self.instances[iid] for iid in self.layers[index - 1]]
 
     def roots(self) -> list[NodeInstance]:
         have_parent = {edge.child for edge in self.edges}
@@ -450,6 +464,39 @@ def fuzz_fronts(seed: int, iters: int, params: FuzzParams = FuzzParams()):
                 yield front, algorithm
 
 
+def unfold(lg: LayeredGraph) -> RefGraph:
+    """Every instance, layer and edge of a memoised graph, in creation order,
+    with its ``groups`` and ``merge_events``."""
+    out = RefGraph(lg.mode, lg.source, groups=lg.groups, merge_events=lg.merge_events)
+    for iid, nid in enumerate(lg.leaves, start=1):
+        out.instances[iid] = NodeInstance(iid, nid, 1)
+    for exp, members, _, layer, ids, _ in replay(lg):
+        for iid, nid in zip(ids, exp.created):
+            out.instances[iid] = NodeInstance(iid, nid, layer + 1)
+        out.edges.extend(LayeredEdge(members[pos], ids[c], kind) for pos, c, kind in exp.edges)
+    for iid, inst in out.instances.items():
+        while len(out.layers) < inst.layer:
+            out.layers.append([])
+        out.layers[inst.layer - 1].append(iid)
+    return out
+
+
+@contextmanager
+def refusing_groups() -> Iterator[None]:
+    """Building a ``Group`` or ``MergeEvent`` in ``twomaxsat.layered`` raises
+    AssertionError until the block ends."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the layered graph was unfolded")
+
+    saved = layered.Group, layered.MergeEvent
+    layered.Group = layered.MergeEvent = refuse
+    try:
+        yield
+    finally:
+        layered.Group, layered.MergeEvent = saved
+
+
 def enumerate_rooted_subgraphs(lg: LayeredGraph) -> list[RootedSubgraph]:
     """One subgraph per parentless instance, closure following edges downward.
 
@@ -457,6 +504,7 @@ def enumerate_rooted_subgraphs(lg: LayeredGraph) -> list[RootedSubgraph]:
     """
     if not lg.vertex_count:
         raise EmptyGraphError("layered graph has no instances")
+    lg = unfold(lg)
     below: dict[int, list[int]] = {}  # parent id -> indices of its edges
     for k, edge in enumerate(lg.edges):
         below.setdefault(edge.parent, []).append(k)
@@ -638,7 +686,7 @@ def reference_trielike_json(g: TrieLikeGraph) -> dict[str, Any]:
     return payload
 
 
-def reference_layered_json(lg: LayeredGraph) -> dict[str, Any]:
+def reference_layered_json(lg: RefGraph) -> dict[str, Any]:
     """The layered export's payload, built from the unfolded graph."""
     trie = lg.source.trie
     return {
@@ -685,6 +733,38 @@ def reference_layered_json(lg: LayeredGraph) -> dict[str, Any]:
             for e in lg.merge_events
         ],
     }
+
+
+def reference_layered_dot(lg: RefGraph, witness=None) -> str:
+    """The layered DOT export, written from the unfolded graph."""
+    shaded = witness.instances if witness is not None else frozenset()
+    trie = lg.source.trie
+    lines = ["digraph layered {", "  rankdir=BT;", "  node [shape=circle];"]
+    for layer_index, layer in enumerate(lg.layers, start=1):
+        lines.append(f"  subgraph layer_{layer_index} {{")
+        lines.append("    rank=same;")
+        for iid in layer:
+            node = trie.node(lg.instances[iid].trie_node)
+            label = node.label_text
+            if node.conjunction_labels:
+                label += "\\n{" + ",".join(sorted(node.conjunction_labels)) + "}"
+            label += f"\\n{node.name}"
+            style = ' style=filled fillcolor=lightgray' if iid in shaded else ""
+            lines.append(f'    i{iid} [label="{label}"{style}];')
+        lines.append("  }")
+    for grp in lg.groups:
+        if len(grp.members) < 2 or grp.origin == "leaves":
+            continue
+        members = " ".join(f"i{iid}" for iid in grp.members)
+        lines.append(f"  subgraph cluster_g{grp.group_id} {{ style=dashed; {members}; }}")
+    for edge in lg.edges:
+        bold = (
+            edge.child in shaded and edge.parent in shaded
+        )
+        attrs = " [penwidth=2]" if bold else ""
+        lines.append(f"  i{edge.child} -> i{edge.parent}{attrs};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def diagnose_skip_over(run) -> tuple[SkipOverEdge, ...]:
@@ -752,10 +832,13 @@ def reference_search(front: FrontEnd, algorithm: int):
 def assert_matches_reference(front: FrontEnd, algorithm: int) -> None:
     """Memoised search == materialising search, field by field."""
     ref, ref_answer, ref_diagnosis = reference_search(front, algorithm)
-    run = search(front, algorithm)
-    lg, answer = run.layered, run.answer
     where = f"{front.formula} / {front.ordering.display()} / alg{algorithm}"
-    # counts first: they come from the memo, before anything is unfolded
+    with refusing_groups():
+        run = search(front, algorithm)
+        diagnosis = memo_diagnose_skip_over(run)
+        per_subgraph = run.answer.per_subgraph
+    lg, answer = run.layered, run.answer
+    # counts first: they come from the memo
     assert lg.vertex_count == ref.vertex_count, where
     assert lg.edge_count == ref.edge_count, where
     assert lg.layer_count == ref.layer_count, where
@@ -763,7 +846,7 @@ def assert_matches_reference(front: FrontEnd, algorithm: int) -> None:
     assert lg.expanded_group_count == sum(1 for g in ref.groups if g.pushed), where
     assert lg.merge_event_count == len(ref.merge_events), where
     assert sum(1 for e in ref.merge_events if e.degenerate) == len(ref.merge_events), where
-    # the memoised walk on its own, before the lazy per_subgraph lists the roots
+    # the memoised walk's answer, then the roots the lazy per_subgraph listed
     assert answer.max_count == ref_answer.max_count, where
     witness, ref_witness = answer.witness, ref_answer.witness
     assert witness.root == ref_witness.root, where
@@ -771,11 +854,11 @@ def assert_matches_reference(front: FrontEnd, algorithm: int) -> None:
     assert witness.leaf_labels == ref_witness.leaf_labels, where
     assert witness.true_variables == ref_witness.true_variables, where
     assert lg.root_count == len(ref.roots()), where
-    assert memo_diagnose_skip_over(run) == ref_diagnosis, where
-    assert answer.per_subgraph == ref_answer.per_subgraph, where
-    assert lg._unfolded is None, f"{where}: search unfolded the graph"
-    assert lg.instances == ref.instances, where
-    assert lg.layers == ref.layers, where
-    assert lg.edges == ref.edges, where
-    assert lg.groups == ref.groups, where
-    assert lg.merge_events == ref.merge_events, where
+    assert diagnosis == ref_diagnosis, where
+    assert per_subgraph == ref_answer.per_subgraph, where
+    unfolded = unfold(lg)
+    assert unfolded.instances == ref.instances, where
+    assert unfolded.layers == ref.layers, where
+    assert unfolded.edges == ref.edges, where
+    assert unfolded.groups == ref.groups, where
+    assert unfolded.merge_events == ref.merge_events, where

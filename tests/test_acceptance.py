@@ -45,6 +45,7 @@ from twomaxsat.oracle import oracle_max_dnf, oracle_max_sat
 from twomaxsat.pipeline import run_pipeline
 from twomaxsat.spans import build_pgraph, close_spans
 from tests.conftest import all_formulas
+from tests.layered_reference import unfold
 from tests.test_spans import closure_oracle, fixpoint_closure, sequence_from_pattern
 
 
@@ -90,8 +91,9 @@ def test_criterion_02_counterexample_1(ce1):
     y2_groups = [
         g for g in lg.groups if g.layer == 2 and g.pushed and g.label == "y2"
     ]
+    instances = unfold(lg).instances
     group_names = (
-        {lg.source.trie.node(lg.instances[i].trie_node).name for i in y2_groups[0].members}
+        {lg.source.trie.node(instances[i].trie_node).name for i in y2_groups[0].members}
         if y2_groups
         else set()
     )
@@ -178,7 +180,7 @@ def test_criterion_05_family_growth():
 def test_criterion_06_algorithm_3_failure(ce1):
     run = run_pipeline(ce1, ordering="y1>y2>v1", algorithm=3)
     lg = run.layered
-    top = lg.layer(lg.layer_count)
+    top = unfold(lg).layer(lg.layer_count)
     top_is_single_root = (
         len(top) == 1 and lg.source.trie.node(top[0].trie_node).label_text == "#"
     )

@@ -316,6 +316,7 @@ def test_fuzz_algorithms_flag(capsys, raw, algorithms):
         ["--max-n0", "0"],
         ["--max-m0", "-1"],
         ["--iters", "-3"],
+        ["--var-cap", "-1"],
     ],
 )
 def test_fuzz_rejects_bad_input_exit_2(capsys, bad):
@@ -406,6 +407,7 @@ def test_ce3_pipeline_value(capsys, tmp_path):
         ("ALGORITHM", "one", ["audit", "{ce1}"]),
         ("ALGORITHM", "2", ["export", "{ce1}"]),
         ("ITERS", "-3", ["fuzz"]),
+        ("VAR_CAP", "-1", ["oracle", "{ce1}"]),
     ],
 )
 def test_bad_env_value_fails_its_subcommand_exit_2(

@@ -10,9 +10,12 @@ import pytest
 from tests.conftest import criterion7_stream
 from tests.layered_reference import (
     fuzz_fronts,
+    reference_layered_dot,
     reference_layered_json,
     reference_trie_json,
     reference_trielike_json,
+    refusing_groups,
+    unfold,
 )
 from twomaxsat.export import (
     answer_json,
@@ -20,7 +23,6 @@ from twomaxsat.export import (
     layered_dot,
     layered_json_text,
     pgraph_dot,
-    sequence_text,
     trie_dot,
     trie_json_text,
     trielike_dot,
@@ -35,7 +37,7 @@ from twomaxsat.pipeline import front_end, run_pipeline, search
 
 def test_sequence_text(running):
     run = run_pipeline(running, ordering="lexical", algorithm=1)
-    assert sequence_text(run.sequences[0]) == "#.v1.(v2,*).(v3,*).y1.(y2,*).$"
+    assert run.sequences[0].display() == "#.v1.(v2,*).(v3,*).y1.(y2,*).$"
 
 
 def test_pgraph_dot_has_solid_and_dashed(running):
@@ -150,10 +152,14 @@ def test_builtin_export_bytes_pinned():
     assert digest.hexdigest() == PINNED_BUILTIN_EXPORTS
 
 
-def _assert_layered_json_matches_reference(run, where: str) -> None:
-    text = export_stage(run, "layered", "json")
-    assert run.layered._unfolded is None, f"{where}: the export unfolded the graph"
-    assert text == json.dumps(reference_layered_json(run.layered), indent=2) + "\n", where
+def _assert_layered_exports_match_reference(lg, witness, where: str) -> None:
+    # both writers read the memo alone; the references read the unfolded graph
+    with refusing_groups():
+        text = layered_json_text(lg)
+        dots = [layered_dot(lg), layered_dot(lg, witness)]
+    ref = unfold(lg)
+    assert text == json.dumps(reference_layered_json(ref), indent=2) + "\n", where
+    assert dots == [reference_layered_dot(ref), reference_layered_dot(ref, witness)], where
 
 
 def _assert_trie_json_matches_reference(g, where: str) -> None:
@@ -185,15 +191,18 @@ def test_trie_json_bytes_match_reference():
 
 
 def test_layered_json_bytes_match_reference():
-    # the writer renders from the memo; the reference dumps a dict of the unfolded graph
+    # the JSON and DOT writers render from the memo; the references write the
+    # unfolded graph, the DOT one with and without the witness
     for spec in builtin_counterexamples():
         f = parse_cnf(spec.dimacs)
         for algorithm in (1, 3):
             run = run_pipeline(f, ordering=spec.ordering, algorithm=algorithm)
-            _assert_layered_json_matches_reference(run, f"{spec.name} / alg{algorithm}")
+            where = f"{spec.name} / alg{algorithm}"
+            _assert_layered_exports_match_reference(run.layered, run.answer.witness, where)
     for front, algorithm in fuzz_fronts(42, 100):
         where = f"{front.formula} / {front.ordering.display()}"
-        _assert_layered_json_matches_reference(search(front, algorithm), where)
+        run = search(front, algorithm)
+        _assert_layered_exports_match_reference(run.layered, run.answer.witness, where)
     # criterion 7's grid stream, graphs of up to 2,000 instances
     grid = merged = 0
     for m0, clauses in criterion7_stream(200):
@@ -201,9 +210,9 @@ def test_layered_json_bytes_match_reference():
         for algorithm in (1, 3):
             run = search(front, algorithm)
             if run.layered.vertex_count <= 2_000:
-                _assert_layered_json_matches_reference(run, f"{clauses} / alg{algorithm}")
+                where = f"{clauses} / alg{algorithm}"
+                _assert_layered_exports_match_reference(run.layered, run.answer.witness, where)
                 grid += 1
                 merged += run.layered.merge_event_count > 0
     assert grid == 311 and merged == 136
-    empty = LayeredGraph("alg1", run.layered.source)
-    assert layered_json_text(empty) == json.dumps(reference_layered_json(empty), indent=2) + "\n"
+    _assert_layered_exports_match_reference(LayeredGraph("alg1", run.layered.source), None, "empty")

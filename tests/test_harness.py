@@ -182,6 +182,7 @@ def test_fuzz_negative_iterations_rejected():
         {"orderings_per_formula": 0},
         {"max_n0": 0},
         {"max_m0": -1},
+        {"variable_cap": -1},
     ],
 )
 def test_fuzz_params_rejected_before_fuzzing(bad):

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from tests.layered_reference import unfold
 from twomaxsat.errors import NotADuplicateError
 from twomaxsat.formula import cnf_to_dnf, pad_missing, parse_cnf
 from twomaxsat.layered import build_layered_alg1, build_layered_alg3, classify_duplicate_case
@@ -36,22 +37,23 @@ def _names(lg, layer_index):
 def test_ce1_alg1_layers_and_group(ce1):
     g = _trielike(ce1, "y1>y2>v1")
     lg = build_layered_alg1(g)
+    unfolded = unfold(lg)
     assert lg.layer_count == 3
-    assert _names(lg, 1) == ["n3", "n5", "n7"]
-    assert _names(lg, 2) == ["n2", "n1", "n4", "n6"]
-    assert _names(lg, 3) == ["n2", "n1"]
+    assert _names(unfolded, 1) == ["n3", "n5", "n7"]
+    assert _names(unfolded, 2) == ["n2", "n1", "n4", "n6"]
+    assert _names(unfolded, 3) == ["n2", "n1"]
     y2_groups = [
         grp for grp in lg.groups if grp.label == "y2" and grp.layer == 2 and grp.pushed
     ]
     assert len(y2_groups) == 1
-    members = {lg.source.trie.node(lg.instances[i].trie_node).name for i in y2_groups[0].members}
+    members = {g.trie.node(unfolded.instances[i].trie_node).name for i in y2_groups[0].members}
     assert members == {"n4", "n6"}
     assert lg.edge_count == 9
 
 
 def test_running_alg1_layer_profile(running):
     run = run_pipeline(running, ordering="lexical", algorithm=1)
-    lg = run.layered
+    lg = unfold(run.layered)
     assert [len(layer) for layer in lg.layers] == [4, 8, 10, 9, 6, 2]
     by_label: dict[str, int] = {}
     for inst in lg.layer(2):
@@ -67,10 +69,10 @@ def test_single_path_stops_at_layer_two():
     f = parse_cnf("p cnf 1 1\n1 0\n")
     g = _trielike(f, "lexical", only=1)
     assert not g.span_edges
-    lg1 = build_layered_alg1(g)
-    assert lg1.layer_count == 2
+    assert build_layered_alg1(g).layer_count == 2
+    lg1 = unfold(build_layered_alg1(g))
     assert len(lg1.layer(2)) == 1
-    lg3 = build_layered_alg3(g)
+    lg3 = unfold(build_layered_alg3(g))
     assert [len(l) for l in lg3.layers] == [len(l) for l in lg1.layers]
     assert [(e.child, e.parent) for e in lg3.edges] == [(e.child, e.parent) for e in lg1.edges]
     assert lg3.merge_events == []
@@ -79,7 +81,7 @@ def test_single_path_stops_at_layer_two():
 def test_edge_provenance(running, ce1, ce3):
     for f, spec in ((running, "lexical"), (ce1, "y1>y2>v1"), (ce3, "y2>y1>v1")):
         g = _trielike(f, spec)
-        for lg in (build_layered_alg1(g), build_layered_alg3(g)):
+        for lg in map(unfold, (build_layered_alg1(g), build_layered_alg3(g))):
             span_pairs = {(e.child, e.parent) for e in g.span_edges}
             for edge in lg.edges:
                 child = lg.instances[edge.child]
@@ -95,7 +97,7 @@ def test_edge_provenance(running, ce1, ce3):
 def test_footnote_constraint(running):
     # every pushed group's members are parents of members of one child group
     run = run_pipeline(running, ordering="lexical", algorithm=1)
-    lg = run.layered
+    lg = unfold(run.layered)
     by_id = {g.group_id: g for g in lg.groups}
     parent_of = {}
     for edge in lg.edges:
@@ -124,23 +126,24 @@ def test_layer_count_bounded_by_trie_depth(running, ce1, ce2, ce3):
 def test_ce1_alg3_structure(ce1):
     g = _trielike(ce1, "y1>y2>v1")
     lg = build_layered_alg3(g)
+    unfolded = unfold(lg)
     assert lg.layer_count == 4
-    assert _names(lg, 2) == ["n2", "n1", "n4", "n6"]
-    assert _names(lg, 3) == ["n2", "n1"]
-    assert _names(lg, 4) == ["n1"]
+    assert _names(unfolded, 2) == ["n2", "n1", "n4", "n6"]
+    assert _names(unfolded, 3) == ["n2", "n1"]
+    assert _names(unfolded, 4) == ["n1"]
     assert len(lg.merge_events) == 3
     assert all(e.degenerate for e in lg.merge_events)
     reasons = sorted(e.reason for e in lg.merge_events)
     assert reasons == ["anchor-not-on-path", "anchor-not-on-path", "non-case1-merge"]
     # no layer holds two instances of one trie node on this input
-    for layer in lg.layers:
-        nodes = [lg.instances[i].trie_node for i in layer]
+    for layer in unfolded.layers:
+        nodes = [unfolded.instances[i].trie_node for i in layer]
         assert len(nodes) == len(set(nodes))
 
 
 def test_alg3_dedup_within_expansion(ce2):
     g = _trielike(ce2, "v1>y1>y2")
-    lg = build_layered_alg3(g)
+    lg = unfold(build_layered_alg3(g))
     for layer in lg.layers:
         nodes = [lg.instances[i].trie_node for i in layer]
         assert len(nodes) == len(set(nodes))
@@ -202,7 +205,7 @@ def test_ce1_alg3_witness_and_count(ce1):
     run = run_pipeline(ce1, ordering="y1>y2>v1", algorithm=3)
     assert run.answer.max_count == 3
     assert run.layered.layer_count == 4
-    top = run.layered.layer(4)
+    top = unfold(run.layered).layer(4)
     assert len(top) == 1
     assert run.layered.source.trie.node(top[0].trie_node).label_text == "#"
 
@@ -271,55 +274,59 @@ def test_memo_matches_reference_on_fuzz_stream():
 
 
 def test_search_audit_repro_and_fuzz_never_unfold(monkeypatch):
+    # unfolding builds a Group for every group and a MergeEvent for every
+    # merge: with both refused, nothing below may unfold
     from tests.conftest import seed1_formula as seeded
-    from twomaxsat import layered, subsets
+    from tests.layered_reference import refusing_groups
+    from twomaxsat import subsets
     from twomaxsat.export import export_stage
     from twomaxsat.harness import audit_bounds, builtin_by_name, fuzz, run_counterexample
 
-    def refuse(lg):
-        raise AssertionError("the layered graph was unfolded")
+    with refusing_groups():
+        f = seeded(14)
+        run = run_pipeline(f)
+        # per_subgraph lists every root on purpose here; nothing below may
+        assert len(run.answer.per_subgraph) > 1_000_000
+        assert run.answer.max_count == max(count for _, count in run.answer.per_subgraph)
+        assert run.layered.root_count == len(run.answer.per_subgraph)
+        lg = run.layered
+        del run  # two million roots are enough to hold at once
 
-    monkeypatch.setattr(layered, "unfold", refuse)
-    f = seeded(14)
-    run = run_pipeline(f)
-    # per_subgraph lists every root on purpose here; nothing below may
-    assert len(run.answer.per_subgraph) > 1_000_000
-    assert run.answer.max_count == max(count for _, count in run.answer.per_subgraph)
-    assert run.layered.root_count == len(run.answer.per_subgraph)
-    lg = run.layered
-    del run  # two million roots are enough to hold at once
+        def refuse_roots(lg):
+            raise AssertionError("the roots were listed")
 
-    def refuse_roots(lg):
-        raise AssertionError("the roots were listed")
-
-    monkeypatch.setattr(subsets, "_root_counts", refuse_roots)
-    report = audit_bounds(f)
-    assert report.counters["layered_instances"] == lg.vertex_count
-    assert report.counters["layered_edges"] == lg.edge_count
-    assert report.counters["groups"] == lg.group_count
-    assert report.counters["rooted_subgraphs"] == lg.root_count
-    family_report = run_counterexample(builtin_by_name("family(12)"), strict=False)
-    assert family_report["runs"][0]["pipeline"] == 2 * 12 - 1
-    assert fuzz(42, 20)
-    small = run_pipeline(seeded(6), algorithm=3)
-    payload = json.loads(export_stage(small, "layered", "json"))
-    assert len(payload["instances"]) == small.layered.vertex_count == 3_344
-    assert len(payload["merge_events"]) == small.layered.merge_event_count == 1_206
-    # 17,304,034 instances and 9,699,328 roots: the unpruned walk filled
-    # 138,516 memo entries, the branch and bound fills 65 (Algorithm 3: 10)
-    big = run_pipeline(seeded(16))
-    assert big.answer.max_count == 26
-    assert big.answer.witness.root.instance_id == 9_461_917
-    assert big.layered.root_count == 9_699_328
-    assert big.answer.walk_states == 65
-    assert run_pipeline(seeded(16), algorithm=3).answer.walk_states == 10
-    # 4.8e9 instances; the unpruned walk took 3,335,052 states, 29 s and 1.2 GB
-    # to find these answers
-    huge = run_pipeline(seeded(24))
-    assert (huge.answer.max_count, huge.answer.witness.root.instance_id) == (37, 3_546_210_574)
-    huge = run_pipeline(seeded(24), algorithm=3)
-    assert (huge.answer.max_count, huge.answer.witness.root.instance_id) == (32, 33)
-    with pytest.raises(AssertionError, match="unfolded"):
-        lg.edges
-    with pytest.raises(AssertionError, match="listed"):
-        big.answer.per_subgraph
+        monkeypatch.setattr(subsets, "_root_counts", refuse_roots)
+        report = audit_bounds(f)
+        assert report.counters["layered_instances"] == lg.vertex_count
+        assert report.counters["layered_edges"] == lg.edge_count
+        assert report.counters["groups"] == lg.group_count
+        assert report.counters["rooted_subgraphs"] == lg.root_count
+        family_report = run_counterexample(builtin_by_name("family(12)"), strict=False)
+        assert family_report["runs"][0]["pipeline"] == 2 * 12 - 1
+        assert fuzz(42, 20)
+        small = run_pipeline(seeded(6), algorithm=3)
+        payload = json.loads(export_stage(small, "layered", "json"))
+        assert len(payload["instances"]) == small.layered.vertex_count == 3_344
+        assert len(payload["merge_events"]) == small.layered.merge_event_count == 1_206
+        dot = export_stage(small, "layered", "dot")
+        assert dot.count(" -> ") == small.layered.edge_count
+        # 17,304,034 instances and 9,699,328 roots: the unpruned walk filled
+        # 138,516 memo entries, the branch and bound fills 65 (Algorithm 3: 10)
+        big = run_pipeline(seeded(16))
+        assert big.answer.max_count == 26
+        assert big.answer.witness.root.instance_id == 9_461_917
+        assert big.layered.root_count == 9_699_328
+        assert big.answer.walk_states == 65
+        assert run_pipeline(seeded(16), algorithm=3).answer.walk_states == 10
+        # 4.8e9 instances; the unpruned walk took 3,335,052 states, 29 s and 1.2 GB
+        # to find these answers
+        huge = run_pipeline(seeded(24))
+        assert (huge.answer.max_count, huge.answer.witness.root.instance_id) == (37, 3_546_210_574)
+        huge = run_pipeline(seeded(24), algorithm=3)
+        assert (huge.answer.max_count, huge.answer.witness.root.instance_id) == (32, 33)
+        with pytest.raises(AssertionError, match="unfolded"):
+            lg.groups
+        with pytest.raises(AssertionError, match="unfolded"):
+            small.layered.merge_events
+        with pytest.raises(AssertionError, match="listed"):
+            big.answer.per_subgraph

@@ -13,7 +13,7 @@ from twomaxsat.spans import build_pgraph, close_spans
 from twomaxsat.subsets import find_subset_alg2
 from twomaxsat.trie import merge_main_paths, overlay_spans
 
-from tests.layered_reference import enumerate_rooted_subgraphs
+from tests.layered_reference import enumerate_rooted_subgraphs, unfold
 
 
 def test_running_contains_shaded_subgraph(running):
@@ -54,7 +54,7 @@ def test_single_path_single_subgraph():
     subgraphs = enumerate_rooted_subgraphs(lg)
     assert len(subgraphs) == 1
     assert subgraphs[0].leaf_labels == frozenset({"a"})
-    assert subgraphs[0].instances == set(lg.instances)
+    assert subgraphs[0].instances == set(unfold(lg).instances)
 
 
 def test_satisfied_counts(ce1, ce3):
@@ -127,12 +127,12 @@ def test_ce1_implied_assignment_matches_flaw_narrative(ce1):
 
 def test_closure_well_formed(running):
     run = run_pipeline(running, ordering="lexical", algorithm=1)
-    lg = run.layered
+    lg = unfold(run.layered)
     children: dict[int, list[int]] = {}
     for edge in lg.edges:
         children.setdefault(edge.parent, []).append(edge.child)
     leaf_layer = set(lg.layers[0])
-    for sg in enumerate_rooted_subgraphs(lg):
+    for sg in enumerate_rooted_subgraphs(run.layered):
         # reachability from the root
         seen = set()
         stack = [sg.root.instance_id]
