@@ -69,7 +69,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_exports(run, stages: list[str], fmt: str, out_dir: str) -> list[str]:
+def _write_exports(run, stages: tuple[str, ...], fmt: str, out_dir: str) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -109,7 +109,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
         if args.export:
             for algorithm, run in zip(spec.algorithms, runs):
                 out = str(Path(args.export) / f"{spec.name}-alg{algorithm}")
-                _write_exports(run, ["trie", "trielike", "layered", "answer"], "dot", out)
+                _write_exports(run, ex.GRAPH_STAGES, "dot", out)
     all_ok = all(report["ok"] for report in reports)
     _emit({"reports": reports, "ok": all_ok})
     return EXIT_OK if all_ok else EXIT_NEGATIVE
@@ -179,8 +179,8 @@ def _algorithm_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in parts)
 
 
-def _stage_list(raw: str) -> list[str]:
-    stages = [part.strip() for part in raw.split(",") if part.strip()]
+def _stage_list(raw: str) -> tuple[str, ...]:
+    stages = tuple(part.strip() for part in raw.split(",") if part.strip())
     if not all(stage in ex.STAGES for stage in stages):
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated list of stages from {', '.join(ex.STAGES)}, got {raw!r}"
@@ -195,24 +195,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("oracle", help="exact 2-MAXSAT by exhaustive enumeration")
-    p.add_argument("formula", help="DIMACS-like file ('-' for stdin)")
-    p.add_argument("--k", type=_positive_int, default=None, help="decision threshold")
-    p.add_argument(
+    # option groups shared by several subcommands, each declared once
+    run_opts = argparse.ArgumentParser(add_help=False)
+    run_opts.add_argument("formula")
+    run_opts.add_argument("--ordering", default=_env("ORDERING", "frequency"),
+                          help="'frequency', 'lexical', or an explicit spec like 'y1>y2>v1'")
+    run_opts.add_argument("--algorithm", type=_algorithm, default=_env("ALGORITHM", "1"),
+                          help="1 or 3")
+    cap_opts = argparse.ArgumentParser(add_help=False)
+    cap_opts.add_argument(
         "--var-cap", type=_non_negative_int, default=_env("VAR_CAP", str(DEFAULT_VARIABLE_CAP))
     )
+    out_opts = argparse.ArgumentParser(add_help=False)
+    out_opts.add_argument("--format", choices=("dot", "json"), default="dot")
+    out_opts.add_argument("--out", default="exports")
+
+    p = sub.add_parser("oracle", parents=[cap_opts],
+                       help="exact 2-MAXSAT by exhaustive enumeration")
+    p.add_argument("formula", help="DIMACS-like file ('-' for stdin)")
+    p.add_argument("--k", type=_positive_int, default=None, help="decision threshold")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("pipeline", help="run conversion steps 1-10 and report the claimed maximum")
-    p.add_argument("formula")
-    p.add_argument("--ordering", default=_env("ORDERING", "frequency"),
-                   help="'frequency', 'lexical', or an explicit spec like 'y1>y2>v1'")
-    p.add_argument("--algorithm", type=_algorithm, default=_env("ALGORITHM", "1"),
-                   help="1 or 3")
+    p = sub.add_parser("pipeline", parents=[run_opts, out_opts],
+                       help="run conversion steps 1-10 and report the claimed maximum")
     p.add_argument("--export", type=_stage_list, default=None,
                    help="comma-separated stages to write")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--out", default="exports")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("repro", help="replay builtin counterexamples")
@@ -220,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export", default=None, help="directory for stage exports")
     p.set_defaults(func=cmd_repro)
 
-    p = sub.add_parser("fuzz", help="differential-test random formulas against the oracle")
+    p = sub.add_parser("fuzz", parents=[cap_opts],
+                       help="differential-test random formulas against the oracle")
     p.add_argument("--seed", type=int, default=_env("SEED", "0"))
     p.add_argument("--iters", type=_non_negative_int, default=_env("ITERS", "100"))
     p.add_argument("--max-n0", type=_positive_int, default=4)
@@ -228,28 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orderings", type=_positive_int, default=6)
     p.add_argument("--algorithms", type=_algorithm_list, default=(1, 3),
                    help="comma-separated, each 1 or 3 (default 1,3)")
-    p.add_argument(
-        "--var-cap", type=_non_negative_int, default=_env("VAR_CAP", str(DEFAULT_VARIABLE_CAP))
-    )
     p.add_argument("--shrink", action="store_true", help="minimize each mismatch")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_fuzz)
 
-    p = sub.add_parser("audit", help="measure structure sizes against the proved bounds")
-    p.add_argument("formula")
-    p.add_argument("--ordering", default=_env("ORDERING", "frequency"))
-    p.add_argument("--algorithm", type=_algorithm, default=_env("ALGORITHM", "1"),
-                   help="1 or 3")
+    p = sub.add_parser("audit", parents=[run_opts],
+                       help="measure structure sizes against the proved bounds")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("export", help="write stage exports for a pipeline run")
-    p.add_argument("formula")
-    p.add_argument("--ordering", default=_env("ORDERING", "frequency"))
-    p.add_argument("--algorithm", type=_algorithm, default=_env("ALGORITHM", "1"),
-                   help="1 or 3")
-    p.add_argument("--stages", type=_stage_list, default="trie,trielike,layered,answer")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--out", default="exports")
+    p = sub.add_parser("export", parents=[run_opts, out_opts],
+                       help="write stage exports for a pipeline run")
+    p.add_argument("--stages", type=_stage_list, default=",".join(ex.GRAPH_STAGES))
     p.set_defaults(func=cmd_export)
     return parser
 
@@ -259,10 +256,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unusable input or output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FormulaParseError as exc:
+    except (FormulaParseError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TooManyVariablesError as exc:

@@ -367,6 +367,7 @@ def dumps(payload: dict[str, Any]) -> str:
 
 
 STAGES = ("dnf", "sequences", "pgraphs", "pstars", "trie", "trielike", "layered", "answer")
+GRAPH_STAGES = ("trie", "trielike", "layered", "answer")  # repro --export, export --stages
 
 
 def stage_suffix(stage: str, fmt: str) -> str:

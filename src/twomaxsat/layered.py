@@ -24,9 +24,11 @@ single-node recursions.  The cases read the trie's ``ancestry`` table, built
 once on the first merge: trie ids are preorder, so sorted by id the
 generators lie on one path (Case 2) exactly when each one's subtree, the ids
 up to its ``last``, holds the next, and they are in pairwise-distinct root
-branches (Case 1) when their depth-1 ancestors differ.  A merge's anchors
-are the cached ancestor tuple of the merged node, and each (merged node,
-generators) pair is classified once per search.
+branches (Case 1) when their depth-1 ancestors differ.  Each merge is
+classified in the expansion that makes it, with the merged node's ancestor
+tuple from the same table as its anchors.  No cache keeps classifications:
+one keyed by (merged node, generators) answered 4 to 32 % of lookups on
+the measured workloads, and the build was no faster with it.
 
 The prose also describes reachable subsets and upper boundaries, never
 formally defined, that would keep a merged instance alive after a Case 1
@@ -222,88 +224,40 @@ def classify_duplicate_case(g: TrieLikeGraph, occurrences: Iterable[int]) -> str
     return DuplicateCase.CASE3
 
 
-class _Memo:
-    """The hash-cons table of one search: member trie-node tuple -> Expansion."""
+def _expansion(table: dict, g: TrieLikeGraph, alg3: bool, key: tuple[int, ...]) -> Expansion:
+    """The expansion of one member trie-node tuple, memoised in ``table``.
 
-    def __init__(self, g: TrieLikeGraph, mode: str):
-        self.g = g
-        self.alg3 = mode == "alg3"
-        self.table: dict[tuple[int, ...], Expansion] = {}
-        self.merges: dict[tuple[int, tuple[int, ...]], tuple[str, str, tuple[int, ...]]] = {}
-
-    def expansion(self, key: tuple[int, ...]) -> Expansion:
-        found = self.table.get(key)
-        if found is None:
-            found = self.table[key] = self._expand(key)
+    Under Algorithm 3 each merge is classified here, where it is made.
+    Module level, like ``subsets._best``: a search leaves no reference cycle.
+    """
+    found = table.get(key)
+    if found is not None:
         return found
-
-    def _expand(self, key: tuple[int, ...]) -> Expansion:
-        parents, labels = self.g.parents, self.g.labels
-        created: list[int] = []
-        index: dict[int, int] = {}
-        edges: list[tuple[int, int, str]] = []
-        for pos, nid in enumerate(key):
-            for parent, kind in parents[nid]:  # distinct parents: one edge per pair
-                c = index.get(parent)
-                if c is None:
-                    c = index[parent] = len(created)
-                    created.append(parent)
-                edges.append((pos, c, kind))
-        if self.alg3:
-            gens: list[list[int]] = [[] for _ in created]  # member positions per created parent
-            for pos, c, _ in edges:
-                gens[c].append(pos)
-            merged = [c for c, ps in enumerate(gens) if len(ps) >= 2]
-            plain = [c for c, ps in enumerate(gens) if len(ps) < 2]
-        else:
-            merged, plain = [], list(range(len(created)))
-        merges = []
-        for c in merged:
-            generators = tuple(sorted([key[pos] for pos in gens[c]]))  # key nodes are distinct
-            merges.append((c, generators, *self._merge(created[c], generators)))
-        buckets: dict[str, list[int]] = {}
-        for c in plain:
-            buckets.setdefault(labels[created[c]], []).append(c)
-        groups = [(label, tuple(cs), len(cs) >= 2, "label") for label, cs in buckets.items()]
-        if merged:
-            # a duplicate appeared: remaining parents recurse as single nodes
-            grouped = {c for _, cs, pushed, _ in groups if pushed for c in cs}
-            groups += [
-                (labels[created[c]], (c,), True, "merge-sibling")
-                for c in plain
-                if c not in grouped
-            ]
-        pushed = [gi for gi, grp in enumerate(groups) if grp[2]]
-        children = tuple(
-            (gi, self.expansion(tuple(created[c] for c in groups[gi][1])))
-            for gi in reversed(pushed)
-        )
-        expanded = {c for gi in pushed for c in groups[gi][1]}
-        root = self.g.trie.root.id
-        roots = tuple(c for c, nid in enumerate(created) if c not in expanded or nid == root)
-        subtrees = [child for _, child in children]
-        return Expansion(
-            created=tuple(created),
-            edges=tuple(edges),
-            groups=tuple(groups),
-            merges=tuple(merges),
-            children=children,
-            roots=roots,
-            instances=len(created) + sum(s.instances for s in subtrees),
-            root_total=len(roots) + sum(s.root_total for s in subtrees),
-            edge_total=len(edges) + sum(s.edge_total for s in subtrees),
-            group_total=len(groups) + sum(s.group_total for s in subtrees),
-            expanded_total=len(pushed) + sum(s.expanded_total for s in subtrees),
-            merge_total=len(merges) + sum(s.merge_total for s in subtrees),
-            height=1 + max((s.height for s in subtrees), default=0) if created else 0,
-        )
-
-    def _merge(self, node: int, generators: tuple[int, ...]) -> tuple[str, str, tuple[int, ...]]:
-        """(case, reason, anchors) of one Algorithm 3 merge; every one degenerates."""
-        found = self.merges.get((node, generators))
-        if found is None:
-            case = classify_duplicate_case(self.g, generators)
-            anchors = self.g.trie.ancestry.ancestors[node]
+    parents, labels = g.parents, g.labels
+    created: list[int] = []
+    index: dict[int, int] = {}
+    edges: list[tuple[int, int, str]] = []
+    for pos, nid in enumerate(key):
+        for parent, kind in parents[nid]:  # distinct parents: one edge per pair
+            c = index.get(parent)
+            if c is None:
+                c = index[parent] = len(created)
+                created.append(parent)
+            edges.append((pos, c, kind))
+    merges = []
+    plain = range(len(created))
+    if alg3:
+        gens: list[list[int]] = [[] for _ in created]  # member positions per created parent
+        for pos, c, _ in edges:
+            gens[c].append(pos)
+        plain = [c for c, ps in enumerate(gens) if len(ps) < 2]
+        for c, ps in enumerate(gens):
+            if len(ps) < 2:
+                continue
+            node = created[c]
+            generators = tuple(sorted([key[pos] for pos in ps]))  # key nodes are distinct
+            case = classify_duplicate_case(g, generators)
+            anchors = g.trie.ancestry.ancestors[node]
             if case == DuplicateCase.CASE1 and anchors:
                 raise InternalError(
                     f"Case 1 merge at non-root node n{node} (generators {generators}): "
@@ -311,13 +265,49 @@ class _Memo:
                 )
             # reachable subsets are only defined relative to a Case 1 repeat
             reason = "anchor-not-on-path" if case == DuplicateCase.CASE1 else "non-case1-merge"
-            found = self.merges[node, generators] = case, reason, anchors
-        return found
+            merges.append((c, generators, case, reason, anchors))
+    buckets: dict[str, list[int]] = {}
+    for c in plain:
+        buckets.setdefault(labels[created[c]], []).append(c)
+    groups = [(label, tuple(cs), len(cs) >= 2, "label") for label, cs in buckets.items()]
+    if merges:
+        # a duplicate appeared: remaining parents recurse as single nodes
+        grouped = {c for _, cs, pushed, _ in groups if pushed for c in cs}
+        groups += [
+            (labels[created[c]], (c,), True, "merge-sibling")
+            for c in plain
+            if c not in grouped
+        ]
+    pushed = [gi for gi, grp in enumerate(groups) if grp[2]]
+    children = tuple(
+        (gi, _expansion(table, g, alg3, tuple(created[c] for c in groups[gi][1])))
+        for gi in reversed(pushed)
+    )
+    expanded = {c for gi in pushed for c in groups[gi][1]}
+    root = g.trie.root.id
+    roots = tuple(c for c, nid in enumerate(created) if c not in expanded or nid == root)
+    subtrees = [child for _, child in children]
+    found = table[key] = Expansion(
+        created=tuple(created),
+        edges=tuple(edges),
+        groups=tuple(groups),
+        merges=tuple(merges),
+        children=children,
+        roots=roots,
+        instances=len(created) + sum(s.instances for s in subtrees),
+        root_total=len(roots) + sum(s.root_total for s in subtrees),
+        edge_total=len(edges) + sum(s.edge_total for s in subtrees),
+        group_total=len(groups) + sum(s.group_total for s in subtrees),
+        expanded_total=len(pushed) + sum(s.expanded_total for s in subtrees),
+        merge_total=len(merges) + sum(s.merge_total for s in subtrees),
+        height=1 + max((s.height for s in subtrees), default=0) if created else 0,
+    )
+    return found
 
 
 def _build(g: TrieLikeGraph, mode: str) -> LayeredGraph:
     leaves = tuple(n.id for n in g.trie.leaves())
-    return LayeredGraph(mode, g, leaves, _Memo(g, mode).expansion(leaves))
+    return LayeredGraph(mode, g, leaves, _expansion({}, g, mode == "alg3", leaves))
 
 
 def build_layered_alg1(g: TrieLikeGraph) -> LayeredGraph:

@@ -85,6 +85,10 @@ def test_oracle_parse_error_exit_2(capsys, tmp_path):
     bad.write_text("p cnf x y\n")
     assert main(["oracle", str(bad)]) == 2
     assert main(["oracle", str(tmp_path / "missing.cnf")]) == 2
+    assert main(["oracle", str(tmp_path)]) == 2  # a directory
+    undecodable = tmp_path / "undecodable.cnf"
+    undecodable.write_bytes(b"\xff\xfe")
+    assert main(["oracle", str(undecodable)]) == 2
 
 
 def test_oracle_cap_exit_3(capsys, running_file):
@@ -171,6 +175,25 @@ def test_unknown_stage_exit_2_writes_nothing(capsys, tmp_path, ce1_file, argv):
     assert captured.out == ""
     assert "bogus" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", "--iters", "1", "--report", "{directory}"],
+        ["export", "{formula}", "--out", "{file}"],
+        ["repro", "ce1", "--export", "{file}"],
+    ],
+)
+def test_unusable_output_path_exit_2(capsys, tmp_path, ce1_file, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main([arg.format(directory=tmp_path, file=taken, formula=ce1_file) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_repro_single(capsys, tmp_path):

@@ -320,10 +320,18 @@ def test_search_audit_repro_and_fuzz_never_unfold(monkeypatch):
         assert run_pipeline(seeded(16), algorithm=3).answer.walk_states == 10
         # 4.8e9 instances; the unpruned walk took 3,335,052 states, 29 s and 1.2 GB
         # to find these answers
-        huge = run_pipeline(seeded(24))
-        assert (huge.answer.max_count, huge.answer.witness.root.instance_id) == (37, 3_546_210_574)
-        huge = run_pipeline(seeded(24), algorithm=3)
-        assert (huge.answer.max_count, huge.answer.witness.root.instance_id) == (32, 33)
+        # (vertex_count, edge_count, merge_event_count, layer_count): the
+        # Algorithm 3 merges are classified one by one as they are made
+        for algorithm, answer, counts in [
+            (1, (37, 3_546_210_574), (4_833_149_551, 8_330_161_189, 0, 32)),
+            (3, (32, 33), (4_821_282_863, 6_923_346_578, 1_400_911_038, 33)),
+        ]:
+            huge = run_pipeline(seeded(24), algorithm=algorithm)
+            assert (huge.answer.max_count, huge.answer.witness.root.instance_id) == answer
+            lg24 = huge.layered
+            assert (
+                lg24.vertex_count, lg24.edge_count, lg24.merge_event_count, lg24.layer_count
+            ) == counts
         with pytest.raises(AssertionError, match="unfolded"):
             lg.groups
         with pytest.raises(AssertionError, match="unfolded"):
