@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import export as ex
@@ -69,9 +70,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_exports(run, stages: tuple[str, ...], fmt: str, out_dir: str) -> list[str]:
-    out = Path(out_dir)
+def _out_dir(path: str | Path) -> Path:
+    """Create an export directory up front, so an unusable path fails before any work."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_exports(run, stages: tuple[str, ...], fmt: str, out: Path) -> list[str]:
     written = []
     for stage in stages:
         path = out / f"{stage}.{ex.stage_suffix(stage, fmt)}"
@@ -85,10 +91,11 @@ def _write_exports(run, stages: tuple[str, ...], fmt: str, out_dir: str) -> list
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     f = _read_formula(args.formula)
+    out = _out_dir(args.out) if args.export else None
     run = run_pipeline(f, ordering=args.ordering, algorithm=args.algorithm)
     payload = ex.answer_json(run)
-    if args.export:
-        payload["exports"] = _write_exports(run, args.export, args.format, args.out)
+    if out is not None:
+        payload["exports"] = _write_exports(run, args.export, args.format, out)
     _emit(payload)
     return EXIT_OK
 
@@ -102,14 +109,19 @@ def cmd_repro(args: argparse.Namespace) -> int:
         except (KeyError, ValueError) as exc:  # unknown name, or family(N) without N in 2..12
             print(str(exc), file=sys.stderr)
             return EXIT_INPUT
+    outs: list[list[Path]] = [[] for _ in specs]  # per spec, one directory per algorithm
+    if args.export:
+        root = Path(args.export)
+        outs = [
+            [_out_dir(root / f"{spec.name}-alg{algorithm}") for algorithm in spec.algorithms]
+            for spec in specs
+        ]
     reports = []
-    for spec in specs:
+    for spec, spec_outs in zip(specs, outs):
         report, runs = harness.replay_counterexample(spec)
         reports.append(report)
-        if args.export:
-            for algorithm, run in zip(spec.algorithms, runs):
-                out = str(Path(args.export) / f"{spec.name}-alg{algorithm}")
-                _write_exports(run, ex.GRAPH_STAGES, "dot", out)
+        for run, out in zip(runs, spec_outs):
+            _write_exports(run, ex.GRAPH_STAGES, "dot", out)
     all_ok = all(report["ok"] for report in reports)
     _emit({"reports": reports, "ok": all_ok})
     return EXIT_OK if all_ok else EXIT_NEGATIVE
@@ -123,18 +135,20 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         algorithms=args.algorithms,
         variable_cap=args.var_cap,
     )
-    mismatches = harness.fuzz(args.seed, args.iters, params)
-    if args.shrink:
-        mismatches = [harness.shrink(m, params.variable_cap) for m in mismatches]
-    payload = {
-        "seed": args.seed,
-        "iterations": args.iters,
-        "mismatches": [m.to_dict() for m in mismatches],
-        "mismatch_count": len(mismatches),
-    }
-    text = ex.dumps(payload)
-    if args.report:
-        Path(args.report).write_text(text)
+    # opened before the campaign, so an unusable path fails before any work
+    with (Path(args.report).open("w") if args.report else nullcontext()) as report:
+        mismatches = harness.fuzz(args.seed, args.iters, params)
+        if args.shrink:
+            mismatches = [harness.shrink(m, params.variable_cap) for m in mismatches]
+        payload = {
+            "seed": args.seed,
+            "iterations": args.iters,
+            "mismatches": [m.to_dict() for m in mismatches],
+            "mismatch_count": len(mismatches),
+        }
+        text = ex.dumps(payload)
+        if report is not None:
+            report.write(text)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -148,8 +162,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     f = _read_formula(args.formula)
+    out = _out_dir(args.out)
     run = run_pipeline(f, ordering=args.ordering, algorithm=args.algorithm)
-    written = _write_exports(run, args.stages, args.format, args.out)
+    written = _write_exports(run, args.stages, args.format, out)
     _emit({"exports": written})
     return EXIT_OK
 

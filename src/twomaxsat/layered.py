@@ -5,11 +5,12 @@ Algorithm 1: layer 1 is the set of all leaves, pushed as one initial group.
 Popping a group adds every parent of every member (reversed main edges plus
 reversed span edges, with no label attribution -- the skip-over flaw) as an
 instance one layer up, deduplicated per trie node within that one expansion,
-and one edge from the member to it.  That edge is the only record of who
-generated whom, and each (member, parent) pair has exactly one: a node's
-parents (``TrieLikeGraph.parents``) are distinct trie nodes, because its main
-parent is one level up, every span edge skips at least one level, and the
-overlay merges repeated spans into one edge.  The new parents partition into
+and one edge from the member to it.  Each (member, parent) pair has exactly
+one edge: a node's parents (``TrieLikeGraph.parents``) are distinct trie
+nodes, because its main parent is one level up, every span edge skips at
+least one level, and the overlay merges repeated spans into one edge.  So a
+member generates exactly the parents in its row, and the edges need no
+record of their own (see below).  The new parents partition into
 same-label groups (parents of one child group only); groups of two or more
 are pushed, singletons keep their instance and edges but never expand.
 
@@ -20,12 +21,13 @@ members of one expansion the merge is classified (Case 1: generators in
 pairwise-distinct root branches; Case 2: on one root-to-leaf path; Case 3:
 the unexplained catch-all).  The merged instance is not expanded further and
 the expansion's non-merged parents that form no pushed group continue as
-single-node recursions.  The cases read the trie's ``ancestry`` table, built
-once on the first merge: trie ids are preorder, so sorted by id the
+single-node recursions.  The cases read the trie's ``ancestry`` table,
+fetched once per build: trie ids are preorder, so sorted by id the
 generators lie on one path (Case 2) exactly when each one's subtree, the ids
 up to its ``last``, holds the next, and they are in pairwise-distinct root
 branches (Case 1) when their depth-1 ancestors differ.  Each merge is
-classified in the expansion that makes it, with the merged node's ancestor
+classified in the expansion that makes it, by the rule
+``classify_duplicate_case`` also applies, with the merged node's ancestor
 tuple from the same table as its anchors.  No cache keeps classifications:
 one keyed by (merged node, generators) answered 4 to 32 % of lookups on
 the measured workloads, and the build was no faster with it.
@@ -43,10 +45,18 @@ have no code here: a Case 1 merge with anchors raises InternalError.
 Both searches are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): popping a group depends only on the
 ordered tuple of its members' trie nodes, so each distinct tuple is expanded
-once into an ``Expansion`` that also sums its subtree's sizes.  The search
-is a depth-first stack, so every pushed group's subtree takes one contiguous
-block of instance ids and group ids -- its created parents first, then its
-child subtrees in pop order -- and the subtree sizes give every absolute id.
+once into an ``Expansion`` that also sums its subtree's sizes.  An entry
+keeps its key and no edge: Algorithm 1's created parents are the ordered
+union of the members' ``TrieLikeGraph.parent_ids`` rows, Algorithm 3 fills
+each created parent's generator list in one pass over the same rows, and
+the edge count is the sum of the rows' lengths.  ``Expansion.edges``
+derives the (member, parent, kind) triples from the key and the rows on
+first read, for the exports and the witness closure; a search derives them
+only along the witness chain, since findSubset ORs its masks along the
+rows.  The search is a depth-first stack, so every pushed group's subtree
+takes one contiguous block of instance ids and group ids -- its created
+parents first, then its child subtrees in pop order -- and the subtree
+sizes give every absolute id.
 ``LayeredGraph`` therefore knows its counts without building anything.
 ``replay`` walks the memo in the search's pop order and hands out those ids,
 in exactly the order a materialising search creates them.  Both exports
@@ -59,11 +69,14 @@ callers that want them as objects.  ``root_count`` lists no root.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InternalError, NotADuplicateError
-from .trie import TrieLikeGraph
+from .trie import Ancestry, TrieLikeGraph
 
 
 class DuplicateCase:
@@ -111,21 +124,34 @@ class MergeEvent:
     anchors: tuple[int, ...] = ()
 
 
+class _Tables(NamedTuple):
+    """What one build reads of its graph, fetched once per build."""
+
+    parents: list[list[tuple[int, str]]]
+    parent_ids: list[list[int]]
+    labels: list[str]
+    root: int
+    ancestry: Ancestry | None  # Algorithm 3's; None runs Algorithm 1
+
+
 @dataclass(eq=False, repr=False)
 class Expansion:
     """What popping a group with one member trie-node tuple creates, and its subtree.
 
-    Members are positions in that tuple; created parents are indices into
-    ``created``.  ``edges`` hold one entry per (member, created parent) pair
-    and are the only generation record: a created parent's generators are
-    the members of the edges into it.  The totals cover the whole subtree
-    below the popped group: everything its expansion creates plus every
-    child subtree.  Entries are shared, so comparing or printing one field
-    by field would walk the exponential tree; both are by identity.
+    ``key`` is that member tuple, the memo key; members are positions in it
+    and created parents are indices into ``created``.  No generation record
+    is stored: the member at position ``pos`` generates every parent in its
+    row of the graph's parent table (``TrieLikeGraph.parents``, read through
+    ``tables``), and ``edges`` derives the (member, created parent) pairs
+    from those rows on first read.  The totals cover the whole subtree below
+    the popped group: everything its expansion creates plus every child
+    subtree.  Entries are shared, so comparing or printing one field by
+    field would walk the exponential tree; both are by identity.
     """
 
+    key: tuple[int, ...]  # member trie nodes, the memo key
     created: tuple[int, ...]  # trie nodes of the new parents, in creation order
-    edges: tuple[tuple[int, int, str], ...]  # (member position, created index, kind)
+    tables: _Tables  # the graph's tables, shared by every entry of one build
     groups: tuple[tuple[str, tuple[int, ...], bool, str], ...]
     # (label, created indices, pushed, origin)
     merges: tuple[tuple[int, tuple[int, ...], str, str, tuple[int, ...]], ...]
@@ -140,8 +166,21 @@ class Expansion:
     merge_total: int
     height: int  # layers the subtree adds above the popped group
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, str], ...]:
+        """(member position, created index, kind) per generation edge: members
+        in key order, each one's parents in row order; derived on first read."""
+        index = {nid: c for c, nid in enumerate(self.created)}
+        parents = self.tables.parents
+        return tuple(
+            (pos, index[parent], kind)
+            for pos, nid in enumerate(self.key)
+            for parent, kind in parents[nid]
+        )
 
-_NOTHING = Expansion((), (), (), (), (), (), 0, 0, 0, 0, 0, 0, 0)  # of a graph with no leaves
+
+# the expansion of a graph with no leaves
+_NOTHING = Expansion((), (), _Tables([], [], [], 0, None), (), (), (), (), 0, 0, 0, 0, 0, 0, 0)
 
 
 @dataclass
@@ -211,103 +250,119 @@ class LayeredGraph:
 
 def classify_duplicate_case(g: TrieLikeGraph, occurrences: Iterable[int]) -> str:
     """Case 1/2/3 for the trie nodes that generated one duplicate parent."""
-    table = g.trie.ancestry
-    last = table.last
     occ = sorted(set(occurrences))
     if len(occ) < 2:
         raise NotADuplicateError(f"need at least two occurrences, got {occ}")
+    table = g.trie.ancestry
+    return _case(occ, table.last, table.branch)
+
+
+def _case(occ: list[int], last: list[int], branch: list[int]) -> str:
+    """The case of two or more distinct generators, sorted by id."""
     # ids are preorder: every pair is comparable exactly when each node's subtree holds the next
-    if all(b <= last[a] for a, b in zip(occ, occ[1:])):
+    above = occ[0]
+    for nid in occ:
+        if nid > last[above]:
+            break
+        above = nid
+    else:
         return DuplicateCase.CASE2
-    if len({table.branch[nid] for nid in occ}) == len(occ):
-        return DuplicateCase.CASE1
-    return DuplicateCase.CASE3
+    seen = set()
+    for nid in occ:
+        if branch[nid] in seen:
+            return DuplicateCase.CASE3
+        seen.add(branch[nid])
+    return DuplicateCase.CASE1
 
 
-def _expansion(table: dict, g: TrieLikeGraph, alg3: bool, key: tuple[int, ...]) -> Expansion:
-    """The expansion of one member trie-node tuple, memoised in ``table``.
+def _expansion(memo: dict, tables: _Tables, key: tuple[int, ...]) -> Expansion:
+    """The expansion of one member trie-node tuple, memoised in ``memo``.
 
     Under Algorithm 3 each merge is classified here, where it is made.
     Module level, like ``subsets._best``: a search leaves no reference cycle.
     """
-    found = table.get(key)
+    found = memo.get(key)
     if found is not None:
         return found
-    parents, labels = g.parents, g.labels
-    created: list[int] = []
-    index: dict[int, int] = {}
-    edges: list[tuple[int, int, str]] = []
-    for pos, nid in enumerate(key):
-        for parent, kind in parents[nid]:  # distinct parents: one edge per pair
-            c = index.get(parent)
-            if c is None:
-                c = index[parent] = len(created)
-                created.append(parent)
-            edges.append((pos, c, kind))
+    _, parent_ids, labels, root, ancestry = tables
+    rows = [parent_ids[nid] for nid in key]
+    buckets: defaultdict[str, list[int]] = defaultdict(list)  # unmerged parents by label
     merges = []
-    plain = range(len(created))
-    if alg3:
-        gens: list[list[int]] = [[] for _ in created]  # member positions per created parent
-        for pos, c, _ in edges:
-            gens[c].append(pos)
-        plain = [c for c, ps in enumerate(gens) if len(ps) < 2]
-        for c, ps in enumerate(gens):
-            if len(ps) < 2:
+    if ancestry is None:
+        created = tuple(dict.fromkeys(chain.from_iterable(rows)))
+        for c, node in enumerate(created):
+            buckets[labels[node]].append(c)
+    else:
+        gens: defaultdict[int, list[int]] = defaultdict(list)  # generators per created parent
+        for nid, row in zip(key, rows):
+            for parent in row:
+                gens[parent].append(nid)
+        created = tuple(gens)
+        last, branch, ancestors = ancestry.last, ancestry.branch, ancestry.ancestors
+        for c, (node, generators) in enumerate(gens.items()):
+            if len(generators) < 2:
+                buckets[labels[node]].append(c)
                 continue
-            node = created[c]
-            generators = tuple(sorted([key[pos] for pos in ps]))  # key nodes are distinct
-            case = classify_duplicate_case(g, generators)
-            anchors = g.trie.ancestry.ancestors[node]
+            generators.sort()  # key nodes are distinct
+            case = _case(generators, last, branch)
+            anchors = ancestors[node]
             if case == DuplicateCase.CASE1 and anchors:
                 raise InternalError(
-                    f"Case 1 merge at non-root node n{node} (generators {generators}): "
+                    f"Case 1 merge at non-root node n{node} (generators {tuple(generators)}): "
                     "a span edge leaves its owner's root path"
                 )
             # reachable subsets are only defined relative to a Case 1 repeat
             reason = "anchor-not-on-path" if case == DuplicateCase.CASE1 else "non-case1-merge"
-            merges.append((c, generators, case, reason, anchors))
-    buckets: dict[str, list[int]] = {}
-    for c in plain:
-        buckets.setdefault(labels[created[c]], []).append(c)
+            merges.append((c, tuple(generators), case, reason, anchors))
     groups = [(label, tuple(cs), len(cs) >= 2, "label") for label, cs in buckets.items()]
     if merges:
-        # a duplicate appeared: remaining parents recurse as single nodes
-        grouped = {c for _, cs, pushed, _ in groups if pushed for c in cs}
+        # a duplicate appeared: each parent left in an unpushed (singleton)
+        # group recurses as a single node; those groups are in creation order
         groups += [
-            (labels[created[c]], (c,), True, "merge-sibling")
-            for c in plain
-            if c not in grouped
+            (label, cs, True, "merge-sibling") for label, cs, pushed, _ in groups if not pushed
         ]
-    pushed = [gi for gi, grp in enumerate(groups) if grp[2]]
-    children = tuple(
-        (gi, _expansion(table, g, alg3, tuple(created[c] for c in groups[gi][1])))
-        for gi in reversed(pushed)
-    )
-    expanded = {c for gi in pushed for c in groups[gi][1]}
-    root = g.trie.root.id
+    children = []
+    expanded: set[int] = set()
+    for gi in range(len(groups) - 1, -1, -1):  # the last pushed group pops first
+        _, cs, pushed, _ = groups[gi]
+        if pushed:
+            expanded.update(cs)
+            children.append((gi, _expansion(memo, tables, tuple(map(created.__getitem__, cs)))))
     roots = tuple(c for c, nid in enumerate(created) if c not in expanded or nid == root)
-    subtrees = [child for _, child in children]
-    found = table[key] = Expansion(
-        created=tuple(created),
-        edges=tuple(edges),
+    instances, root_total, edge_total = len(created), len(roots), sum(map(len, rows))
+    group_total, expanded_total, merge_total, height = len(groups), len(children), len(merges), 0
+    for _, child in children:
+        instances += child.instances
+        root_total += child.root_total
+        edge_total += child.edge_total
+        group_total += child.group_total
+        expanded_total += child.expanded_total
+        merge_total += child.merge_total
+        height = max(height, child.height)
+    found = memo[key] = Expansion(
+        key=key,
+        created=created,
+        tables=tables,
         groups=tuple(groups),
         merges=tuple(merges),
-        children=children,
+        children=tuple(children),
         roots=roots,
-        instances=len(created) + sum(s.instances for s in subtrees),
-        root_total=len(roots) + sum(s.root_total for s in subtrees),
-        edge_total=len(edges) + sum(s.edge_total for s in subtrees),
-        group_total=len(groups) + sum(s.group_total for s in subtrees),
-        expanded_total=len(pushed) + sum(s.expanded_total for s in subtrees),
-        merge_total=len(merges) + sum(s.merge_total for s in subtrees),
-        height=1 + max((s.height for s in subtrees), default=0) if created else 0,
+        instances=instances,
+        root_total=root_total,
+        edge_total=edge_total,
+        group_total=group_total,
+        expanded_total=expanded_total,
+        merge_total=merge_total,
+        height=1 + height if created else 0,
     )
     return found
 
 
 def _build(g: TrieLikeGraph, mode: str) -> LayeredGraph:
     leaves = tuple(n.id for n in g.trie.leaves())
-    return LayeredGraph(mode, g, leaves, _expansion({}, g, mode == "alg3", leaves))
+    ancestry = g.trie.ancestry if mode == "alg3" else None
+    tables = _Tables(g.parents, g.parent_ids, g.labels, g.trie.root.id, ancestry)
+    return LayeredGraph(mode, g, leaves, _expansion({}, tables, leaves))
 
 
 def build_layered_alg1(g: TrieLikeGraph) -> LayeredGraph:

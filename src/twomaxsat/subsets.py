@@ -11,10 +11,12 @@ harness' job, not the pipeline's.
 findSubset never unfolds the layered graph and never lists its roots.  It
 walks the search's memo (``layered.Expansion``) top-down with one leaf-label
 bitmask per group member: a created parent's mask is the union of its
-generators' masks, and a parentless instance counts its mask's popcount.  A
-subtree's result depends only on its expansion and its members' masks, so
-the walk is memoised on that pair: each yields the best count in the subtree
-and the offset of the smallest winning root in its contiguous id block.
+generators' masks, ORed along each member's row of the graph's
+``parent_ids`` table rather than read off derived edges, and a parentless
+instance counts its mask's popcount.  A subtree's result depends only on
+its expansion and its members' masks, so the walk is memoised on that
+pair: each yields the best count in the subtree and the offset of the
+smallest winning root in its contiguous id block.
 The walk is also a branch and bound (Land & Doig, Econometrica 1960): every
 count below a child group is at most the popcount of the union of that
 group's member masks, so a child whose union cannot beat the best count so
@@ -23,7 +25,8 @@ polynomial bound on the walk states is shown: on seeded m0 = 8 formulas
 with Algorithm 1, ``PipelineAnswer.walk_states`` reads 710, 65, 291, 429,
 816 and 392 at n0 = 12, 16, 20, 24, 28 and 32, where the unpruned walk grew
 2.2x per two clauses.  The witness closure is rebuilt from the chain of
-groups above the winning root.
+groups above the winning root, the only entries whose edges a search
+derives.
 ``per_subgraph`` runs the unmemoised walk over every root on first read.
 """
 
@@ -97,11 +100,17 @@ def _leaf_masks(lg: LayeredGraph) -> list[int]:
 
 
 def _created_masks(exp: Expansion, masks: Sequence[int]) -> list[int]:
-    """Each created parent's mask: the union of its generators' masks."""
-    made = [0] * len(exp.created)
-    for pos, c, _ in exp.edges:
-        made[c] |= masks[pos]
-    return made
+    """Each created parent's mask: the union of its generators' masks.
+
+    Every member ORs its mask into each parent of its row; ``exp.created``
+    lists those rows' parents in first-seen order, the order kept here.
+    """
+    made = dict.fromkeys(exp.created, 0)
+    parent_ids = exp.tables.parent_ids
+    for nid, mask in zip(exp.key, masks):
+        for parent in parent_ids[nid]:
+            made[parent] |= mask
+    return list(made.values())
 
 
 def _root_counts(lg: LayeredGraph) -> list[tuple[int, int]]:

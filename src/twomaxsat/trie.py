@@ -187,9 +187,10 @@ class TrieLikeGraph:
     closed spans put it there, each named once: a conjunction's spans all lie
     on its own path, so it adds a given edge once.  ``parents[nid]`` lists
     ``(parent, kind)`` for node ``nid``: the main parent first, then the span
-    targets by id, with no label attribution.  ``labels[nid]`` is its label
-    text.  Both are indexed by node id (row 0 is unused) and built once,
-    since the graph does not change.
+    targets by id, with no label attribution.  ``parent_ids[nid]`` is the
+    same row's parent ids alone, the row the layered search and findSubset
+    read.  ``labels[nid]`` is its label text.  All three are indexed by node
+    id (row 0 is unused) and built once, since the graph does not change.
     """
 
     trie: Trie
@@ -201,10 +202,14 @@ class TrieLikeGraph:
         self.parents: list[list[tuple[int, str]]] = [[]] + [
             [] if n.parent is None else [(n.parent, "main")] for n in nodes
         ]
+        self.parent_ids: list[list[int]] = [[]] + [
+            [] if n.parent is None else [n.parent] for n in nodes
+        ]
         self.labels = [""] + [n.label_text for n in nodes]
-        parents = self.parents
+        parents, parent_ids = self.parents, self.parent_ids
         for child, parent in sorted(self.owners):
             parents[child].append((parent, "span"))
+            parent_ids[child].append(parent)
 
     def span_owners(self, child: int, parent: int) -> frozenset[str]:
         return frozenset(self.owners.get((child, parent), ()))

@@ -183,9 +183,17 @@ def test_unknown_stage_exit_2_writes_nothing(capsys, tmp_path, ce1_file, argv):
         ["fuzz", "--iters", "1", "--report", "{directory}"],
         ["export", "{formula}", "--out", "{file}"],
         ["repro", "ce1", "--export", "{file}"],
+        ["pipeline", "{formula}", "--export", "layered", "--out", "{file}"],
     ],
 )
-def test_unusable_output_path_exit_2(capsys, tmp_path, ce1_file, argv):
+def test_unusable_output_path_exit_2(capsys, monkeypatch, tmp_path, ce1_file, argv):
+    # the path is checked before any work: no campaign, pipeline or replay runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
+
+    monkeypatch.setattr(cli.harness, "fuzz", refuse)
+    monkeypatch.setattr(cli.harness, "replay_counterexample", refuse)
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
     taken = tmp_path / "taken"
     taken.write_text("")
     code = main([arg.format(directory=tmp_path, file=taken, formula=ce1_file) for arg in argv])

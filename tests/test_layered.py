@@ -273,6 +273,58 @@ def test_memo_matches_reference_on_fuzz_stream():
     assert items > 200
 
 
+def test_family_counts_follow_closed_forms():
+    # family(n) under family_ordering(n), n = 2..24: every total the memo adds
+    # up, against closed forms; family() stops at 12, so the clauses are built here
+    from twomaxsat.formula import formula_from_ints
+    from twomaxsat.harness import family_ordering
+    from twomaxsat.pipeline import front_end
+
+    def cos_term(k):  # 2cos(pi k / 3): period 6
+        return [2, 1, -1, -2, -1, 1][k % 6]
+
+    for n in range(2, 25):
+        g = front_end(formula_from_ints([[-1, -1]] * n, 1), family_ordering(n)).trielike
+        one, three = build_layered_alg1(g), build_layered_alg3(g)
+        assert (one.vertex_count, one.edge_count, one.layer_count, one.root_count) == (
+            5 * 2 ** (n - 1) - 1,
+            9 * 2 ** (n - 1) - 2 * n - 5,
+            n + 1,
+            2**n,
+        ), n
+        thirds = (
+            7 * 2**n + cos_term(n - 2),
+            11 * 2**n - 3 * n - 9 + cos_term(n - 3),
+            2 ** (n + 1) + cos_term(n - 3),
+        )
+        assert all(x % 3 == 0 for x in thirds), n
+        assert (three.vertex_count, three.edge_count, three.merge_event_count) == tuple(
+            x // 3 for x in thirds
+        ), n
+        assert (three.layer_count, three.root_count) == (n + 2, 2**n), n
+
+
+def test_search_derives_edges_only_on_the_witness_chain():
+    # findSubset ORs masks along the parent rows; only the witness closure
+    # reads the derived edges, one memo entry per layer of its chain at most
+    from tests.conftest import seed1_formula
+
+    for algorithm in (1, 3):
+        lg = run_pipeline(seed1_formula(16), algorithm=algorithm).layered
+        entries, stack = {}, [lg.top]
+        while stack:
+            exp = stack.pop()
+            if id(exp) not in entries:
+                entries[id(exp)] = exp
+                stack.extend(child for _, child in exp.children)
+        derived = [exp for exp in entries.values() if "edges" in vars(exp)]
+        assert len(entries) > 100, algorithm
+        assert lg.top in derived and len(derived) <= lg.layer_count, algorithm
+        # the derived entries form one chain down from the top
+        below = {id(child) for exp in derived for _, child in exp.children}
+        assert all(id(exp) in below for exp in derived if exp is not lg.top), algorithm
+
+
 def test_search_audit_repro_and_fuzz_never_unfold(monkeypatch):
     # unfolding builds a Group for every group and a MergeEvent for every
     # merge: with both refused, nothing below may unfold

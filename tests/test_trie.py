@@ -253,10 +253,11 @@ def test_parent_table_matches_walks_and_repeats_no_parent():
     graphs = _small_graphs()
     assert len(graphs) > 400
     for name, g in graphs:
-        assert len(g.parents) == len(g.labels) == g.vertex_count + 1, name
+        assert len(g.parents) == len(g.parent_ids) == len(g.labels) == g.vertex_count + 1, name
         for node in g.trie.nodes:
             row = g.parents[node.id]
             assert row == walk_parents(g, node.id), (name, node.id)
+            assert list(g.parent_ids[node.id]) == [pid for pid, _ in row], (name, node.id)
             # distinct parents give the layered search one edge per (member, parent)
             assert len({pid for pid, _ in row}) == len(row), (name, node.id)
             assert g.labels[node.id] == node.label_text, (name, node.id)
