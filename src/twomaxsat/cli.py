@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 from . import export as ex
@@ -135,20 +134,23 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         algorithms=args.algorithms,
         variable_cap=args.var_cap,
     )
-    # opened before the campaign, so an unusable path fails before any work
-    with (Path(args.report).open("w") if args.report else nullcontext()) as report:
-        mismatches = harness.fuzz(args.seed, args.iters, params)
-        if args.shrink:
-            mismatches = [harness.shrink(m, params.variable_cap) for m in mismatches]
-        payload = {
-            "seed": args.seed,
-            "iterations": args.iters,
-            "mismatches": [m.to_dict() for m in mismatches],
-            "mismatch_count": len(mismatches),
-        }
-        text = ex.dumps(payload)
-        if report is not None:
-            report.write(text)
+    if args.report:  # an unusable path fails here, before any work
+        fresh = not os.path.exists(args.report)
+        open(args.report, "a").close()  # appending truncates no old report
+        if fresh:
+            os.remove(args.report)  # and a failed campaign leaves no empty one
+    mismatches = harness.fuzz(args.seed, args.iters, params)
+    if args.shrink:
+        mismatches = [harness.shrink(m, params.variable_cap) for m in mismatches]
+    payload = {
+        "seed": args.seed,
+        "iterations": args.iters,
+        "mismatches": [m.to_dict() for m in mismatches],
+        "mismatch_count": len(mismatches),
+    }
+    text = ex.dumps(payload)
+    if args.report:
+        Path(args.report).write_text(text)
     sys.stdout.write(text)
     return EXIT_OK
 

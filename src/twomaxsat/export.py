@@ -107,6 +107,7 @@ def layered_dot(lg: LayeredGraph, witness: RootedSubgraph | None = None) -> str:
     layers = [list(map(instance, range(1, len(lg.leaves) + 1), lg.leaves))] if lg.leaves else []
     clusters: list[str] = []
     edges: list[str] = []
+    derived: dict[Expansion, tuple[tuple[int, int, str], ...]] = {}  # for this call only
     for exp, members, _, layer, ids, group_ids in replay(lg):
         if not exp.created:  # nothing to write, and no layer to open
             continue
@@ -117,7 +118,9 @@ def layered_dot(lg: LayeredGraph, witness: RootedSubgraph | None = None) -> str:
             if len(cs) >= 2:
                 boxed = " ".join(f"i{ids[c]}" for c in cs)
                 clusters.append(f"  subgraph cluster_g{gid} {{ style=dashed; {boxed}; }}")
-        for pos, c, _ in exp.edges:
+        if exp not in derived:
+            derived[exp] = exp.edges
+        for pos, c, _ in derived[exp]:
             child, parent = members[pos], ids[c]
             bold = " [penwidth=2]" if child in shaded and parent in shaded else ""
             edges.append(f"  i{child} -> i{parent}{bold};")
@@ -194,6 +197,7 @@ def _pop_templates(exp: Expansion, width: int, nodes: list[str]) -> list[_Templa
     """
     parent, layer = 0, 1  # positions in a pop's arguments, as are the ranges
     ids = range(2 + width, 2 + width + len(exp.created))
+    edges = exp.edges
     group_ids = range(ids.stop, ids.stop + len(exp.groups))
     parts = [
         (",\n      ".join(["%d"] * len(ids)), list(ids)),
@@ -202,8 +206,8 @@ def _pop_templates(exp: Expansion, width: int, nodes: list[str]) -> list[_Templa
             [k for iid in ids for k in (iid, layer)],
         ),
         (
-            "".join(_edge("%d", "%d", kind) for _, _, kind in exp.edges),
-            [k for pos, c, _ in exp.edges for k in (2 + pos, ids[c])],
+            "".join(_edge("%d", "%d", kind) for _, _, kind in edges),
+            [k for pos, c, _ in edges for k in (2 + pos, ids[c])],
         ),
         (
             "".join(

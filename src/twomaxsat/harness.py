@@ -201,30 +201,27 @@ def diagnose_skip_over(run: PipelineRun) -> tuple[SkipOverEdge, ...]:
         iid: set(trie.node(inst.trie_node).conjunction_labels) if inst.layer == 1 else set()
         for iid, inst in witness.nodes.items()
     }
-    children: dict[int, list] = {}
     # edges come in creation order, so every edge into a child precedes the
     # child's own edges upward and its labels are complete when read
     for edge in witness.edges:
         below[edge.parent] |= below[edge.child]
-        children.setdefault(edge.parent, []).append(edge)
     findings = []
-    for edges in children.values():
-        for edge in edges:
-            if edge.kind != "span":
-                continue
-            child_node = witness.nodes[edge.child].trie_node
-            parent_node = witness.nodes[edge.parent].trie_node
-            owners = run.trielike.span_owners(child_node, parent_node)
-            violating = below[edge.child] - owners
-            if violating:
-                findings.append(
-                    SkipOverEdge(
-                        child_node,
-                        parent_node,
-                        tuple(sorted(owners)),
-                        tuple(sorted(violating)),
-                    )
+    for edge in witness.edges:
+        if edge.kind != "span":
+            continue
+        child_node = witness.nodes[edge.child].trie_node
+        parent_node = witness.nodes[edge.parent].trie_node
+        owners = run.trielike.span_owners(child_node, parent_node)
+        violating = below[edge.child] - owners
+        if violating:
+            findings.append(
+                SkipOverEdge(
+                    child_node,
+                    parent_node,
+                    tuple(sorted(owners)),
+                    tuple(sorted(violating)),
                 )
+            )
     findings.sort(key=lambda d: (d.child_node, d.parent_node))
     return tuple(findings)
 

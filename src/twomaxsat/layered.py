@@ -6,7 +6,7 @@ Popping a group adds every parent of every member (reversed main edges plus
 reversed span edges, with no label attribution -- the skip-over flaw) as an
 instance one layer up, deduplicated per trie node within that one expansion,
 and one edge from the member to it.  Each (member, parent) pair has exactly
-one edge: a node's parents (``TrieLikeGraph.parents``) are distinct trie
+one edge: a node's parents (``TrieLikeGraph.parent_ids``) are distinct trie
 nodes, because its main parent is one level up, every span edge skips at
 least one level, and the overlay merges repeated spans into one edge.  So a
 member generates exactly the parents in its row, and the edges need no
@@ -51,9 +51,9 @@ union of the members' ``TrieLikeGraph.parent_ids`` rows, Algorithm 3 fills
 each created parent's generator list in one pass over the same rows, and
 the edge count is the sum of the rows' lengths.  ``Expansion.edges``
 derives the (member, parent, kind) triples from the key and the rows on
-first read, for the exports and the witness closure; a search derives them
-only along the witness chain, since findSubset ORs its masks along the
-rows.  The search is a depth-first stack, so every pushed group's subtree
+each read, for the exports; findSubset ORs its masks along the rows and
+rebuilds its witness from them, so a search derives no edge list.  The
+search is a depth-first stack, so every pushed group's subtree
 takes one contiguous block of instance ids and group ids -- its created
 parents first, then its child subtrees in pop order -- and the subtree
 sizes give every absolute id.
@@ -71,8 +71,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InternalError, NotADuplicateError
@@ -127,11 +126,14 @@ class MergeEvent:
 class _Tables(NamedTuple):
     """What one build reads of its graph, fetched once per build."""
 
-    parents: list[list[tuple[int, str]]]
     parent_ids: list[list[int]]
     labels: list[str]
     root: int
     ancestry: Ancestry | None  # Algorithm 3's; None runs Algorithm 1
+
+    def parent_edges(self, nid: int) -> Iterator[tuple[int, str]]:
+        """(parent, kind) per entry of row `nid`, the kind by position (see ``TrieLikeGraph``)."""
+        return zip(self.parent_ids[nid], chain(("main",), repeat("span")))
 
 
 @dataclass(eq=False, repr=False)
@@ -141,9 +143,9 @@ class Expansion:
     ``key`` is that member tuple, the memo key; members are positions in it
     and created parents are indices into ``created``.  No generation record
     is stored: the member at position ``pos`` generates every parent in its
-    row of the graph's parent table (``TrieLikeGraph.parents``, read through
-    ``tables``), and ``edges`` derives the (member, created parent) pairs
-    from those rows on first read.  The totals cover the whole subtree below
+    row of the graph's parent table (``TrieLikeGraph.parent_ids``, read
+    through ``tables``), and ``edges`` derives the edges from those rows on
+    each read.  The totals cover the whole subtree below
     the popped group: everything its expansion creates plus every child
     subtree.  Entries are shared, so comparing or printing one field by
     field would walk the exponential tree; both are by identity.
@@ -166,21 +168,20 @@ class Expansion:
     merge_total: int
     height: int  # layers the subtree adds above the popped group
 
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[int, int, str], ...]:
         """(member position, created index, kind) per generation edge: members
-        in key order, each one's parents in row order; derived on first read."""
+        in key order, each one's parents in row order; derived on each read."""
         index = {nid: c for c, nid in enumerate(self.created)}
-        parents = self.tables.parents
         return tuple(
             (pos, index[parent], kind)
             for pos, nid in enumerate(self.key)
-            for parent, kind in parents[nid]
+            for parent, kind in self.tables.parent_edges(nid)
         )
 
 
 # the expansion of a graph with no leaves
-_NOTHING = Expansion((), (), _Tables([], [], [], 0, None), (), (), (), (), 0, 0, 0, 0, 0, 0, 0)
+_NOTHING = Expansion((), (), _Tables([], [], 0, None), (), (), (), (), 0, 0, 0, 0, 0, 0, 0)
 
 
 @dataclass
@@ -284,7 +285,7 @@ def _expansion(memo: dict, tables: _Tables, key: tuple[int, ...]) -> Expansion:
     found = memo.get(key)
     if found is not None:
         return found
-    _, parent_ids, labels, root, ancestry = tables
+    parent_ids, labels, root, ancestry = tables
     rows = [parent_ids[nid] for nid in key]
     buckets: defaultdict[str, list[int]] = defaultdict(list)  # unmerged parents by label
     merges = []
@@ -361,7 +362,7 @@ def _expansion(memo: dict, tables: _Tables, key: tuple[int, ...]) -> Expansion:
 def _build(g: TrieLikeGraph, mode: str) -> LayeredGraph:
     leaves = tuple(n.id for n in g.trie.leaves())
     ancestry = g.trie.ancestry if mode == "alg3" else None
-    tables = _Tables(g.parents, g.parent_ids, g.labels, g.trie.root.id, ancestry)
+    tables = _Tables(g.parent_ids, g.labels, g.trie.root.id, ancestry)
     return LayeredGraph(mode, g, leaves, _expansion({}, tables, leaves))
 
 

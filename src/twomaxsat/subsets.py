@@ -12,8 +12,8 @@ findSubset never unfolds the layered graph and never lists its roots.  It
 walks the search's memo (``layered.Expansion``) top-down with one leaf-label
 bitmask per group member: a created parent's mask is the union of its
 generators' masks, ORed along each member's row of the graph's
-``parent_ids`` table rather than read off derived edges, and a parentless
-instance counts its mask's popcount.  A subtree's result depends only on
+``parent_ids`` table, and a parentless instance counts its mask's
+popcount.  A subtree's result depends only on
 its expansion and its members' masks, so the walk is memoised on that
 pair: each yields the best count in the subtree and the offset of the
 smallest winning root in its contiguous id block.
@@ -24,9 +24,9 @@ far is never entered.  How much that prunes depends on the data, and no
 polynomial bound on the walk states is shown: on seeded m0 = 8 formulas
 with Algorithm 1, ``PipelineAnswer.walk_states`` reads 710, 65, 291, 429,
 816 and 392 at n0 = 12, 16, 20, 24, 28 and 32, where the unpruned walk grew
-2.2x per two clauses.  The witness closure is rebuilt from the chain of
-groups above the winning root, the only entries whose edges a search
-derives.
+2.2x per two clauses.  The witness closure is rebuilt from the parent
+rows of the chain of groups above the winning root, so a search derives no
+edge list at all.
 ``per_subgraph`` runs the unmemoised walk over every root on first read.
 """
 
@@ -170,7 +170,7 @@ def _best(exp: Expansion, masks: tuple[int, ...], memo: dict) -> tuple[int, int]
 
 
 def _witness(lg: LayeredGraph, root_id: int) -> RootedSubgraph:
-    """The closure of one root, rebuilt from the chain of groups above it."""
+    """The closure of one root, rebuilt from the parent rows of the chain above it."""
     # descend to the expansion that created the root; each link holds the
     # expansion, its first created id, its members' ids and its members' layer
     members = tuple(range(1, len(lg.leaves) + 1))
@@ -185,24 +185,23 @@ def _witness(lg: LayeredGraph, root_id: int) -> RootedSubgraph:
         members = tuple(first + c for c in exp.groups[gi][1])
         exp, first, layer = child, start, layer + 1
         chain.append((exp, first, members, layer))
-    # walk back toward the leaves: the closure one layer down is the generators
-    # of the closure instances on this layer
+    # walk back toward the leaves: an expansion creates each trie node once, so
+    # a member enters the closure when its row reaches a closure node's trie node
     wanted = {root_id}
     nodes: dict[int, NodeInstance] = {}
-    levels: list[list[LayeredEdge]] = []
+    edges: list[LayeredEdge] = []
     for exp, first, members, layer in reversed(chain):
-        for iid in wanted:
-            nodes[iid] = NodeInstance(iid, exp.created[iid - first], layer + 1)
+        at = {exp.created[iid - first]: iid for iid in wanted}  # trie node -> closure id
+        nodes.update((iid, NodeInstance(iid, nid, layer + 1)) for nid, iid in at.items())
         level = [
-            LayeredEdge(members[pos], first + c, kind)
-            for pos, c, kind in exp.edges
-            if first + c in wanted
+            LayeredEdge(member, at[parent], kind)
+            for member, nid in zip(members, exp.key)
+            for parent, kind in exp.tables.parent_edges(nid)
+            if parent in at
         ]
-        levels.append(level)
+        edges[:0] = level  # edges one layer down were created earlier
         wanted = {edge.child for edge in level}
-    for iid in wanted:
-        nodes[iid] = NodeInstance(iid, lg.leaves[iid - 1], 1)
-    edges = [edge for level in reversed(levels) for edge in level]
+    nodes.update((iid, NodeInstance(iid, lg.leaves[iid - 1], 1)) for iid in wanted)
     return _subgraph(lg.source.trie, nodes[root_id], nodes, edges)
 
 

@@ -19,7 +19,7 @@ position landed on; overlaying a closed span (i, j) adds the rootward edge
 map[j] -> map[i].  The overlay reads each p*-graph's runs of covered
 positions, never a span object: it fills one ``owners`` dict from
 (child, parent) to the conjunctions that put the edge there, and the
-``TrieLikeGraph`` sorts its keys once into the ``parents`` rows.  Parent
+``TrieLikeGraph`` sorts its keys once into the ``parent_ids`` rows.  Parent
 discovery for the layered search deliberately ignores which conjunctions own
 a span edge (the skip-over flaw); the owners are read by the harness'
 diagnosis (``span_owners``), the audit (``span_edge_count``) and the
@@ -185,12 +185,13 @@ class TrieLikeGraph:
 
     ``owners`` maps each span edge (child, parent) to the conjunctions whose
     closed spans put it there, each named once: a conjunction's spans all lie
-    on its own path, so it adds a given edge once.  ``parents[nid]`` lists
-    ``(parent, kind)`` for node ``nid``: the main parent first, then the span
-    targets by id, with no label attribution.  ``parent_ids[nid]`` is the
-    same row's parent ids alone, the row the layered search and findSubset
-    read.  ``labels[nid]`` is its label text.  All three are indexed by node
-    id (row 0 is unused) and built once, since the graph does not change.
+    on its own path, so it adds a given edge once.  ``parent_ids[nid]`` is
+    node ``nid``'s parent row, with no label attribution; an entry's kind is
+    its position.  The root's row is empty, and any other row holds its main
+    parent first and then its span targets by id: a span edge skips at least
+    one level, so it never reaches the main parent.  ``labels[nid]`` is the
+    node's label text.  Both are indexed by node id (row 0 is unused) and
+    built once, since the graph does not change.
     """
 
     trie: Trie
@@ -199,17 +200,12 @@ class TrieLikeGraph:
 
     def __post_init__(self) -> None:
         nodes = self.trie.nodes
-        self.parents: list[list[tuple[int, str]]] = [[]] + [
-            [] if n.parent is None else [(n.parent, "main")] for n in nodes
-        ]
         self.parent_ids: list[list[int]] = [[]] + [
             [] if n.parent is None else [n.parent] for n in nodes
         ]
         self.labels = [""] + [n.label_text for n in nodes]
-        parents, parent_ids = self.parents, self.parent_ids
         for child, parent in sorted(self.owners):
-            parents[child].append((parent, "span"))
-            parent_ids[child].append(parent)
+            self.parent_ids[child].append(parent)
 
     def span_owners(self, child: int, parent: int) -> frozenset[str]:
         return frozenset(self.owners.get((child, parent), ()))

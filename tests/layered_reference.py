@@ -12,7 +12,8 @@ gets there (see ``twomaxsat.layered``).  ``classify_duplicate_case`` and
 merge's case and anchors are derived twice, and
 ``assert_ancestry_matches_walks`` checks the cached table itself;
 ``walk_parents`` likewise reads ``TrieNode.parent`` and ``span_edges``, never
-``TrieLikeGraph.parents``, so every expansion's parents are derived twice.  ``enumerate_rooted_subgraphs``
+``TrieLikeGraph.parent_ids``, so every expansion's parents and each edge's
+kind are derived twice.  ``enumerate_rooted_subgraphs``
 lists every root's closure of an unfolded ``LayeredGraph``.  ``unfold`` turns
 a memoised graph into the materialising search's ``RefGraph``: every
 instance, layer and edge replayed from the memo, with the graph's own
@@ -26,8 +27,9 @@ bytes.  Inside ``refusing_groups`` building a ``Group`` or ``MergeEvent`` in
 skip: it enters every child subtree, so it checks that the skip never changes
 a (count, offset) pair.  ``fuzz_fronts`` yields the front ends that
 ``fuzz(seed, iters)`` checks.
-``assert_matches_reference`` is the equality gate: the counts, the answer,
-``per_subgraph``, the diagnosis and the unfolded graph must all agree, and
+``assert_matches_reference`` is the equality gate: the counts, the answer
+with its witness closure's edges and instances, ``per_subgraph``, the
+diagnosis and the unfolded graph must all agree, and
 the search must build no ``Group`` or ``MergeEvent`` on its way.
 
 The front end has its own gate.  ``reference_close_spans`` and
@@ -69,6 +71,7 @@ from twomaxsat.layered import (
     LayeredGraph,
     MergeEvent,
     NodeInstance,
+    _Tables,
     replay,
 )
 from twomaxsat.pipeline import FrontEnd, front_end, search
@@ -581,8 +584,9 @@ def assert_front_matches_reference(front: FrontEnd) -> None:
     rows = {node.id: [] if node.parent is None else [(node.parent, "main")] for node in g.trie.nodes}
     for edge in sorted(edges, key=lambda e: e.parent):
         rows[edge.child].append((edge.parent, "span"))
+    kinded = _Tables(g.parent_ids, g.labels, g.trie.root.id, None).parent_edges
     for node in g.trie.nodes:
-        assert g.parents[node.id] == rows[node.id], (where, node.id)
+        assert list(kinded(node.id)) == rows[node.id], (where, node.id)
     for edge in edges:
         assert g.span_owners(edge.child, edge.parent) == edge.labels, (where, edge)
 
@@ -853,6 +857,8 @@ def assert_matches_reference(front: FrontEnd, algorithm: int) -> None:
     assert witness.instances == ref_witness.instances, where
     assert witness.leaf_labels == ref_witness.leaf_labels, where
     assert witness.true_variables == ref_witness.true_variables, where
+    assert witness.edges == tuple(e for e in ref.edges if e.parent in witness.instances), where
+    assert witness.nodes == {iid: ref.instances[iid] for iid in witness.instances}, where
     assert lg.root_count == len(ref.roots()), where
     assert diagnosis == ref_diagnosis, where
     assert per_subgraph == ref_answer.per_subgraph, where

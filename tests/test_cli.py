@@ -299,6 +299,19 @@ def test_fuzz_zero_iters(capsys):
     assert payload["mismatches"] == [] and payload["mismatch_count"] == 0
 
 
+def test_failed_fuzz_campaign_writes_no_report(capsys, tmp_path):
+    # the campaign exits 3 at its first formula: an old report keeps its
+    # bytes, and a new path is left without a file
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text('{"old": 1}')
+    for path in (old, new):
+        assert main(["fuzz", "--iters", "3", "--var-cap", "0", "--report", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource cap: ")
+    assert old.read_text() == '{"old": 1}'
+    assert not new.exists()
+
+
 def test_fuzz_report_deterministic(capsys, tmp_path):
     reports = []
     for name in ("a.json", "b.json"):

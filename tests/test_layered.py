@@ -304,25 +304,38 @@ def test_family_counts_follow_closed_forms():
         assert (three.layer_count, three.root_count) == (n + 2, 2**n), n
 
 
-def test_search_derives_edges_only_on_the_witness_chain():
-    # findSubset ORs masks along the parent rows; only the witness closure
-    # reads the derived edges, one memo entry per layer of its chain at most
+def test_search_audit_and_fuzz_derive_no_edge_list(monkeypatch):
+    # findSubset ORs masks along the parent rows and rebuilds its witness
+    # closure from the rows, so no search derives an expansion's edge list
     from tests.conftest import seed1_formula
+    from twomaxsat.export import export_stage
+    from twomaxsat.harness import audit_bounds, fuzz
+    from twomaxsat.layered import Expansion
 
-    for algorithm in (1, 3):
-        lg = run_pipeline(seed1_formula(16), algorithm=algorithm).layered
-        entries, stack = {}, [lg.top]
-        while stack:
-            exp = stack.pop()
-            if id(exp) not in entries:
-                entries[id(exp)] = exp
-                stack.extend(child for _, child in exp.children)
-        derived = [exp for exp in entries.values() if "edges" in vars(exp)]
-        assert len(entries) > 100, algorithm
-        assert lg.top in derived and len(derived) <= lg.layer_count, algorithm
-        # the derived entries form one chain down from the top
-        below = {id(child) for exp in derived for _, child in exp.children}
-        assert all(id(exp) in below for exp in derived if exp is not lg.top), algorithm
+    def refuse(self):
+        raise AssertionError("an edge list was derived")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Expansion, "edges", property(refuse))
+        for algorithm in (1, 3):
+            run = run_pipeline(seed1_formula(16), algorithm=algorithm)
+            assert run.answer.witness.edges, algorithm
+        assert audit_bounds(seed1_formula(16)).counters["layered_edges"] > 0
+        assert fuzz(42, 20)
+        with pytest.raises(AssertionError, match="derived"):
+            run.layered.top.edges
+    # the exports derive edges, and no memo entry keeps them
+    small = run_pipeline(seed1_formula(6), algorithm=3)
+    export_stage(small, "layered", "json")
+    export_stage(small, "layered", "dot")
+    entries, stack = {}, [small.layered.top]
+    while stack:
+        exp = stack.pop()
+        if id(exp) not in entries:
+            entries[id(exp)] = exp
+            stack.extend(child for _, child in exp.children)
+    assert len(entries) > 10
+    assert not any("edges" in vars(exp) for exp in entries.values())
 
 
 def test_search_audit_repro_and_fuzz_never_unfold(monkeypatch):
