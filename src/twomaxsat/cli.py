@@ -191,16 +191,19 @@ def _algorithm(raw: str) -> int:
 
 def _algorithm_list(raw: str) -> tuple[int, ...]:
     parts = [part.strip() for part in raw.split(",")]
-    if not all(part in ("1", "3") for part in parts):
-        raise argparse.ArgumentTypeError(f"expected a comma-separated list of 1 and 3, got {raw!r}")
+    if not set(parts) <= {"1", "3"} or len(set(parts)) < len(parts):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of 1 and 3, each at most once, got {raw!r}"
+        )
     return tuple(int(part) for part in parts)
 
 
 def _stage_list(raw: str) -> tuple[str, ...]:
     stages = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if not all(stage in ex.STAGES for stage in stages):
+    if not set(stages) <= set(ex.STAGES) or len(set(stages)) < len(stages):
         raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of stages from {', '.join(ex.STAGES)}, got {raw!r}"
+            f"expected a comma-separated list of stages from {', '.join(ex.STAGES)}, "
+            f"each at most once, got {raw!r}"
         )
     return stages
 

@@ -49,10 +49,6 @@ class NotADuplicateError(TwoMaxSatError):
     pass
 
 
-class EmptyGraphError(TwoMaxSatError):
-    pass
-
-
 class TooManyVariablesError(TwoMaxSatError):
     pass
 

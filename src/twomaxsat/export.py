@@ -104,7 +104,7 @@ def layered_dot(lg: LayeredGraph, witness: RootedSubgraph | None = None) -> str:
         style = " style=filled fillcolor=lightgray" if iid in shaded else ""
         return f"    i{iid} {labels[nid]}{style}];"
 
-    layers = [list(map(instance, range(1, len(lg.leaves) + 1), lg.leaves))] if lg.leaves else []
+    layers = [list(map(instance, range(1, len(lg.leaves) + 1), lg.leaves))]
     clusters: list[str] = []
     edges: list[str] = []
     derived: dict[Expansion, tuple[tuple[int, int, str], ...]] = {}  # for this call only
@@ -314,19 +314,15 @@ def layered_json_text(lg: LayeredGraph) -> str:
         f'      "label": {_literal(node.label_text)},\n'
         for node in lg.source.trie.nodes
     ]
-    layers: list[list[str]] = []
-    instances: list[str] = []
+    leaf_ids = [str(iid) for iid in range(1, len(lg.leaves) + 1)]
+    layers = [leaf_ids]
+    # "% ()" undoubles the %s of the literals
+    instances = [
+        "".join(_instance(iid, nodes[nid], "1") for iid, nid in zip(leaf_ids, lg.leaves)) % ()
+    ]
     edges: list[str] = []
-    groups: list[str] = []
+    groups = [_group("1", "$", leaf_ids, "1", "null", True, "leaves") % ()]
     merges: list[str] = []
-    if lg.leaves:
-        leaf_ids = [str(iid) for iid in range(1, len(lg.leaves) + 1)]
-        layers.append(leaf_ids)
-        # "% ()" undoubles the %s of the literals
-        instances.append(
-            "".join(_instance(iid, nodes[nid], "1") for iid, nid in zip(leaf_ids, lg.leaves)) % ()
-        )
-        groups.append(_group("1", "$", leaf_ids, "1", "null", True, "leaves") % ())
     templates: dict[Expansion, list[_Template]] = {}
     for exp, members, group_id, layer, ids, group_ids in replay(lg):
         if not exp.created:  # nothing to write, and no layer to open
@@ -370,43 +366,41 @@ def dumps(payload: dict[str, Any]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-STAGES = ("dnf", "sequences", "pgraphs", "pstars", "trie", "trielike", "layered", "answer")
+# Each stage's writers by format, the first one the default: a stage with
+# one writer ignores the format, and a graph falls back to DOT.
+_WRITERS: dict[str, dict[str, Callable[[PipelineRun], str]]] = {
+    "dnf": {"txt": lambda run: str(run.dnf) + "\n"},
+    "sequences": {"txt": lambda run: "".join(s.display() + "\n" for s in run.sequences)},
+    "pgraphs": {"dot": lambda run: "".join(map(pgraph_dot, run.pgraphs))},
+    "pstars": {"dot": lambda run: "".join(map(pstar_dot, run.pstars))},
+    "trie": {"dot": lambda run: trie_dot(run.trie), "json": lambda run: trie_json_text(run.trie)},
+    "trielike": {
+        "dot": lambda run: trielike_dot(run.trielike),
+        "json": lambda run: trielike_json_text(run.trielike),
+    },
+    "layered": {
+        "dot": lambda run: layered_dot(run.layered, run.answer.witness),
+        "json": lambda run: layered_json_text(run.layered),
+    },
+    "answer": {"json": lambda run: dumps(answer_json(run))},
+}
+STAGES = tuple(_WRITERS)
 GRAPH_STAGES = ("trie", "trielike", "layered", "answer")  # repro --export, export --stages
+
+
+def _writer(stage: str, fmt: str) -> tuple[str, Callable[[PipelineRun], str]]:
+    """The suffix and writer of one stage: `fmt`'s if the stage has it, else its first."""
+    writers = _WRITERS.get(stage)
+    if writers is None:
+        raise ValueError(f"unknown stage {stage!r} (choose from {', '.join(STAGES)})")
+    return (fmt, writers[fmt]) if fmt in writers else next(iter(writers.items()))
 
 
 def stage_suffix(stage: str, fmt: str) -> str:
     """File suffix matching what export_stage actually emits for this stage."""
-    if stage in ("dnf", "sequences"):
-        return "txt"
-    if stage == "answer":
-        return "json"
-    if stage in ("pgraphs", "pstars"):
-        return "dot"
-    return "json" if fmt == "json" else "dot"
+    return _writer(stage, fmt)[0]
 
 
 def export_stage(run: PipelineRun, stage: str, fmt: str) -> str:
     """Render one stage as text; graphs honor fmt (dot or json) where both exist."""
-    if stage == "dnf":
-        return str(run.dnf) + "\n"
-    if stage == "sequences":
-        return "".join(s.display() + "\n" for s in run.sequences)
-    if stage == "pgraphs":
-        return "".join(pgraph_dot(p) for p in run.pgraphs)
-    if stage == "pstars":
-        return "".join(pstar_dot(p) for p in run.pstars)
-    if stage == "trie":
-        if fmt == "json":
-            return trie_json_text(run.trie)
-        return trie_dot(run.trie)
-    if stage == "trielike":
-        if fmt == "json":
-            return trielike_json_text(run.trielike)
-        return trielike_dot(run.trielike)
-    if stage == "layered":
-        if fmt == "json":
-            return layered_json_text(run.layered)
-        return layered_dot(run.layered, run.answer.witness)
-    if stage == "answer":
-        return dumps(answer_json(run))
-    raise ValueError(f"unknown stage {stage!r} (choose from {', '.join(STAGES)})")
+    return _writer(stage, fmt)[1](run)

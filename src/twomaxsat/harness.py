@@ -277,9 +277,11 @@ class FuzzParams:
     variable_cap: int = DEFAULT_VARIABLE_CAP
 
     def __post_init__(self) -> None:
-        if not self.algorithms or not set(self.algorithms) <= {1, 3}:
+        distinct = set(self.algorithms)
+        if not distinct or not distinct <= {1, 3} or len(distinct) < len(self.algorithms):
             raise ValueError(
-                f"algorithms must be a non-empty subset of {{1, 3}}, got {self.algorithms}"
+                f"algorithms must be a non-empty subset of {{1, 3}}, each named once, "
+                f"got {self.algorithms}"
             )
         for name in ("orderings_per_formula", "max_n0", "max_m0"):
             if getattr(self, name) < 1:

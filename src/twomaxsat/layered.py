@@ -22,13 +22,13 @@ pairwise-distinct root branches; Case 2: on one root-to-leaf path; Case 3:
 the unexplained catch-all).  The merged instance is not expanded further and
 the expansion's non-merged parents that form no pushed group continue as
 single-node recursions.  The cases read the trie's ``ancestry`` table,
-fetched once per build: trie ids are preorder, so sorted by id the
-generators lie on one path (Case 2) exactly when each one's subtree, the ids
-up to its ``last``, holds the next, and they are in pairwise-distinct root
-branches (Case 1) when their depth-1 ancestors differ.  Each merge is
-classified in the expansion that makes it, by the rule
-``classify_duplicate_case`` also applies, with the merged node's ancestor
-tuple from the same table as its anchors.  No cache keeps classifications:
+which the build hands to every expansion: trie ids are preorder, so sorted
+by id the generators lie on one path (Case 2) exactly when each one's
+subtree, the ids up to its ``last``, holds the next, and they are in
+pairwise-distinct root branches (Case 1) when their depth-1 ancestors
+differ.  Each merge is classified in the expansion that makes it, by the
+rule ``classify_duplicate_case`` also applies, with the merged node's
+ancestor tuple from the same table as its anchors.  No cache keeps classifications:
 one keyed by (merged node, generators) answered 4 to 32 % of lookups on
 the measured workloads, and the build was no faster with it.
 
@@ -46,13 +46,14 @@ Both searches are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): popping a group depends only on the
 ordered tuple of its members' trie nodes, so each distinct tuple is expanded
 once into an ``Expansion`` that also sums its subtree's sizes.  An entry
-keeps its key and no edge: Algorithm 1's created parents are the ordered
-union of the members' ``TrieLikeGraph.parent_ids`` rows, Algorithm 3 fills
-each created parent's generator list in one pass over the same rows, and
-the edge count is the sum of the rows' lengths.  ``Expansion.edges``
-derives the (member, parent, kind) triples from the key and the rows on
-each read, for the exports; findSubset ORs its masks along the rows and
-rebuilds its witness from them, so a search derives no edge list.  The
+keeps its key, a reference to the searched ``TrieLikeGraph`` and no edge:
+Algorithm 1's created parents are the ordered union of the members'
+``parent_ids`` rows, Algorithm 3 fills each created parent's generator
+list in one pass over the same rows, and the edge count is the sum of the
+rows' lengths.  ``Expansion.edges`` derives the (member, parent, kind)
+triples from the key and the graph's ``parent_edges`` on each read, for
+the exports; findSubset ORs its masks along the rows and rebuilds its
+witness from them, so a search derives no edge list.  The
 search is a depth-first stack, so every pushed group's subtree
 takes one contiguous block of instance ids and group ids -- its created
 parents first, then its child subtrees in pop order -- and the subtree
@@ -65,14 +66,18 @@ the skip-over diagnosis, the audits and the fuzzer read the memo alone, so
 no list of every instance, edge or layer is ever built.  ``groups`` and
 ``merge_events`` build their records from ``replay`` on each read, for
 callers that want them as objects.  ``root_count`` lists no root.
+
+Every graph has a leaf, so nothing here handles an empty one: the parser
+rejects a formula with no clauses, each clause gives two conjunctions, and
+every sequence ends in ``$``, so ``merge_main_paths`` makes at least one leaf.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .errors import InternalError, NotADuplicateError
 from .trie import Ancestry, TrieLikeGraph
@@ -123,19 +128,6 @@ class MergeEvent:
     anchors: tuple[int, ...] = ()
 
 
-class _Tables(NamedTuple):
-    """What one build reads of its graph, fetched once per build."""
-
-    parent_ids: list[list[int]]
-    labels: list[str]
-    root: int
-    ancestry: Ancestry | None  # Algorithm 3's; None runs Algorithm 1
-
-    def parent_edges(self, nid: int) -> Iterator[tuple[int, str]]:
-        """(parent, kind) per entry of row `nid`, the kind by position (see ``TrieLikeGraph``)."""
-        return zip(self.parent_ids[nid], chain(("main",), repeat("span")))
-
-
 @dataclass(eq=False, repr=False)
 class Expansion:
     """What popping a group with one member trie-node tuple creates, and its subtree.
@@ -143,17 +135,17 @@ class Expansion:
     ``key`` is that member tuple, the memo key; members are positions in it
     and created parents are indices into ``created``.  No generation record
     is stored: the member at position ``pos`` generates every parent in its
-    row of the graph's parent table (``TrieLikeGraph.parent_ids``, read
-    through ``tables``), and ``edges`` derives the edges from those rows on
-    each read.  The totals cover the whole subtree below
-    the popped group: everything its expansion creates plus every child
-    subtree.  Entries are shared, so comparing or printing one field by
+    row of ``tables.parent_ids``, the searched graph's parent table, and
+    ``edges`` derives the edges from those rows with
+    ``TrieLikeGraph.parent_edges`` on each read.  The totals cover the whole
+    subtree below the popped group: everything its expansion creates plus
+    every child subtree.  Entries are shared, so comparing or printing one field by
     field would walk the exponential tree; both are by identity.
     """
 
     key: tuple[int, ...]  # member trie nodes, the memo key
     created: tuple[int, ...]  # trie nodes of the new parents, in creation order
-    tables: _Tables  # the graph's tables, shared by every entry of one build
+    tables: TrieLikeGraph  # the searched graph, shared by every entry of one build
     groups: tuple[tuple[str, tuple[int, ...], bool, str], ...]
     # (label, created indices, pushed, origin)
     merges: tuple[tuple[int, tuple[int, ...], str, str, tuple[int, ...]], ...]
@@ -180,10 +172,6 @@ class Expansion:
         )
 
 
-# the expansion of a graph with no leaves
-_NOTHING = Expansion((), (), _Tables([], [], 0, None), (), (), (), (), 0, 0, 0, 0, 0, 0, 0)
-
-
 @dataclass
 class LayeredGraph:
     """A layered search result: eager counts, read off the memo.
@@ -194,8 +182,8 @@ class LayeredGraph:
 
     mode: str  # "alg1" | "alg3"
     source: TrieLikeGraph
-    leaves: tuple[int, ...] = ()
-    top: Expansion = _NOTHING
+    leaves: tuple[int, ...]
+    top: Expansion
 
     @property
     def vertex_count(self) -> int:
@@ -207,15 +195,15 @@ class LayeredGraph:
 
     @property
     def layer_count(self) -> int:
-        return 1 + self.top.height if self.leaves else 0
+        return 1 + self.top.height
 
     @property
     def group_count(self) -> int:
-        return 1 + self.top.group_total if self.leaves else 0
+        return 1 + self.top.group_total
 
     @property
     def expanded_group_count(self) -> int:
-        return 1 + self.top.expanded_total if self.leaves else 0
+        return 1 + self.top.expanded_total
 
     @property
     def root_count(self) -> int:
@@ -230,8 +218,6 @@ class LayeredGraph:
     @property
     def groups(self) -> list[Group]:
         """Every group in creation order, built from ``replay`` on each read."""
-        if not self.leaves:
-            return []
         out = [Group(1, "$", tuple(range(1, len(self.leaves) + 1)), 1, None, True, "leaves")]
         for exp, _, group_id, layer, ids, group_ids in replay(self):
             for gid, (label, cs, pushed, origin) in zip(group_ids, exp.groups):
@@ -276,20 +262,24 @@ def _case(occ: list[int], last: list[int], branch: list[int]) -> str:
     return DuplicateCase.CASE1
 
 
-def _expansion(memo: dict, tables: _Tables, key: tuple[int, ...]) -> Expansion:
-    """The expansion of one member trie-node tuple, memoised in ``memo``.
+def _expansion(
+    memo: dict, g: TrieLikeGraph, ancestry: Ancestry | None, key: tuple[int, ...]
+) -> Expansion:
+    """The expansion of one member trie-node tuple of `g`, memoised in ``memo``.
 
-    Under Algorithm 3 each merge is classified here, where it is made.
-    Module level, like ``subsets._best``: a search leaves no reference cycle.
+    ``ancestry`` is the trie's table under Algorithm 3, which classifies each
+    merge here, where it is made, and None under Algorithm 1.  Module level,
+    like ``subsets._best``: a search leaves no reference cycle.
     """
     found = memo.get(key)
     if found is not None:
         return found
-    parent_ids, labels, root, ancestry = tables
-    rows = [parent_ids[nid] for nid in key]
+    labels = g.labels
+    rows = list(map(g.parent_ids.__getitem__, key))
     buckets: defaultdict[str, list[int]] = defaultdict(list)  # unmerged parents by label
     merges = []
     if ancestry is None:
+        # a path of its own: through the generator lists below, Algorithm 1 built 1.2-1.5x slower
         created = tuple(dict.fromkeys(chain.from_iterable(rows)))
         for c, node in enumerate(created):
             buckets[labels[node]].append(c)
@@ -328,8 +318,10 @@ def _expansion(memo: dict, tables: _Tables, key: tuple[int, ...]) -> Expansion:
         _, cs, pushed, _ = groups[gi]
         if pushed:
             expanded.update(cs)
-            children.append((gi, _expansion(memo, tables, tuple(map(created.__getitem__, cs)))))
-    roots = tuple(c for c, nid in enumerate(created) if c not in expanded or nid == root)
+            child = _expansion(memo, g, ancestry, tuple(map(created.__getitem__, cs)))
+            children.append((gi, child))
+    # the trie root, id 1, has no parent even when its group is expanded
+    roots = tuple(c for c, nid in enumerate(created) if c not in expanded or nid == 1)
     instances, root_total, edge_total = len(created), len(roots), sum(map(len, rows))
     group_total, expanded_total, merge_total, height = len(groups), len(children), len(merges), 0
     for _, child in children:
@@ -343,7 +335,7 @@ def _expansion(memo: dict, tables: _Tables, key: tuple[int, ...]) -> Expansion:
     found = memo[key] = Expansion(
         key=key,
         created=created,
-        tables=tables,
+        tables=g,
         groups=tuple(groups),
         merges=tuple(merges),
         children=tuple(children),
@@ -362,8 +354,7 @@ def _expansion(memo: dict, tables: _Tables, key: tuple[int, ...]) -> Expansion:
 def _build(g: TrieLikeGraph, mode: str) -> LayeredGraph:
     leaves = tuple(n.id for n in g.trie.leaves())
     ancestry = g.trie.ancestry if mode == "alg3" else None
-    tables = _Tables(g.parent_ids, g.labels, g.trie.root.id, ancestry)
-    return LayeredGraph(mode, g, leaves, _expansion({}, tables, leaves))
+    return LayeredGraph(mode, g, leaves, _expansion({}, g, ancestry, leaves))
 
 
 def build_layered_alg1(g: TrieLikeGraph) -> LayeredGraph:
@@ -385,11 +376,8 @@ def replay(lg: LayeredGraph) -> Iterator[tuple[Expansion, tuple[int, ...], int, 
     starting at the first instance id) and of its created groups (starting
     at the first group id).  Popping numbers the created parents and groups
     next, then pushes the pushed groups, so the yields come in creation
-    order.  Nothing is yielded for a graph with no leaves; the leaves are
-    ids 1..L and the leaves group is group 1.
+    order.  The leaves are ids 1..L and the leaves group is group 1.
     """
-    if not lg.leaves:
-        return
     next_id = len(lg.leaves) + 1
     next_group = 2
     stack = [(lg.top, tuple(range(1, next_id)), 1, 1)]  # expansion, member ids, group id, layer

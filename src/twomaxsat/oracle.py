@@ -11,9 +11,10 @@ assignment counts as binary digit planes.  All 2^m assignments are covered.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import TooManyVariablesError
 from .formula import Assignment, CnfFormula, DnfFormula, Literal
@@ -75,34 +76,30 @@ def _decode(index: int, m: int) -> Assignment:
     return Assignment(tuple(bool((index >> (m - 1 - k)) & 1) for k in range(m)))
 
 
-def oracle_max_sat(f: CnfFormula, variable_cap: int = DEFAULT_VARIABLE_CAP) -> OracleResult:
-    """Exact maximum satisfied-clause count with lexicographically-least witness."""
-    m = f.m0
-    if m > variable_cap:
-        raise TooManyVariablesError(f"{m} variables exceeds the cap of {variable_cap}")
+def _oracle(terms: Iterable, m: int, combine: Callable[[int, int], int], cap: int) -> OracleResult:
+    """Exact maximum count of satisfied two-literal terms over all 2^m
+    assignments; `combine` joins a term's two literal masks (``|`` for a
+    clause, ``&`` for a conjunction)."""
+    if m > cap:
+        raise TooManyVariablesError(f"{m} variables exceeds the cap of {cap}")
     cols = _columns(m)
     full = (1 << (1 << m)) - 1
     masks = [
-        _literal_mask(c.literals[0], cols, full) | _literal_mask(c.literals[1], cols, full)
-        for c in f.clauses
+        combine(_literal_mask(first, cols, full), _literal_mask(second, cols, full))
+        for first, second in (term.literals for term in terms)
     ]
     count, index = _max_and_witness(masks, m)
     return OracleResult(count, _decode(index, m), 1 << m)
+
+
+def oracle_max_sat(f: CnfFormula, variable_cap: int = DEFAULT_VARIABLE_CAP) -> OracleResult:
+    """Exact maximum satisfied-clause count with lexicographically-least witness."""
+    return _oracle(f.clauses, f.m0, operator.or_, variable_cap)
 
 
 def oracle_max_dnf(d: DnfFormula, variable_cap: int = DEFAULT_VARIABLE_CAP) -> OracleResult:
     """Exact maximum satisfied-conjunction count over all 2^m assignments."""
-    m = d.m
-    if m > variable_cap:
-        raise TooManyVariablesError(f"{m} variables exceeds the cap of {variable_cap}")
-    cols = _columns(m)
-    full = (1 << (1 << m)) - 1
-    masks = [
-        _literal_mask(c.literals[0], cols, full) & _literal_mask(c.literals[1], cols, full)
-        for c in d.conjunctions
-    ]
-    count, index = _max_and_witness(masks, m)
-    return OracleResult(count, _decode(index, m), 1 << m)
+    return _oracle(d.conjunctions, d.m, operator.and_, variable_cap)
 
 
 def decide_2maxsat(f: CnfFormula, k: int, variable_cap: int = DEFAULT_VARIABLE_CAP) -> bool:

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import EmptyGraphError
 from .layered import Expansion, LayeredEdge, LayeredGraph, NodeInstance
 from .trie import Trie
 
@@ -207,8 +206,6 @@ def _witness(lg: LayeredGraph, root_id: int) -> RootedSubgraph:
 
 def find_subset_alg2(lg: LayeredGraph) -> PipelineAnswer:
     """Maximum claimed count over all rooted subgraphs, smallest root id winning ties."""
-    if not lg.vertex_count:
-        raise EmptyGraphError("layered graph has no instances")
     memo: dict = {}
     count, offset = _best(lg.top, tuple(_leaf_masks(lg)), memo)
     return PipelineAnswer(count, _witness(lg, len(lg.leaves) + 1 + offset), lg, len(memo))

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import UnmappedPositionError
 from .formula import Variable
@@ -40,16 +41,10 @@ from .sequences import ItemTag
 from .spans import PGraph, PStarGraph
 
 
-class NodeKind:
-    START = "#"
-    END = "$"
-    VAR = "var"
-
-
 @dataclass
 class TrieNode:
     id: int
-    kind: str
+    kind: ItemTag  # START, VAR or END
     variable: Variable | None
     parent: int | None
     children: list[int] = field(default_factory=list)
@@ -61,10 +56,8 @@ class TrieNode:
 
     @property
     def label_text(self) -> str:
-        if self.kind == NodeKind.START:
-            return "#"
-        if self.kind == NodeKind.END:
-            return "$"
+        if self.kind is not ItemTag.VAR:
+            return self.kind.value
         assert self.variable is not None
         return self.variable.name
 
@@ -80,14 +73,10 @@ class Ancestry:
 
 @dataclass
 class Trie:
-    """``nodes[i]`` has id ``i + 1``, and ids are preorder: `a` is `b` or an
-    ancestor of `b` exactly when ``a <= b <= ancestry.last[a]``."""
+    """``nodes[i]`` has id ``i + 1``, so the root is node 1, and ids are preorder:
+    `a` is `b` or an ancestor of `b` exactly when ``a <= b <= ancestry.last[a]``."""
 
     nodes: list[TrieNode]
-
-    @property
-    def root(self) -> TrieNode:
-        return self.nodes[0]
 
     def node(self, node_id: int) -> TrieNode:
         return self.nodes[node_id - 1]
@@ -101,7 +90,7 @@ class Trie:
         return len(self.nodes) - 1
 
     def leaves(self) -> list[TrieNode]:
-        return [n for n in self.nodes if n.kind == NodeKind.END]
+        return [n for n in self.nodes if n.kind is ItemTag.END]
 
     def ancestors(self, node_id: int) -> list[int]:
         """Main-path ancestors of a node, root first, the node excluded."""
@@ -140,13 +129,13 @@ def merge_main_paths(pgraphs: Sequence[PGraph]) -> tuple[Trie, NodeMap]:
             raise ValueError(f"p-graph {pg.label} does not begin with '#'")
     nodes: list[TrieNode] = []
     paths: dict[str, list[int]] = {pg.label: [] for pg in pgraphs}
-    stack: list[tuple[str, Variable | None, int | None, list[tuple[PGraph, int]]]] = [
-        (NodeKind.START, None, None, [(pg, 0) for pg in pgraphs])
+    stack: list[tuple[ItemTag, Variable | None, int | None, list[tuple[PGraph, int]]]] = [
+        (ItemTag.START, None, None, [(pg, 0) for pg in pgraphs])
     ]
     while stack:
         kind, variable, parent, entries = stack.pop()
         nid = len(nodes) + 1
-        labels = frozenset(pg.label for pg, _ in entries) if kind == NodeKind.END else frozenset()
+        labels = frozenset(pg.label for pg, _ in entries) if kind is ItemTag.END else frozenset()
         nodes.append(TrieNode(nid, kind, variable, parent, conjunction_labels=labels))
         if parent is not None:
             nodes[parent - 1].children.append(nid)
@@ -161,9 +150,9 @@ def merge_main_paths(pgraphs: Sequence[PGraph]) -> tuple[Trie, NodeMap]:
                 groups.setdefault(pg.items[pos].variable.id, []).append((pg, pos))
         for members in reversed(groups.values()):
             pg, pos = members[0]
-            stack.append((NodeKind.VAR, pg.items[pos].variable, nid, members))
+            stack.append((ItemTag.VAR, pg.items[pos].variable, nid, members))
         if finished:
-            stack.append((NodeKind.END, None, nid, finished))
+            stack.append((ItemTag.END, None, nid, finished))
     return Trie(nodes), {label: tuple(path) for label, path in paths.items()}
 
 
@@ -181,17 +170,19 @@ Owners = dict[tuple[int, int], list[str]]
 
 @dataclass
 class TrieLikeGraph:
-    """The trie plus its span edges, with the layered search's tables.
+    """The trie plus its span edges, and the tables the layered search reads.
 
     ``owners`` maps each span edge (child, parent) to the conjunctions whose
     closed spans put it there, each named once: a conjunction's spans all lie
     on its own path, so it adds a given edge once.  ``parent_ids[nid]`` is
     node ``nid``'s parent row, with no label attribution; an entry's kind is
-    its position.  The root's row is empty, and any other row holds its main
-    parent first and then its span targets by id: a span edge skips at least
-    one level, so it never reaches the main parent.  ``labels[nid]`` is the
-    node's label text.  Both are indexed by node id (row 0 is unused) and
-    built once, since the graph does not change.
+    its position, and ``parent_edges`` is the one place that applies it.  The
+    root's row is empty, and any other row holds its main parent first and
+    then its span targets by id: a span edge skips at least one level, so it
+    never reaches the main parent.  ``labels[nid]`` is the node's label text.
+    Both are indexed by node id (row 0 is unused) and built once, since the
+    graph does not change.  The layered search's memo entries read these
+    tables through a reference to the graph itself.
     """
 
     trie: Trie
@@ -206,6 +197,10 @@ class TrieLikeGraph:
         self.labels = [""] + [n.label_text for n in nodes]
         for child, parent in sorted(self.owners):
             self.parent_ids[child].append(parent)
+
+    def parent_edges(self, nid: int) -> Iterator[tuple[int, str]]:
+        """(parent, kind) per entry of row `nid`: "main" first, "span" after."""
+        return zip(self.parent_ids[nid], chain(("main",), repeat("span")))
 
     def span_owners(self, child: int, parent: int) -> frozenset[str]:
         return frozenset(self.owners.get((child, parent), ()))

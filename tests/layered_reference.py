@@ -55,7 +55,6 @@ from typing import Any, Iterator, Sequence
 
 from twomaxsat import layered
 from twomaxsat.errors import (
-    EmptyGraphError,
     InternalError,
     NotADuplicateError,
     UnmappedPositionError,
@@ -71,7 +70,6 @@ from twomaxsat.layered import (
     LayeredGraph,
     MergeEvent,
     NodeInstance,
-    _Tables,
     replay,
 )
 from twomaxsat.pipeline import FrontEnd, front_end, search
@@ -79,7 +77,6 @@ from twomaxsat.sequences import ItemTag
 from twomaxsat.spans import PGraph, Span
 from twomaxsat.subsets import RootedSubgraph, _created_masks, _subgraph
 from twomaxsat.trie import (
-    NodeKind,
     NodeMap,
     SpanEdge,
     Trie,
@@ -422,8 +419,6 @@ def _label_bits(lg: RefGraph) -> dict[int, int]:
 
 def find_subset_alg2(lg: RefGraph) -> RefAnswer:
     """Maximum claimed count over all rooted subgraphs, smallest root id winning ties."""
-    if not lg.instances:
-        raise EmptyGraphError("layered graph has no instances")
     bits = _label_bits(lg)
     roots = lg.roots()
     per = tuple((root.instance_id, bits[root.instance_id].bit_count()) for root in roots)
@@ -505,8 +500,6 @@ def enumerate_rooted_subgraphs(lg: LayeredGraph) -> list[RootedSubgraph]:
 
     Reads the unfolded graph.
     """
-    if not lg.vertex_count:
-        raise EmptyGraphError("layered graph has no instances")
     lg = unfold(lg)
     below: dict[int, list[int]] = {}  # parent id -> indices of its edges
     for k, edge in enumerate(lg.edges):
@@ -584,9 +577,8 @@ def assert_front_matches_reference(front: FrontEnd) -> None:
     rows = {node.id: [] if node.parent is None else [(node.parent, "main")] for node in g.trie.nodes}
     for edge in sorted(edges, key=lambda e: e.parent):
         rows[edge.child].append((edge.parent, "span"))
-    kinded = _Tables(g.parent_ids, g.labels, g.trie.root.id, None).parent_edges
     for node in g.trie.nodes:
-        assert list(kinded(node.id)) == rows[node.id], (where, node.id)
+        assert list(g.parent_edges(node.id)) == rows[node.id], (where, node.id)
     for edge in edges:
         assert g.span_owners(edge.child, edge.parent) == edge.labels, (where, edge)
 
@@ -609,7 +601,7 @@ def reference_merge_main_paths(pgraphs: Sequence[PGraph]) -> tuple[Trie, NodeMap
             nodes[parent - 1].children.append(node.id)
         return node
 
-    root = new_node(NodeKind.START, None, None)
+    root = new_node(ItemTag.START, None, None)
     for pg in pgraphs:
         positions[pg.label][0] = root.id
 
@@ -618,7 +610,7 @@ def reference_merge_main_paths(pgraphs: Sequence[PGraph]) -> tuple[Trie, NodeMap
         finished = [(pg, pos) for pg, pos in entries if pos == len(pg.items) - 1]
         pending = [(pg, pos) for pg, pos in entries if pos < len(pg.items) - 1]
         if finished:
-            leaf = new_node(NodeKind.END, None, parent_id)
+            leaf = new_node(ItemTag.END, None, parent_id)
             leaf.conjunction_labels = frozenset(pg.label for pg, _ in finished)
             for pg, pos in finished:
                 positions[pg.label][pos] = leaf.id
@@ -634,7 +626,7 @@ def reference_merge_main_paths(pgraphs: Sequence[PGraph]) -> tuple[Trie, NodeMap
         for var_id in order:
             members = groups[var_id]
             var = members[0][0].items[members[0][1]].variable
-            node = new_node(NodeKind.VAR, var, parent_id)
+            node = new_node(ItemTag.VAR, var, parent_id)
             for pg, pos in members:
                 positions[pg.label][pos] = node.id
             merge([(pg, pos + 1) for pg, pos in members], node.id)

@@ -21,7 +21,8 @@ from twomaxsat.harness import (
 )
 from twomaxsat.layered import classify_duplicate_case
 from twomaxsat.pipeline import front_end
-from twomaxsat.trie import NodeKind, Trie, TrieLikeGraph, TrieNode
+from twomaxsat.sequences import ItemTag
+from twomaxsat.trie import Trie, TrieLikeGraph, TrieNode
 
 
 def _two_branches() -> TrieLikeGraph:
@@ -29,13 +30,13 @@ def _two_branches() -> TrieLikeGraph:
     v1, v2 = Variable(0, "v1"), Variable(1, "v2")
     trie = Trie(
         [
-            TrieNode(1, NodeKind.START, None, None, [2, 6]),
-            TrieNode(2, NodeKind.VAR, v2, 1, [3, 4]),
-            TrieNode(3, NodeKind.END, None, 2, [], frozenset({"b"})),
-            TrieNode(4, NodeKind.VAR, v1, 2, [5]),
-            TrieNode(5, NodeKind.END, None, 4, [], frozenset({"c"})),
-            TrieNode(6, NodeKind.VAR, v1, 1, [7]),
-            TrieNode(7, NodeKind.END, None, 6, [], frozenset({"a"})),
+            TrieNode(1, ItemTag.START, None, None, [2, 6]),
+            TrieNode(2, ItemTag.VAR, v2, 1, [3, 4]),
+            TrieNode(3, ItemTag.END, None, 2, [], frozenset({"b"})),
+            TrieNode(4, ItemTag.VAR, v1, 2, [5]),
+            TrieNode(5, ItemTag.END, None, 4, [], frozenset({"c"})),
+            TrieNode(6, ItemTag.VAR, v1, 1, [7]),
+            TrieNode(7, ItemTag.END, None, 6, [], frozenset({"a"})),
         ]
     )
     return TrieLikeGraph(trie, {}, {})

@@ -164,6 +164,9 @@ def test_export_determinism(capsys, tmp_path, ce1_file):
     [
         ["export", "{formula}", "--stages", "bogus", "--out", "{out}"],
         ["pipeline", "{formula}", "--export", "layered,bogus", "--format", "json", "--out", "{out}"],
+        # a repeated stage would be written and listed twice
+        ["export", "{formula}", "--stages", "trie, trie", "--out", "{out}"],
+        ["pipeline", "{formula}", "--export", "layered,answer,layered", "--out", "{out}"],
     ],
 )
 def test_unknown_stage_exit_2_writes_nothing(capsys, tmp_path, ce1_file, argv):
@@ -173,7 +176,7 @@ def test_unknown_stage_exit_2_writes_nothing(capsys, tmp_path, ce1_file, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "bogus" in captured.err
+    assert f"got {argv[3]!r}" in captured.err
     assert not out.exists()
 
 
@@ -361,6 +364,7 @@ def test_fuzz_algorithms_flag(capsys, raw, algorithms):
         ["--max-m0", "-1"],
         ["--iters", "-3"],
         ["--var-cap", "-1"],
+        ["--algorithms", "1,1"],
     ],
 )
 def test_fuzz_rejects_bad_input_exit_2(capsys, bad):

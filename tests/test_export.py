@@ -31,7 +31,6 @@ from twomaxsat.export import (
 from twomaxsat.export import STAGES
 from twomaxsat.formula import formula_from_ints, parse_cnf
 from twomaxsat.harness import builtin_counterexamples
-from twomaxsat.layered import LayeredGraph
 from twomaxsat.pipeline import front_end, run_pipeline, search
 
 
@@ -215,4 +214,3 @@ def test_layered_json_bytes_match_reference():
                 grid += 1
                 merged += run.layered.merge_event_count > 0
     assert grid == 311 and merged == 136
-    _assert_layered_exports_match_reference(LayeredGraph("alg1", run.layered.source), None, "empty")

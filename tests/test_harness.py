@@ -183,6 +183,7 @@ def test_fuzz_negative_iterations_rejected():
         {"max_n0": 0},
         {"max_m0": -1},
         {"variable_cap": -1},
+        {"algorithms": (3, 3)},
     ],
 )
 def test_fuzz_params_rejected_before_fuzzing(bad):

@@ -223,16 +223,17 @@ def test_case1_merge_below_the_root_is_an_internal_error():
     from tests import layered_reference
     from twomaxsat.errors import InternalError
     from twomaxsat.formula import Variable
-    from twomaxsat.trie import NodeKind, Trie, TrieLikeGraph, TrieNode
+    from twomaxsat.sequences import ItemTag
+    from twomaxsat.trie import Trie, TrieLikeGraph, TrieNode
 
     v1, v2 = Variable(0, "v1"), Variable(1, "v2")
     trie = Trie(
         [
-            TrieNode(1, NodeKind.START, None, None, [2, 4]),
-            TrieNode(2, NodeKind.VAR, v1, 1, [3]),
-            TrieNode(3, NodeKind.END, None, 2, [], frozenset({"a"})),
-            TrieNode(4, NodeKind.VAR, v2, 1, [5]),
-            TrieNode(5, NodeKind.END, None, 4, [], frozenset({"b"})),
+            TrieNode(1, ItemTag.START, None, None, [2, 4]),
+            TrieNode(2, ItemTag.VAR, v1, 1, [3]),
+            TrieNode(3, ItemTag.END, None, 2, [], frozenset({"a"})),
+            TrieNode(4, ItemTag.VAR, v2, 1, [5]),
+            TrieNode(5, ItemTag.END, None, 4, [], frozenset({"b"})),
         ]
     )
     g = TrieLikeGraph(trie, {}, {(5, 2): ["b"]})

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from twomaxsat.errors import EmptyGraphError
 from twomaxsat.formula import cnf_to_dnf, pad_missing, parse_cnf
-from twomaxsat.layered import LayeredGraph, build_layered_alg1
+from twomaxsat.layered import build_layered_alg1
 from twomaxsat.pipeline import resolve_ordering, run_pipeline
 from twomaxsat.sequences import build_sequences
 from twomaxsat.spans import build_pgraph, close_spans
@@ -186,13 +185,6 @@ def test_counts_match_full_closures_on_random_formulas():
                 # the witness rebuilt from the memo equals the unfolded closure,
                 # edges (in creation order) and instances included
                 assert answer.witness in subgraphs
-
-
-def test_empty_graph_error(running):
-    run = run_pipeline(running, ordering="lexical", algorithm=1)
-    empty = LayeredGraph(mode="alg1", source=run.trielike)
-    with pytest.raises(EmptyGraphError):
-        find_subset_alg2(empty)
 
 
 def _assert_walks_agree(front, algorithm):

@@ -14,7 +14,6 @@ from tests.layered_reference import (
 from tests.test_ancestry import _small_graphs
 from twomaxsat.errors import UnmappedPositionError
 from twomaxsat.formula import Variable, cnf_to_dnf, pad_missing
-from twomaxsat.layered import _Tables
 from twomaxsat.pipeline import resolve_ordering, run_pipeline
 from twomaxsat.sequences import END_ITEM, START_ITEM, ItemTag, SeqItem, build_sequences
 from twomaxsat.spans import PGraph, build_pgraph, close_spans
@@ -122,7 +121,7 @@ def test_leaf_partition(running, ce1):
             seen.extend(leaf.conjunction_labels)
         assert sorted(seen) == sorted(p.label for p in pgraphs)
         for node in trie.nodes:
-            assert bool(node.conjunction_labels) == (node.kind == "$")
+            assert bool(node.conjunction_labels) == (node.kind is ItemTag.END)
             child_labels = [trie.node(c).label_text for c in node.children]
             assert len(child_labels) == len(set(child_labels))
 
@@ -256,11 +255,10 @@ def test_parent_table_matches_walks_and_repeats_no_parent():
     for name, g in graphs:
         assert not hasattr(g, "parents"), name  # parent_ids is the only parent table
         assert len(g.parent_ids) == len(g.labels) == g.vertex_count + 1, name
-        kinded = _Tables(g.parent_ids, g.labels, g.trie.root.id, None).parent_edges
         for node in g.trie.nodes:
             row = g.parent_ids[node.id]
             # an entry's kind is its position: the main parent first, then the span targets
-            assert list(kinded(node.id)) == walk_parents(g, node.id), (name, node.id)
+            assert list(g.parent_edges(node.id)) == walk_parents(g, node.id), (name, node.id)
             # distinct parents give the layered search one edge per (member, parent)
             assert len(set(row)) == len(row), (name, node.id)
             assert g.labels[node.id] == node.label_text, (name, node.id)
