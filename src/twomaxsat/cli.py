@@ -189,23 +189,24 @@ def _algorithm(raw: str) -> int:
     return int(raw)
 
 
-def _algorithm_list(raw: str) -> tuple[int, ...]:
-    parts = [part.strip() for part in raw.split(",")]
-    if not set(parts) <= {"1", "3"} or len(set(parts)) < len(parts):
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of 1 and 3, each at most once, got {raw!r}"
-        )
-    return tuple(int(part) for part in parts)
+def _comma_list(what: str, choices: tuple[str, ...], convert=str):
+    """A parser for a comma list of `choices`, each named at most once; an
+    empty list or entry names no choice, so it is rejected too."""
+
+    def parse(raw: str) -> tuple:
+        parts = [part.strip() for part in raw.split(",")]
+        if not set(parts) <= set(choices) or len(set(parts)) < len(parts):
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {what}, each at most once, got {raw!r}"
+            )
+        return tuple(map(convert, parts))
+
+    return parse
 
 
-def _stage_list(raw: str) -> tuple[str, ...]:
-    stages = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if not set(stages) <= set(ex.STAGES) or len(set(stages)) < len(stages):
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of stages from {', '.join(ex.STAGES)}, "
-            f"each at most once, got {raw!r}"
-        )
-    return stages
+# built once: a parser built per call would sit in argparse's reference cycles
+_algorithm_list = _comma_list("1 and 3", ("1", "3"), int)
+_stage_list = _comma_list(f"stages from {', '.join(ex.STAGES)}", ex.STAGES)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,8 +19,10 @@ this is a reconstruction of that described behavior.  Expansion works as in
 Algorithm 1, but whenever a parent trie node is generated by two or more
 members of one expansion the merge is classified (Case 1: generators in
 pairwise-distinct root branches; Case 2: on one root-to-leaf path; Case 3:
-the unexplained catch-all).  The merged instance is not expanded further and
-the expansion's non-merged parents that form no pushed group continue as
+the unexplained catch-all).  Case 2 never happens: a merge's generators are
+members of one group, so they share one label, and a root path names each
+label once.  The merged instance is not expanded further and the
+expansion's non-merged parents that form no pushed group continue as
 single-node recursions.  The cases read the trie's ``ancestry`` table,
 which the build hands to every expansion: trie ids are preorder, so sorted
 by id the generators lie on one path (Case 2) exactly when each one's
@@ -135,7 +137,7 @@ class Expansion:
     ``key`` is that member tuple, the memo key; members are positions in it
     and created parents are indices into ``created``.  No generation record
     is stored: the member at position ``pos`` generates every parent in its
-    row of ``tables.parent_ids``, the searched graph's parent table, and
+    row of ``graph.parent_ids``, the searched graph's parent table, and
     ``edges`` derives the edges from those rows with
     ``TrieLikeGraph.parent_edges`` on each read.  The totals cover the whole
     subtree below the popped group: everything its expansion creates plus
@@ -145,7 +147,7 @@ class Expansion:
 
     key: tuple[int, ...]  # member trie nodes, the memo key
     created: tuple[int, ...]  # trie nodes of the new parents, in creation order
-    tables: TrieLikeGraph  # the searched graph, shared by every entry of one build
+    graph: TrieLikeGraph  # the searched graph, shared by every entry of one build
     groups: tuple[tuple[str, tuple[int, ...], bool, str], ...]
     # (label, created indices, pushed, origin)
     merges: tuple[tuple[int, tuple[int, ...], str, str, tuple[int, ...]], ...]
@@ -168,7 +170,7 @@ class Expansion:
         return tuple(
             (pos, index[parent], kind)
             for pos, nid in enumerate(self.key)
-            for parent, kind in self.tables.parent_edges(nid)
+            for parent, kind in self.graph.parent_edges(nid)
         )
 
 
@@ -335,7 +337,7 @@ def _expansion(
     found = memo[key] = Expansion(
         key=key,
         created=created,
-        tables=g,
+        graph=g,
         groups=tuple(groups),
         merges=tuple(merges),
         children=tuple(children),

@@ -2,8 +2,8 @@
 
 Each padded conjunction becomes one sequence: its positive literals stay as
 plain items, every starred variable becomes a starred item, and negated
-literals are dropped entirely.  Interior items are sorted by a single global
-ordering fixed for the whole pipeline run, then wrapped in the '#' / '$'
+literals are dropped entirely.  Interior items follow a single global
+ordering fixed for the whole pipeline run, then get the '#' / '$'
 sentinels.  Tie-breaking inside the frequency ordering is the lever all the
 counterexamples pull.  ``frequency_ordering`` breaks ties one fixed way; a
 caller takes control with an explicit ordering, which ``tie_consistent``
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -72,13 +72,6 @@ class GlobalOrdering:
 
     variables: tuple[Variable, ...]
 
-    @cached_property
-    def _rank(self) -> dict[int, int]:
-        return {v.id: pos for pos, v in enumerate(self.variables)}
-
-    def rank(self, variable: Variable) -> int:
-        return self._rank[variable.id]
-
     def display(self) -> str:
         return ">".join(v.name for v in self.variables)
 
@@ -101,45 +94,32 @@ def sequence_frequencies(padded: Sequence[PaddedConjunction]) -> dict[Variable, 
     negated occurrences are dropped by step 3 and do not count.  This is the
     reading that makes every recorded ordering a legal tie-break: it forces
     v1 first for the all-positive counterexample and last for the mixed one.
+    Padding stars every variable a conjunction does not mention, so the count
+    is n minus the conjunctions that negate the variable; every y_i counts
+    n - 1.  Keys come in variable-id order.
     """
-    variables = _table_of(padded)
-    freq = {v: 0 for v in variables}
-    for pc in padded:
-        for var, positive in pc.present:
-            if positive:
-                freq[var] += 1
-        for var in pc.starred:
-            freq[var] += 1
-    return freq
-
-
-def _table_of(padded: Sequence[PaddedConjunction]) -> list[Variable]:
-    seen: dict[int, Variable] = {}
-    for pc in padded:
-        for var, _ in pc.present:
-            seen[var.id] = var
-        for var in pc.starred:
-            seen[var.id] = var
-    return [seen[i] for i in sorted(seen)]
+    if not padded:
+        return {}
+    first = padded[0]  # padding gives every conjunction the whole variable table
+    table = sorted([var for var, _ in first.present] + [*first.starred], key=lambda v: v.id)
+    negated = Counter(var for pc in padded for var, positive in pc.present if not positive)
+    return {var: len(padded) - negated[var] for var in table}
 
 
 def frequency_ordering(padded: Sequence[PaddedConjunction]) -> GlobalOrdering:
     """Sort variables by descending sequence frequency.
 
     Ties go to the variable that appears (plain or starred) in the earliest
-    conjunction, then to the lower variable id.
+    conjunction, the first one that does not negate it, then to the lower
+    variable id.
     """
     if not padded:
         raise ValueError("frequency ordering needs at least one padded conjunction")
     freq = sequence_frequencies(padded)
-    first_idx: dict[Variable, int] = {}
-    for idx, pc in enumerate(padded):
-        appearing = {var for var, positive in pc.present if positive} | pc.starred
-        for var in appearing:
-            first_idx.setdefault(var, idx)
 
     def key(v: Variable):
-        return (-freq[v], first_idx.get(v, len(padded)), v.id)
+        kept = (i for i, pc in enumerate(padded) if (v, False) not in pc.present)
+        return (-freq[v], next(kept, len(padded)), v.id)
 
     return GlobalOrdering(tuple(sorted(freq, key=key)))
 
@@ -194,16 +174,22 @@ def parse_ordering(spec: str) -> list[str]:
 def build_sequences(
     padded: Sequence[PaddedConjunction], ordering: GlobalOrdering
 ) -> list[VarSequence]:
-    """Steps 3-4: drop negated literals, star the missing, sort, add sentinels."""
-    covered = {v.id for v in ordering.variables}
+    """Steps 3-4: one walk of the ordering per conjunction, then the sentinels.
+
+    A positive own literal gives a plain item, a starred variable a starred
+    item, and a negated own literal nothing, so the items come out sorted.
+    """
+    covered = set(ordering.variables)
+    for var, count in sequence_frequencies(padded).items():  # id order: name the lowest
+        if count and var not in covered:
+            raise IncompleteExplicitOrderError(f"ordering does not cover {var.name}")
     sequences = []
     for pc in padded:
-        needed = {var for var, positive in pc.present if positive} | pc.starred
-        for var in needed:
-            if var.id not in covered:
-                raise IncompleteExplicitOrderError(f"ordering does not cover {var.name}")
-        items = [SeqItem(ItemTag.VAR, var) for var, positive in pc.present if positive]
-        items.extend(SeqItem(ItemTag.STARRED, var) for var in pc.starred)
-        items.sort(key=lambda item: ordering.rank(item.variable))
+        own = dict(pc.present)
+        items = [
+            SeqItem(ItemTag.STARRED if var in pc.starred else ItemTag.VAR, var)
+            for var in ordering.variables
+            if var in pc.starred or own.get(var)
+        ]
         sequences.append(VarSequence(pc.label, (START_ITEM, *items, END_ITEM)))
     return sequences

@@ -105,7 +105,7 @@ def _created_masks(exp: Expansion, masks: Sequence[int]) -> list[int]:
     lists those rows' parents in first-seen order, the order kept here.
     """
     made = dict.fromkeys(exp.created, 0)
-    parent_ids = exp.tables.parent_ids
+    parent_ids = exp.graph.parent_ids
     for nid, mask in zip(exp.key, masks):
         for parent in parent_ids[nid]:
             made[parent] |= mask
@@ -195,7 +195,7 @@ def _witness(lg: LayeredGraph, root_id: int) -> RootedSubgraph:
         level = [
             LayeredEdge(member, at[parent], kind)
             for member, nid in zip(members, exp.key)
-            for parent, kind in exp.tables.parent_edges(nid)
+            for parent, kind in exp.graph.parent_edges(nid)
             if parent in at
         ]
         edges[:0] = level  # edges one layer down were created earlier

@@ -167,6 +167,11 @@ def test_export_determinism(capsys, tmp_path, ce1_file):
         # a repeated stage would be written and listed twice
         ["export", "{formula}", "--stages", "trie, trie", "--out", "{out}"],
         ["pipeline", "{formula}", "--export", "layered,answer,layered", "--out", "{out}"],
+        # an empty list or entry would write nothing, or less than was asked
+        ["export", "{formula}", "--stages", "", "--out", "{out}"],
+        ["export", "{formula}", "--stages", ",", "--out", "{out}"],
+        ["export", "{formula}", "--stages", "trie,", "--out", "{out}"],
+        ["pipeline", "{formula}", "--export", "", "--out", "{out}"],
     ],
 )
 def test_unknown_stage_exit_2_writes_nothing(capsys, tmp_path, ce1_file, argv):
@@ -365,6 +370,8 @@ def test_fuzz_algorithms_flag(capsys, raw, algorithms):
         ["--iters", "-3"],
         ["--var-cap", "-1"],
         ["--algorithms", "1,1"],
+        ["--algorithms", ""],
+        ["--algorithms", "1,"],
     ],
 )
 def test_fuzz_rejects_bad_input_exit_2(capsys, bad):

@@ -4,6 +4,7 @@ duplicate-node classification."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,17 @@ def _trielike(f, ordering_spec, only=None):
     pstars = [close_spans(p) for p in pgraphs]
     trie, node_map = merge_main_paths(pgraphs)
     return overlay_spans(trie, node_map, pstars)
+
+
+def _entries(lg):
+    """The distinct ``Expansion``s reachable from the top: the memo's entries."""
+    seen, stack = {}, [lg.top]
+    while stack:
+        exp = stack.pop()
+        if id(exp) not in seen:
+            seen[id(exp)] = exp
+            stack.extend(child for _, child in exp.children)
+    return list(seen.values())
 
 
 def _names(lg, layer_index):
@@ -201,6 +213,29 @@ def test_every_merge_degenerates_on_pipeline_graphs():
                 assert event.trie_node == 1  # only the root repeats as Case 1
 
 
+def test_algorithm3_never_makes_a_case2_merge():
+    # a merge's generators are members of one group, so they share one label,
+    # and a root path names each label once: no two generators lie on one
+    # root path, and the only Case 1 merges are at the trie root, node 1
+    from tests.conftest import all_formulas
+    from tests.layered_reference import fuzz_fronts
+    from twomaxsat.harness import tie_consistent_orderings
+    from twomaxsat.pipeline import front_end
+
+    graphs = [front.trielike for front, algorithm in fuzz_fronts(42, 100) if algorithm == 3]
+    for f in all_formulas(2, 2):
+        for ordering in tie_consistent_orderings(f, 10**6):
+            graphs.append(front_end(f, list(ordering)).trielike)
+    cases = Counter()
+    for g in graphs:
+        for exp in _entries(build_layered_alg3(g)):
+            for c, _, case, _, _ in exp.merges:
+                cases[case] += 1
+                if case == "case1":
+                    assert exp.created[c] == 1
+    assert set(cases) == {"case1", "case3"}, cases
+
+
 def test_ce1_alg3_witness_and_count(ce1):
     run = run_pipeline(ce1, ordering="y1>y2>v1", algorithm=3)
     assert run.answer.max_count == 3
@@ -275,8 +310,9 @@ def test_memo_matches_reference_on_fuzz_stream():
 
 
 def test_family_counts_follow_closed_forms():
-    # family(n) under family_ordering(n), n = 2..24: every total the memo adds
-    # up, against closed forms; family() stops at 12, so the clauses are built here
+    # family(n) under family_ordering(n), n = 2..40: every total the memo adds
+    # up, and the memo's size, against closed forms; family() stops at 12, so
+    # the clauses are built here
     from twomaxsat.formula import formula_from_ints
     from twomaxsat.harness import family_ordering
     from twomaxsat.pipeline import front_end
@@ -284,7 +320,8 @@ def test_family_counts_follow_closed_forms():
     def cos_term(k):  # 2cos(pi k / 3): period 6
         return [2, 1, -1, -2, -1, 1][k % 6]
 
-    for n in range(2, 25):
+    broken: dict[str, int] = {}  # bound -> first n at which Algorithm 1 breaks it
+    for n in range(2, 41):
         g = front_end(formula_from_ints([[-1, -1]] * n, 1), family_ordering(n)).trielike
         one, three = build_layered_alg1(g), build_layered_alg3(g)
         assert (one.vertex_count, one.edge_count, one.layer_count, one.root_count) == (
@@ -303,6 +340,16 @@ def test_family_counts_follow_closed_forms():
             x // 3 for x in thirds
         ), n
         assert (three.layer_count, three.root_count) == (n + 2, 2**n), n
+        assert (len(_entries(one)), len(_entries(three))) == (n, 2 * n - 1), n
+        dnf_n, m = 2 * n, n + 1  # n clauses over v1 give 2n conjunctions over v1, y1..yn
+        for bound, measured, limit in (
+            ("vertex", one.vertex_count, (dnf_n * (m + 2) - 1) * (m + 2)),
+            ("edge", one.edge_count, (m + 2) * (m + 1) ** 2 * dnf_n // 2),
+            ("216*n0^6", one.vertex_count, 216 * n**6),
+        ):
+            if measured > limit:
+                broken.setdefault(bound, n)
+    assert broken == {"vertex": 11, "edge": 14, "216*n0^6": 38}
 
 
 def test_search_audit_and_fuzz_derive_no_edge_list(monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from twomaxsat.errors import (
@@ -9,8 +11,11 @@ from twomaxsat.errors import (
     IncompleteExplicitOrderError,
     UnknownVariableNameError,
 )
+from tests.conftest import all_formulas
 from twomaxsat.formula import cnf_to_dnf, pad_missing, parse_cnf
+from twomaxsat.harness import FuzzParams, random_formula
 from twomaxsat.sequences import (
+    GlobalOrdering,
     ItemTag,
     build_sequences,
     explicit_ordering,
@@ -135,7 +140,7 @@ def test_sequences_strictly_sorted(running, ce1, ce2, ce3):
         padded = pad_missing(d)
         ordering = frequency_ordering(padded)
         for seq in build_sequences(padded, ordering):
-            ranks = [ordering.rank(item.variable) for item in seq.interior]
+            ranks = [ordering.variables.index(item.variable) for item in seq.interior]
             assert ranks == sorted(ranks)
             assert len(set(ranks)) == len(ranks)
             assert seq.items[0].tag is ItemTag.START
@@ -168,3 +173,54 @@ def test_resolve_ordering_forms(running):
     )
     by_freq = resolve_ordering(d, padded, "frequency")
     assert by_freq.display() == "v3>v1>v2>y1>y2"
+
+
+def _reference_frequencies(padded):
+    """Plain and starred items counted one by one, as step 3 emits them."""
+    freq = {}
+    for pc in padded:
+        for var, positive in pc.present:
+            freq[var] = freq.get(var, 0) + positive
+        for var in pc.starred:
+            freq[var] = freq.get(var, 0) + 1
+    return freq
+
+
+def _reference_ordering(padded, freq):
+    """Descending frequency, then the first conjunction whose sequence holds
+    the variable (len(padded) if none does), then the id."""
+    first_idx = {}
+    for idx, pc in enumerate(padded):
+        for var in {var for var, positive in pc.present if positive} | pc.starred:
+            first_idx.setdefault(var, idx)
+    return sorted(freq, key=lambda v: (-freq[v], first_idx.get(v, len(padded)), v.id))
+
+
+def test_frequencies_closed_form_matches_counting():
+    # every formula with n0, m0 <= 3, then the fuzz baseline's 300 formulas
+    rng = random.Random(1)
+    stream = [random_formula(rng, FuzzParams(max_n0=5, max_m0=4)) for _ in range(300)]
+    for f in [*all_formulas(3, 3), *stream]:
+        padded = _padded(f)
+        freq = sequence_frequencies(padded)
+        assert freq == _reference_frequencies(padded), f
+        assert [v.id for v in freq] == sorted(v.id for v in freq)
+        assert list(frequency_ordering(padded).variables) == _reference_ordering(padded, freq), f
+        n = len(padded)
+        assert all(freq[v] == n - 1 for v in freq if v.name.startswith("y")), f
+
+
+def test_build_sequences_names_the_lowest_uncovered_variable(running, ce1):
+    d = cnf_to_dnf(running)
+    padded = pad_missing(d)
+    full = frequency_ordering(padded)
+    assert full.display() == "v3>v1>v2>y1>y2"
+    for dropped, named in (({"v3", "v1"}, "v1"), ({"y2", "v2"}, "v2"), ({"y1"}, "y1")):
+        partial = GlobalOrdering(tuple(v for v in full.variables if v.name not in dropped))
+        with pytest.raises(IncompleteExplicitOrderError, match=f"does not cover {named}$"):
+            build_sequences(padded, partial)
+    # v1 is negated in every conjunction of CE1, so no sequence needs it
+    padded = _padded(ce1)
+    full = explicit_ordering(cnf_to_dnf(ce1), ["y1", "y2", "v1"])
+    partial = GlobalOrdering(full.variables[:2])
+    assert build_sequences(padded, partial) == build_sequences(padded, full)
