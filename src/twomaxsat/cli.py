@@ -171,6 +171,13 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _int(raw: str) -> int:
+    digits = raw.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
 def _non_negative_int(raw: str) -> int:
     if not (raw.isascii() and raw.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", parents=[cap_opts],
                        help="differential-test random formulas against the oracle")
-    p.add_argument("--seed", type=int, default=_env("SEED", "0"))
+    p.add_argument("--seed", type=_int, default=_env("SEED", "0"))
     p.add_argument("--iters", type=_non_negative_int, default=_env("ITERS", "100"))
     p.add_argument("--max-n0", type=_positive_int, default=4)
     p.add_argument("--max-m0", type=_positive_int, default=3)

@@ -4,13 +4,14 @@ The CNF->DNF conversion splits every clause (l1 v l2) into the pair of
 conjunctions (l1 ^ y_i) and (l2 ^ ~y_i) over a fresh auxiliary variable y_i,
 so a DNF built from n0 clauses over m0 variables has n = 2*n0 conjunctions
 over m = m0 + n0 variables.  Conjunctions are tagged with letters a, b, c, ...
-in emission order.  Padding then marks every variable absent from a
-conjunction as a "starred" (tautological) item.
+in emission order.  Padding then gives every conjunction the shared variable
+table, where each variable the conjunction lacks is "starred" (tautological).
 """
 
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,6 +22,8 @@ from .errors import (
     PartialAssignmentError,
     UnknownVariableError,
 )
+
+_DIMACS_INT = re.compile(r"-?[0-9]+")  # ASCII only: no '+', '_' or other scripts' digits
 
 
 @dataclass(frozen=True)
@@ -114,15 +117,19 @@ class DnfFormula:
 
 @dataclass(frozen=True)
 class PaddedConjunction:
-    """A conjunction plus the starred (missing, tautological) variables."""
+    """A conjunction padded with the DNF's variable table (shared, not copied)."""
 
     base: DnfConjunction
-    present: frozenset[tuple[Variable, bool]]
-    starred: frozenset[Variable]
+    variables: tuple[Variable, ...]
 
     @property
     def label(self) -> str:
         return self.base.label
+
+    @property
+    def starred(self) -> frozenset[Variable]:  # the table minus the own variables
+        own = {lit.variable.id for lit in self.base.literals}
+        return frozenset(v for v in self.variables if v.id not in own)
 
 
 @dataclass(frozen=True)
@@ -190,19 +197,18 @@ def parse_cnf(text: str | bytes) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise MalformedHeaderError(f"line {lineno}: expected 'p cnf <m0> <n0>'")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError as exc:
-                raise MalformedHeaderError(f"line {lineno}: non-integer header field") from exc
+            if not all(_DIMACS_INT.fullmatch(field) for field in parts[2:]):
+                raise MalformedHeaderError(f"line {lineno}: non-integer header field")
+            header = (int(parts[2]), int(parts[3]))
             if header[0] < 0 or header[1] < 0:
                 raise MalformedHeaderError(f"line {lineno}: negative header field")
             continue
         if header is None:
             raise MalformedHeaderError(f"line {lineno}: clause before header")
-        try:
-            ints = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise ClauseArityError(f"line {lineno}: non-integer token") from exc
+        tokens = line.split()
+        if not all(_DIMACS_INT.fullmatch(tok) for tok in tokens):
+            raise ClauseArityError(f"line {lineno}: non-integer token")
+        ints = [int(tok) for tok in tokens]
         if not ints or ints[-1] != 0:
             raise ClauseArityError(f"line {lineno}: clause not terminated by 0")
         lits = ints[:-1]
@@ -253,14 +259,8 @@ def cnf_to_dnf(f: CnfFormula) -> DnfFormula:
 
 
 def pad_missing(d: DnfFormula) -> list[PaddedConjunction]:
-    """Step 2: list each conjunction's own literals and star every other variable."""
-    padded = []
-    for conj in d.conjunctions:
-        own = {lit.variable for lit in conj.literals}
-        present = frozenset((lit.variable, lit.positive) for lit in conj.literals)
-        starred = frozenset(v for v in d.variables if v not in own)
-        padded.append(PaddedConjunction(conj, present, starred))
-    return padded
+    """Step 2: pad each conjunction with the table, which stars every variable it lacks."""
+    return [PaddedConjunction(conj, d.variables) for conj in d.conjunctions]
 
 
 def eval_cnf(f: CnfFormula, a: Assignment) -> int:

@@ -1,7 +1,7 @@
 """Sorted variable sequences under a global ordering (conversion steps 3-4).
 
 Each padded conjunction becomes one sequence: its positive literals stay as
-plain items, every starred variable becomes a starred item, and negated
+plain items, every table variable it lacks becomes a starred item, and negated
 literals are dropped entirely.  Interior items follow a single global
 ordering fixed for the whole pipeline run, then get the '#' / '$'
 sentinels.  Tie-breaking inside the frequency ordering is the lever all the
@@ -23,7 +23,7 @@ from .errors import (
     IncompleteExplicitOrderError,
     UnknownVariableNameError,
 )
-from .formula import DnfFormula, PaddedConjunction, Variable
+from .formula import DnfFormula, Literal, PaddedConjunction, Variable
 
 
 class ItemTag(enum.Enum):
@@ -96,14 +96,13 @@ def sequence_frequencies(padded: Sequence[PaddedConjunction]) -> dict[Variable, 
     v1 first for the all-positive counterexample and last for the mixed one.
     Padding stars every variable a conjunction does not mention, so the count
     is n minus the conjunctions that negate the variable; every y_i counts
-    n - 1.  Keys come in variable-id order.
+    n - 1.  Keys come in the order of the shared table, which is id order.
     """
     if not padded:
         return {}
-    first = padded[0]  # padding gives every conjunction the whole variable table
-    table = sorted([var for var, _ in first.present] + [*first.starred], key=lambda v: v.id)
-    negated = Counter(var for pc in padded for var, positive in pc.present if not positive)
-    return {var: len(padded) - negated[var] for var in table}
+    own = [lit for pc in padded for lit in pc.base.literals]
+    negated = Counter(lit.variable.id for lit in own if not lit.positive)
+    return {var: len(padded) - negated[var.id] for var in padded[0].variables}
 
 
 def frequency_ordering(padded: Sequence[PaddedConjunction]) -> GlobalOrdering:
@@ -118,7 +117,7 @@ def frequency_ordering(padded: Sequence[PaddedConjunction]) -> GlobalOrdering:
     freq = sequence_frequencies(padded)
 
     def key(v: Variable):
-        kept = (i for i, pc in enumerate(padded) if (v, False) not in pc.present)
+        kept = (i for i, pc in enumerate(padded) if Literal(v, False) not in pc.base.literals)
         return (-freq[v], next(kept, len(padded)), v.id)
 
     return GlobalOrdering(tuple(sorted(freq, key=key)))
@@ -176,20 +175,20 @@ def build_sequences(
 ) -> list[VarSequence]:
     """Steps 3-4: one walk of the ordering per conjunction, then the sentinels.
 
-    A positive own literal gives a plain item, a starred variable a starred
-    item, and a negated own literal nothing, so the items come out sorted.
+    Each variable is looked up by id in the own literals: a missing one gives a
+    starred item, a positive one a plain item and a negated one nothing.
     """
-    covered = set(ordering.variables)
+    covered = {var.id for var in ordering.variables}
     for var, count in sequence_frequencies(padded).items():  # id order: name the lowest
-        if count and var not in covered:
+        if count and var.id not in covered:
             raise IncompleteExplicitOrderError(f"ordering does not cover {var.name}")
     sequences = []
     for pc in padded:
-        own = dict(pc.present)
+        own = {lit.variable.id: lit.positive for lit in pc.base.literals}
         items = [
-            SeqItem(ItemTag.STARRED if var in pc.starred else ItemTag.VAR, var)
+            SeqItem(ItemTag.VAR if positive else ItemTag.STARRED, var)
             for var in ordering.variables
-            if var in pc.starred or own.get(var)
+            if (positive := own.get(var.id)) is not False
         ]
         sequences.append(VarSequence(pc.label, (START_ITEM, *items, END_ITEM)))
     return sequences

@@ -372,6 +372,9 @@ def test_fuzz_algorithms_flag(capsys, raw, algorithms):
         ["--algorithms", "1,1"],
         ["--algorithms", ""],
         ["--algorithms", "1,"],
+        ["--seed", "1_0"],  # int() would read 10
+        ["--seed=+7"],
+        ["--seed", "\uff17"],  # fullwidth 7
     ],
 )
 def test_fuzz_rejects_bad_input_exit_2(capsys, bad):
@@ -379,6 +382,11 @@ def test_fuzz_rejects_bad_input_exit_2(capsys, bad):
         main(["fuzz", "--iters", "1", *bad])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_fuzz_accepts_negative_seed(capsys):
+    code, payload = _run(capsys, ["fuzz", "--seed", "-3", "--iters", "0"])
+    assert code == 0 and payload["seed"] == -3
 
 
 def test_fuzz_shrink_flag(capsys, tmp_path):
@@ -463,6 +471,7 @@ def test_ce3_pipeline_value(capsys, tmp_path):
         ("ALGORITHM", "2", ["export", "{ce1}"]),
         ("ITERS", "-3", ["fuzz"]),
         ("VAR_CAP", "-1", ["oracle", "{ce1}"]),
+        ("SEED", "1_0", ["fuzz", "--iters", "0"]),  # int() would read 10
     ],
 )
 def test_bad_env_value_fails_its_subcommand_exit_2(

@@ -27,6 +27,7 @@ from twomaxsat.formula import (
     render_cnf,
     satisfied_dnf_labels,
 )
+from tests.conftest import all_formulas
 
 
 def test_parse_running_style_three_clause():
@@ -63,6 +64,9 @@ def test_parse_ignores_comments_and_blank_lines():
         ("p cnf 2 1\n1 2\n", ClauseArityError),
         ("p cnf 2 1\n1 3 0\n", UnknownVariableError),
         ("p cnf 2 0\n", EmptyFormulaError),
+        ("p cnf 1_0 1\n1 0\n", MalformedHeaderError),  # int() would read 10
+        ("p cnf 1 1\n+1 0\n", ClauseArityError),
+        ("p cnf 1 1\n\u0661 0\n", ClauseArityError),  # Arabic-Indic digit one
     ],
 )
 def test_parse_errors(text, err):
@@ -121,7 +125,10 @@ def test_pad_missing_running(running):
     d = cnf_to_dnf(running)
     padded = pad_missing(d)
     a = padded[0]
-    assert {(v.name, pol) for v, pol in a.present} == {("v1", True), ("y1", True)}
+    assert {(lit.variable.name, lit.positive) for lit in a.base.literals} == {
+        ("v1", True),
+        ("y1", True),
+    }
     assert {v.name for v in a.starred} == {"v2", "v3", "y2"}
 
 
@@ -135,17 +142,23 @@ def test_pad_missing_nothing_missing():
 def test_pad_missing_ce1_conjunction_b(ce1):
     padded = pad_missing(cnf_to_dnf(ce1))
     b = padded[1]
-    assert {(v.name, pol) for v, pol in b.present} == {("v1", False), ("y1", False)}
+    assert {(lit.variable.name, lit.positive) for lit in b.base.literals} == {
+        ("v1", False),
+        ("y1", False),
+    }
     assert {v.name for v in b.starred} == {"y2"}
 
 
 def test_pad_covers_table_exactly_once(ce1, running):
-    for f in (ce1, running):
+    # every conjunction shares the DNF's table; its own variables and the
+    # starred ones partition it
+    for f in (ce1, running, *all_formulas(2, 2)):
         d = cnf_to_dnf(f)
         for pc in pad_missing(d):
-            present_vars = {v for v, _ in pc.present}
-            assert present_vars | pc.starred == set(d.variables)
-            assert not present_vars & pc.starred
+            assert pc.variables is d.variables
+            own_vars = {lit.variable for lit in pc.base.literals}
+            assert own_vars | pc.starred == set(d.variables)
+            assert not own_vars & pc.starred
 
 
 def test_eval_cnf_ce1(ce1):
@@ -196,8 +209,6 @@ def _assignments(count):
 
 def test_pairing_soundness_exhaustive_small():
     # at most one conjunction of each origin pair holds, for every assignment
-    from tests.conftest import all_formulas
-
     for f in all_formulas(2, 2):
         d = cnf_to_dnf(f)
         for a in _assignments(d.m):

@@ -126,9 +126,9 @@ def test_parse_ordering():
 def test_dropped_literal_accounting(ce3):
     padded, ordering = _recorded(ce3, "y2>y1>v1")
     for pc, seq in zip(padded, build_sequences(padded, ordering)):
-        positive = {v.name for v, pol in pc.present if pol}
+        positive = {lit.variable.name for lit in pc.base.literals if lit.positive}
         starred = {v.name for v in pc.starred}
-        negated = {v.name for v, pol in pc.present if not pol}
+        negated = {lit.variable.name for lit in pc.base.literals if not lit.positive}
         interior_names = {item.variable.name for item in seq.interior}
         assert interior_names == positive | starred
         assert not interior_names & (negated - positive - starred)
@@ -179,8 +179,8 @@ def _reference_frequencies(padded):
     """Plain and starred items counted one by one, as step 3 emits them."""
     freq = {}
     for pc in padded:
-        for var, positive in pc.present:
-            freq[var] = freq.get(var, 0) + positive
+        for lit in pc.base.literals:
+            freq[lit.variable] = freq.get(lit.variable, 0) + lit.positive
         for var in pc.starred:
             freq[var] = freq.get(var, 0) + 1
     return freq
@@ -191,7 +191,7 @@ def _reference_ordering(padded, freq):
     the variable (len(padded) if none does), then the id."""
     first_idx = {}
     for idx, pc in enumerate(padded):
-        for var in {var for var, positive in pc.present if positive} | pc.starred:
+        for var in {lit.variable for lit in pc.base.literals if lit.positive} | pc.starred:
             first_idx.setdefault(var, idx)
     return sorted(freq, key=lambda v: (-freq[v], first_idx.get(v, len(padded)), v.id))
 
