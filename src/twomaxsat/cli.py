@@ -2,8 +2,8 @@
 
 Subcommands: oracle, pipeline, repro, fuzz, audit, export.
 Exit codes: 0 success / expectations met; 1 semantic negative (decision false,
-expectation failed, bound violated); 2 input error; 3 resource cap exceeded
-or out of memory.
+expectation failed, bound violated); 2 input error; 3 resource cap exceeded,
+out of memory, or a fuzz worker process killed.
 Config precedence: flags > environment (MAXSAT_ prefix) > defaults.  An
 environment value is parsed like the flag it stands for, and only by the
 subcommand that has that flag, so a bad value fails that subcommand alone,
@@ -295,6 +295,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CAP
     except MemoryError:
         print("resource cap: out of memory", file=sys.stderr)
+        return EXIT_CAP
+    except RuntimeError as exc:
+        # a fuzz worker killed by a signal or by the kernel; imported here,
+        # as in harness.fuzz, so that other subcommands do not pay for it
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"resource cap: a fuzz worker process died: {exc}", file=sys.stderr)
         return EXIT_CAP
     except TwoMaxSatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,10 @@ from .errors import (
 )
 
 _DIMACS_INT = re.compile(r"-?[0-9]+")  # ASCII only: no '+', '_' or other scripts' digits
+# bytes.split()'s whitespace; str.split() would also split on Unicode spaces,
+# which the ASCII decode of the same input as bytes rejects
+_SPACE = " \t\n\r\x0b\x0c"
+_FIELD_SEP = re.compile(f"[{_SPACE}]+")
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,9 @@ class Variable:
 
     id: int
     name: str
+
+    def __hash__(self) -> int:  # equal variables have equal ids
+        return self.id
 
     def __repr__(self) -> str:
         return f"Variable({self.name})"
@@ -188,13 +195,13 @@ def parse_cnf(text: str | bytes) -> CnfFormula:
     header: tuple[int, int] | None = None
     raw_clauses: list[list[int]] = []
     for lineno, line in enumerate(io.StringIO(text), start=1):
-        line = line.strip()
+        line = line.strip(_SPACE)
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if header is not None:
                 raise MalformedHeaderError(f"line {lineno}: duplicate header")
-            parts = line.split()
+            parts = _FIELD_SEP.split(line)
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise MalformedHeaderError(f"line {lineno}: expected 'p cnf <m0> <n0>'")
             if not all(_DIMACS_INT.fullmatch(field) for field in parts[2:]):
@@ -205,7 +212,7 @@ def parse_cnf(text: str | bytes) -> CnfFormula:
             continue
         if header is None:
             raise MalformedHeaderError(f"line {lineno}: clause before header")
-        tokens = line.split()
+        tokens = _FIELD_SEP.split(line)
         if not all(_DIMACS_INT.fullmatch(tok) for tok in tokens):
             raise ClauseArityError(f"line {lineno}: non-integer token")
         ints = [int(tok) for tok in tokens]

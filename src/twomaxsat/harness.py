@@ -7,13 +7,19 @@ reproducing.  The fuzzer streams seeded random 2-CNF formulas (duplicated-
 literal clauses drawn with elevated probability, since every known
 counterexample relies on them), enumerates tie-consistent orderings for each,
 and records each pipeline-vs-oracle disagreement together with a skip-over
-diagnosis built from the attributed span-edge view.
+diagnosis built from the attributed span-edge view.  Formulas are checked
+independently, so ``fuzz`` draws them all first and checks them in forked
+worker processes, one per usable CPU; the mismatches come back in formula
+order, so the output does not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
@@ -32,6 +38,7 @@ from .sequences import frequency_ordering, sequence_frequencies, tie_consistent
 
 FAMILY_CAP = 12
 DUPLICATE_LITERAL_BIAS = 0.4  # chance a fuzz clause repeats its first literal
+CHUNKS_PER_WORKER = 10  # fuzz hands each worker about this many chunks of formulas
 
 
 @dataclass(frozen=True)
@@ -364,23 +371,68 @@ def check_one(
 def fuzz(seed: int, iterations: int, params: FuzzParams = FuzzParams()) -> list[Mismatch]:
     """Deterministic differential stream; identical seed implies identical output.
 
-    The oracle runs once per formula and the front end once per ordering;
-    only the search runs once per algorithm.
+    The formulas are drawn from ``Random(seed)`` first, then checked one by
+    one (see ``_fuzz_formula``) in worker processes, and their mismatches
+    are concatenated in formula order.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     rng = random.Random(seed)
-    mismatches: list[Mismatch] = []
-    for _ in range(iterations):
-        f = random_formula(rng, params)
-        truth = oracle_max_sat(f, params.variable_cap).max_count
-        for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
-            front = front_end(f, list(ordering))
-            for algorithm in params.algorithms:
-                found = _check(front, algorithm, truth)
-                if found is not None:
-                    mismatches.append(found)
+    formulas = [random_formula(rng, params) for _ in range(iterations)]
+    return [m for mismatches in _map_formulas(params, formulas) for m in mismatches]
+
+
+def _fuzz_formula(params: FuzzParams, f: CnfFormula) -> list[Mismatch]:
+    """One formula's mismatches: the oracle runs once, the front end once per
+    ordering, and only the search once per algorithm."""
+    truth = oracle_max_sat(f, params.variable_cap).max_count
+    mismatches = []
+    for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
+        front = front_end(f, list(ordering))
+        for algorithm in params.algorithms:
+            found = _check(front, algorithm, truth)
+            if found is not None:
+                mismatches.append(found)
     return mismatches
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_formulas(params: FuzzParams, formulas: list[CnfFormula]) -> list[list[Mismatch]]:
+    """``_fuzz_formula`` over `formulas`, in order: on a pool of one forked
+    worker per usable CPU (never more than formulas), or in this process when
+    only one CPU is usable, there are fewer than two formulas, ``fork`` is
+    missing, or this module is no longer the one imported under its name.
+
+    Fork, not spawn: workers inherit the imported package (and any function a
+    caller patched) instead of importing it again.  The map still sends
+    ``_fuzz_formula`` by module and name, which pickle refuses once a later
+    import of the package (or a patch) has bound that name to another
+    function.  The process machinery is imported here, so a caller that
+    never fuzzes does not pay for it.  A worker's exception re-raises here
+    with its own type; the map's iterator then cancels the chunks not yet
+    started, and leaving the ``with`` block joins every worker, on return
+    and on raise alike.
+    """
+    check = functools.partial(_fuzz_formula, params)
+    workers = min(_usable_cpus(), len(formulas))
+    sendable = getattr(sys.modules.get(__name__), "_fuzz_formula", None) is _fuzz_formula
+    if workers > 1 and sendable:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # several chunks per worker even out formulas of unequal cost
+            chunksize = -(-len(formulas) // (workers * CHUNKS_PER_WORKER))
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(check, formulas, chunksize=chunksize))
+    return list(map(check, formulas))
 
 
 def _rename(ordering: Sequence[str], prefix: str, k: int) -> list[str]:

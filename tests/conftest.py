@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import random
 
 import pytest
 
+from twomaxsat import harness
 from twomaxsat.formula import CnfFormula, formula_from_ints, parse_cnf
 from twomaxsat.harness import (
     CE1_DIMACS,
@@ -80,3 +82,8 @@ def seed1_formula(n0: int, m0: int = 8) -> CnfFormula:
         b = a if rng.random() < 0.3 else rng.randint(1, m0) * rng.choice((1, -1))
         clauses.append([a, b])
     return formula_from_ints(clauses, m0)
+
+
+def fuzz_forks() -> bool:
+    """Whether ``fuzz`` of two or more formulas checks them in forked workers."""
+    return harness._usable_cpus() > 1 and "fork" in multiprocessing.get_all_start_methods()

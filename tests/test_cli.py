@@ -6,13 +6,17 @@ import argparse
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
 import pytest
 
+from tests.conftest import fuzz_forks
 from twomaxsat import cli
 from twomaxsat.cli import build_parser, main
+from twomaxsat.errors import TooManyVariablesError
 from twomaxsat.export import STAGES, export_stage
 from twomaxsat.formula import parse_cnf
 from twomaxsat.harness import (
@@ -89,6 +93,10 @@ def test_oracle_parse_error_exit_2(capsys, tmp_path):
     undecodable = tmp_path / "undecodable.cnf"
     undecodable.write_bytes(b"\xff\xfe")
     assert main(["oracle", str(undecodable)]) == 2
+    # UTF-8 text whose tokens a Unicode space separates or ends
+    for space in ("1\u20030", "1 0\u3000"):
+        bad.write_text(f"p cnf 1 1\n{space}\n", encoding="utf-8")
+        assert main(["oracle", str(bad)]) == 2
 
 
 def test_oracle_cap_exit_3(capsys, running_file):
@@ -318,6 +326,30 @@ def test_failed_fuzz_campaign_writes_no_report(capsys, tmp_path):
         assert captured.out == "" and captured.err.startswith("resource cap: ")
     assert old.read_text() == '{"old": 1}'
     assert not new.exists()
+
+
+def test_fuzz_worker_cap_error_exits_3(capsys, monkeypatch):
+    # with workers, only they call the oracle, so the error crosses the pool
+    def refuse(f, cap):
+        raise TooManyVariablesError("refused by the oracle")
+
+    monkeypatch.setattr(cli.harness, "oracle_max_sat", refuse)
+    assert main(["fuzz", "--iters", "4"]) == cli.EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "resource cap: refused by the oracle\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not fuzz_forks(), reason="fuzz runs in-process: os._exit would end pytest")
+def test_fuzz_killed_worker_exits_3(capsys, monkeypatch):
+    # as when a signal or the kernel's out-of-memory killer ends a worker
+    monkeypatch.setattr(cli.harness, "oracle_max_sat", lambda f, cap: os._exit(9))
+    assert main(["fuzz", "--iters", "4"]) == cli.EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap: a fuzz worker process died: ")
+    assert captured.err.count("\n") == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_fuzz_report_deterministic(capsys, tmp_path):

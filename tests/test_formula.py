@@ -67,11 +67,23 @@ def test_parse_ignores_comments_and_blank_lines():
         ("p cnf 1_0 1\n1 0\n", MalformedHeaderError),  # int() would read 10
         ("p cnf 1 1\n+1 0\n", ClauseArityError),
         ("p cnf 1 1\n\u0661 0\n", ClauseArityError),  # Arabic-Indic digit one
+        ("p cnf 1\u20031\n1 0\n", MalformedHeaderError),  # em space
+        ("p cnf 1 1\n1 0\u3000\n", ClauseArityError),  # ideographic space
     ],
 )
 def test_parse_errors(text, err):
     with pytest.raises(err):
         parse_cnf(text)
+
+
+@pytest.mark.parametrize("text", ["p cnf 1 1\n1\u20030\n", "p cnf 1 1\n1 0\u3000\n"])
+def test_parse_rejects_unicode_space_as_text_and_bytes(text):
+    # only ASCII whitespace separates or ends tokens, so text and bytes agree
+    with pytest.raises(ClauseArityError, match="non-integer token"):
+        parse_cnf(text)
+    with pytest.raises(UnicodeDecodeError):
+        parse_cnf(text.encode())
+    assert parse_cnf(text.replace("\u2003", " ").replace("\u3000", "\t")).n0 == 1
 
 
 def test_cnf_to_dnf_running(running):

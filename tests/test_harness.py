@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
 import random
+import sys
+import types
 
 import pytest
 
-from twomaxsat.errors import ExpectationFailedError
+from tests.conftest import fuzz_forks
+from twomaxsat import harness
+from twomaxsat.errors import ExpectationFailedError, TooManyVariablesError
 from twomaxsat.formula import cnf_to_dnf, formula_from_ints, pad_missing, parse_cnf, render_cnf
 from twomaxsat.harness import (
     CE1_DIMACS,
@@ -162,6 +168,54 @@ def test_fuzz_equals_check_one_per_item():
                     expected.append(found)
     assert expected
     assert fuzz(11, 40, params) == expected
+
+
+@pytest.fixture
+def oracle_pids(monkeypatch):
+    """The process id of each oracle call made in this process; a worker's
+    calls append to the worker's copy of the list and are lost."""
+    pids = []
+    real_oracle = harness.oracle_max_sat
+
+    def oracle(f, cap):
+        pids.append(os.getpid())
+        return real_oracle(f, cap)
+
+    monkeypatch.setattr(harness, "oracle_max_sat", oracle)
+    return pids
+
+
+def test_fuzz_pool_and_in_process_agree(monkeypatch, oracle_pids):
+    params = FuzzParams(max_n0=5, max_m0=4)
+    pooled = fuzz(13, 60, params)
+    assert oracle_pids == ([] if fuzz_forks() else [os.getpid()] * 60)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    in_process = fuzz(13, 60, params)
+    assert oracle_pids[-60:] == [os.getpid()] * 60
+    assert len(pooled) > 100
+    assert pooled == in_process
+
+
+def test_fuzz_in_process_once_its_module_is_imported_again(monkeypatch, oracle_pids):
+    # workers would look _fuzz_formula up in the newer module: a pickling error
+    expected = fuzz(13, 20)
+    oracle_pids.clear()
+    monkeypatch.setitem(sys.modules, harness.__name__, types.ModuleType(harness.__name__))
+    assert fuzz(13, 20) == expected
+    assert oracle_pids == [os.getpid()] * 20
+
+
+def test_fuzz_leaves_no_worker_running(monkeypatch):
+    assert fuzz(3, 20)
+    assert multiprocessing.active_children() == []
+
+    def refuse(f, cap):
+        raise TooManyVariablesError(f"refused in process {os.getpid()}")
+
+    monkeypatch.setattr(harness, "oracle_max_sat", refuse)
+    with pytest.raises(TooManyVariablesError, match="refused in process"):
+        fuzz(3, 20)
+    assert multiprocessing.active_children() == []
 
 
 def test_fuzz_zero_iterations_empty():
