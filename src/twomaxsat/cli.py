@@ -142,13 +142,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     mismatches = harness.fuzz(args.seed, args.iters, params)
     if args.shrink:
         mismatches = [harness.shrink(m, params.variable_cap) for m in mismatches]
-    payload = {
-        "seed": args.seed,
-        "iterations": args.iters,
-        "mismatches": [m.to_dict() for m in mismatches],
-        "mismatch_count": len(mismatches),
-    }
-    text = ex.dumps(payload)
+    text = harness.report_text(args.seed, args.iters, mismatches)
     if args.report:
         Path(args.report).write_text(text)
     sys.stdout.write(text)

@@ -5,18 +5,35 @@ same-rank rows, dashed boxes around groups, and the witness subgraph shaded
 with bold edges.  All iteration is over sorted or
 creation-ordered collections so exports are byte-stable.
 
-The graph exports write the bytes ``json.dumps(indent=2)`` would, from
-``%`` templates instead of a dict payload and the pure-Python indented
-encoder: ``trie_json_text`` and ``trielike_json_text`` straight from the
-trie and the owner map (no span edge objects), and ``layered_json_text``
-from one replay of the memo, since the layered graph can hold millions of
-instances.  The answer export goes through ``json.dumps``.  The layered DOT
-export is written from one replay too: per-layer rows of instances, then the
-group clusters and the edges, each straight from the popped expansions.
+The graph exports write the text ``json.dumps(indent=2)`` would, from
+``bytes`` ``%`` templates instead of a dict payload and the pure-Python
+indented encoder: ``trie_json_text`` and ``trielike_json_text`` straight
+from the trie and the owner map (no span edge objects), and
+``layered_json_text`` from one replay of the memo, since the layered graph
+can hold millions of instances.  ``bytes`` ``%`` finds its next field with
+``memchr`` where ``str`` ``%`` scans character by character, and a ``%s``
+filled with ready bytes is cheaper still: the layered writer formats every
+instance id, group id and layer once per call into a table of decimal bytes
+(it covers ``max(vertex_count, group_count)``, since Algorithm 3's
+merge-sibling groups can outnumber the instances) and fills its templates
+from it.  Each writer joins its pieces and decodes them once as ASCII; the
+layered one grows one ``bytearray`` per section and lets them go before the
+decode, so its peak stays near twice the text.  The answer export goes
+through ``json.dumps``.
+
+Every export is ASCII, which the decode relies on: trie node names are
+``n<k>``, formula variables are ``v<k>``/``y<k>``, conjunction labels are
+``a``-``z`` strings, and every string in a JSON export passes through
+``encode_basestring_ascii``, which escapes anything else.
+
+The layered DOT export is written from one replay too: per-layer rows of
+instances, then the group clusters and the edges, each straight from the
+popped expansions.  The DOT writers build ``str`` lines as before.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -131,150 +148,72 @@ def layered_dot(lg: LayeredGraph, witness: RootedSubgraph | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _literal(text: str) -> str:
-    """`text` as a JSON string, with ``%`` doubled for use in a ``%`` template."""
-    return encode_basestring_ascii(text).replace("%", "%%")
+def json_string(text: str) -> bytes:
+    """`text` as JSON string bytes, escaped to ASCII as ``json.dumps`` does."""
+    return encode_basestring_ascii(text).encode()
 
 
-def _array(items: Iterable[str], depth: int) -> str:
+def _literal(text: str) -> bytes:
+    """`text` as JSON string bytes, with ``%`` doubled for use in a ``%`` template."""
+    return json_string(text).replace(b"%", b"%%")
+
+
+def json_array(items: Iterable[bytes], depth: int) -> bytes:
     """A JSON array of already encoded items, nested as ``json.dumps(indent=2)`` does."""
-    inner = "\n" + "  " * (depth + 1)
-    body = ("," + inner).join(items)
-    return f"[{inner}{body}\n{'  ' * depth}]" if body else "[]"
-
-
-# One record of each kind, as json.dumps(indent=2) writes it inside a
-# top-level list, after its ",\n" separator.  Ids and layers are given as
-# their text or as a "%d" field; strings are given raw and pass through
-# _literal, except the trie node's pre-encoded lines.
-
-def _instance(iid: str, node: str, layer: str) -> str:
-    return f',\n    {{\n      "id": {iid},\n{node}      "layer": {layer}\n    }}'
-
-
-def _edge(child: str, parent: str, kind: str) -> str:
-    return (
-        f',\n    {{\n      "child": {child},\n      "parent": {parent},\n'
-        f'      "kind": {_literal(kind)}\n    }}'
-    )
-
-
-def _group(
-    gid: str, label: str, members: Iterable[str], layer: str, child: str, pushed: bool, origin: str
-) -> str:
-    return (
-        f',\n    {{\n      "id": {gid},\n      "label": {_literal(label)},\n'
-        f'      "members": {_array(members, 3)},\n      "layer": {layer},\n'
-        f'      "child_group": {child},\n      "pushed": {"true" if pushed else "false"},\n'
-        f'      "origin": {_literal(origin)}\n    }}'
-    )
-
-
-def _merge_event(
-    layer: str, node: int, instance: str, generators: tuple[int, ...], case: str, reason: str,
-    anchors: tuple[int, ...],
-) -> str:
-    # a memo merge always degenerates and never reaches the reachable subsets
-    return (
-        f',\n    {{\n      "layer": {layer},\n      "trie_node": {node},\n'
-        f'      "instance": {instance},\n      "generators": {_array(map(str, generators), 3)},\n'
-        f'      "case": {_literal(case)},\n      "degenerate": true,\n'
-        f'      "reason": {_literal(reason)},\n      "anchors": {_array(map(str, anchors), 3)},\n'
-        f'      "subset_sizes": [],\n      "boundary": null\n    }}'
-    )
-
-
-_Template = tuple[str, Callable[[tuple[int, ...]], Any] | None]
-
-
-def _pop_templates(exp: Expansion, width: int, nodes: list[str]) -> list[_Template]:
-    """What one pop of `exp` writes: its layer's ids, instances, edges, groups
-    and merge events, as ``%`` templates with the getters of their fields.
-
-    A pop's arguments are its group id, the created layer, the `width` member
-    ids, the created ids and the created group ids.  A section the pop adds
-    nothing to has the template "" and no getter.
-    """
-    parent, layer = 0, 1  # positions in a pop's arguments, as are the ranges
-    ids = range(2 + width, 2 + width + len(exp.created))
-    edges = exp.edges
-    group_ids = range(ids.stop, ids.stop + len(exp.groups))
-    parts = [
-        (",\n      ".join(["%d"] * len(ids)), list(ids)),
-        (
-            "".join(_instance("%d", nodes[nid], "%d") for nid in exp.created),
-            [k for iid in ids for k in (iid, layer)],
-        ),
-        (
-            "".join(_edge("%d", "%d", kind) for _, _, kind in edges),
-            [k for pos, c, _ in edges for k in (2 + pos, ids[c])],
-        ),
-        (
-            "".join(
-                _group("%d", label, ["%d"] * len(cs), "%d", "%d", pushed, origin)
-                for label, cs, pushed, origin in exp.groups
-            ),
-            [
-                k
-                for gid, (_, cs, _, _) in zip(group_ids, exp.groups)
-                for k in (gid, *map(ids.__getitem__, cs), layer, parent)
-            ],
-        ),
-        (
-            "".join(
-                _merge_event("%d", exp.created[c], "%d", generators, case, reason, anchors)
-                for c, generators, case, reason, anchors in exp.merges
-            ),
-            [k for c, *_ in exp.merges for k in (layer, ids[c])],
-        ),
-    ]
-    return [(text, itemgetter(*fields) if fields else None) for text, fields in parts]
+    inner = b"\n" + b"  " * (depth + 1)
+    body = (b"," + inner).join(items)
+    return b"[%s%s\n%s]" % (inner, body, b"  " * depth) if body else b"[]"
 
 
 def _json_list(
-    name: str, records: list[str], last: bool = False, brackets: str = "[]"
-) -> list[str]:
-    """Pieces of one top-level list (or object, with ``brackets="{}"``) whose
-    records each start with ``",\n"``."""
-    end = "\n}\n" if last else ",\n"
-    start, stop = brackets
+    name: bytes, records: list[bytes] | list[bytearray], last: bool = False, brackets: bytes = b"[]"
+) -> list[bytes | memoryview]:
+    """Pieces of one top-level list (or object, with ``brackets=b"{}"``) whose
+    records each start with ``",\n"``; the records are bytes or bytearrays."""
+    end = b"\n}\n" if last else b",\n"
     if not records:
-        return [f'  "{name}": {brackets}{end}']
-    return [f'  "{name}": {start}\n', records[0][2:], *records[1:], f"\n  {stop}{end}"]
+        return [b'  "%s": %s%s' % (name, brackets, end)]
+    start, stop = brackets[:1], brackets[1:]
+    return [
+        b'  "%s": %s\n' % (name, start),
+        memoryview(records[0])[2:],  # a view: a section can be most of the export
+        *records[1:],
+        b"\n  %s%s" % (stop, end),
+    ]
 
 
 # The trie and trie-like records, as json.dumps(indent=2) writes them in a
 # top-level list, after their ",\n" separator; strings come pre-encoded.
 _TRIE_NODE = (
-    ',\n    {\n      "id": %d,\n      "name": %s,\n      "label": %s,\n'
-    '      "parent": %s,\n      "conjunctions": %s\n    }'
+    b',\n    {\n      "id": %d,\n      "name": %s,\n      "label": %s,\n'
+    b'      "parent": %s,\n      "conjunctions": %s\n    }'
 )
-_TREE_EDGE = ',\n    {\n      "child": %d,\n      "parent": %d\n    }'
-_SPAN_EDGE = ',\n    {\n      "child": %d,\n      "parent": %d,\n      "labels": %s\n    }'
+_TREE_EDGE = b',\n    {\n      "child": %d,\n      "parent": %d\n    }'
+_SPAN_EDGE = b',\n    {\n      "child": %d,\n      "parent": %d,\n      "labels": %s\n    }'
 
 
-def _trie_sections(trie: Trie, last: bool) -> list[str]:
+def _trie_sections(trie: Trie, last: bool) -> list[bytes]:
     nodes = [
         _TRIE_NODE
         % (
             node.id,
-            encode_basestring_ascii(node.name),
-            encode_basestring_ascii(node.label_text),
-            "null" if node.parent is None else node.parent,
-            _array(map(encode_basestring_ascii, sorted(node.conjunction_labels)), 3),
+            json_string(node.name),
+            json_string(node.label_text),
+            b"null" if node.parent is None else b"%d" % node.parent,
+            json_array(map(json_string, sorted(node.conjunction_labels)), 3),
         )
         for node in trie.nodes
     ]
     tree_edges = [
         _TREE_EDGE % (child, node.id) for node in trie.nodes for child in node.children
     ]
-    return [*_json_list("nodes", nodes), *_json_list("tree_edges", tree_edges, last)]
+    return [*_json_list(b"nodes", nodes), *_json_list(b"tree_edges", tree_edges, last)]
 
 
 def trie_json_text(trie: Trie) -> str:
     """The trie's JSON export: its nodes and tree edges, as ``json.dumps(indent=2)``
     writes them (``tests/layered_reference.py::reference_trie_json``)."""
-    return "".join(["{\n", *_trie_sections(trie, last=True)])
+    return b"".join([b"{\n", *_trie_sections(trie, last=True)]).decode("ascii")
 
 
 def trielike_json_text(g: TrieLikeGraph) -> str:
@@ -282,21 +221,171 @@ def trielike_json_text(g: TrieLikeGraph) -> str:
     edges by (child, parent) with their sorted owners and the node map by
     conjunction label, written from the owner map without building span edges."""
     span_edges = [
-        _SPAN_EDGE % (child, parent, _array(map(encode_basestring_ascii, sorted(labels)), 3))
+        _SPAN_EDGE % (child, parent, json_array(map(json_string, sorted(labels)), 3))
         for (child, parent), labels in sorted(g.owners.items())
     ]
     node_map = [
-        f",\n    {encode_basestring_ascii(label)}: {_array(map(str, path), 2)}"
+        b",\n    %s: %s" % (json_string(label), json_array((b"%d" % k for k in path), 2))
         for label, path in sorted(g.node_map.items())
     ]
-    return "".join(
-        [
-            "{\n",
-            *_trie_sections(g.trie, last=False),
-            *_json_list("span_edges", span_edges),
-            *_json_list("node_map", node_map, last=True, brackets="{}"),
-        ]
+    pieces = [
+        b"{\n",
+        *_trie_sections(g.trie, last=False),
+        *_json_list(b"span_edges", span_edges),
+        *_json_list(b"node_map", node_map, last=True, brackets=b"{}"),
+    ]
+    return b"".join(pieces).decode("ascii")
+
+
+# The layered records, as json.dumps(indent=2) writes them inside a top-level
+# list, after their ",\n" separator, with a "%s" per id, layer and group
+# field; a trie node's own fields are written in, with their "%" doubled.
+_INSTANCE = (
+    b',\n    {\n      "id": %%s,\n      "trie_node": %d,\n      "name": %s,\n'
+    b'      "label": %s,\n      "layer": %%s\n    }'
+)
+_EDGE = b',\n    {\n      "child": %%s,\n      "parent": %%s,\n      "kind": %s\n    }'
+_GROUP = (
+    b',\n    {\n      "id": %%s,\n      "label": %s,\n      "members": %s,\n'
+    b'      "layer": %%s,\n      "child_group": %%s,\n      "pushed": %s,\n'
+    b'      "origin": %s\n    }'
+)
+# a memo merge always degenerates and never reaches the reachable subsets
+_MERGE_EVENT = (
+    b',\n    {\n      "layer": %%s,\n      "trie_node": %d,\n      "instance": %%s,\n'
+    b'      "generators": %s,\n      "case": %s,\n      "degenerate": true,\n'
+    b'      "reason": %s,\n      "anchors": %s,\n      "subset_sizes": [],\n'
+    b'      "boundary": null\n    }'
+)
+
+
+def _group(label: str, size: int, pushed: bool, origin: str) -> bytes:
+    """One group record's template: its id, `size` members, layer and child group."""
+    members = json_array([b"%s"] * size, 3)
+    flag = b"true" if pushed else b"false"
+    return _GROUP % (_literal(label), members, flag, _literal(origin))
+
+
+def _merge_event(
+    node: int, generators: tuple[int, ...], case: str, reason: str, anchors: tuple[int, ...]
+) -> bytes:
+    """One merge event's template: its layer and instance."""
+    return _MERGE_EVENT % (
+        node,
+        json_array((b"%d" % k for k in generators), 3),
+        _literal(case),
+        _literal(reason),
+        json_array((b"%d" % k for k in anchors), 3),
     )
+
+
+_Template = tuple[bytearray, bytes, Callable[[tuple[bytes, ...]], tuple[bytes, ...]]]
+
+
+def _pop_templates(
+    exp: Expansion,
+    width: int,
+    sections: tuple[bytearray, ...],
+    instance: list[bytes],
+    runs: list[bytes],
+    group: Callable[[str, int, bool, str], bytes],
+) -> list[_Template]:
+    """What one pop of `exp` writes: its instances, edges, groups and merge
+    events, as ``%`` templates with their section and the getter of their fields.
+
+    A pop's arguments are the id bytes of its group, of the created layer, of
+    the `width` members, of the created instances and of the created groups.
+    A section the pop adds nothing to is left out.
+    """
+    parent, layer, start = 0, 1, 2 + width  # positions in a pop's arguments
+    created, groups, merges = exp.created, exp.groups, exp.merges
+    ids = range(start, start + len(created))
+    at = dict(zip(created, ids))  # a created trie node's position
+    parent_ids = exp.graph.parent_ids  # the rows the edge runs were joined from
+    parts = [
+        (
+            b"".join(map(instance.__getitem__, created)),
+            [k for iid in ids for k in (iid, layer)],
+        ),
+        (
+            b"".join(map(runs.__getitem__, exp.key)),
+            [
+                k
+                for pos, nid in enumerate(exp.key, 2)
+                for p in parent_ids[nid]
+                for k in (pos, at[p])
+            ],
+        ),
+        (
+            b"".join(group(label, len(cs), pushed, origin) for label, cs, pushed, origin in groups),
+            [
+                k
+                for gid, (_, cs, _, _) in enumerate(groups, ids.stop)
+                for k in (gid, *[start + c for c in cs], layer, parent)
+            ],
+        ),
+        (
+            b"".join(_merge_event(created[c], *merge) for c, *merge in merges),
+            [k for c, *_ in merges for k in (layer, start + c)],
+        ),
+    ]
+    return [
+        (section, text, itemgetter(*fields))
+        for section, (text, fields) in zip(sections, parts)
+        if text
+    ]
+
+
+def _layered_pieces(lg: LayeredGraph) -> list[bytes | memoryview]:
+    """The layered JSON export's pieces, in order; see ``layered_json_text``."""
+    g = lg.source
+    num = [b"%d" % k for k in range(max(lg.vertex_count, lg.group_count) + 1)]
+    instance = [b""] + [  # indexed by trie node id, which starts at 1
+        _INSTANCE % (node.id, _literal(node.name), _literal(node.label_text))
+        for node in g.trie.nodes
+    ]
+    edge = {kind: _EDGE % _literal(kind) for kind in ("main", "span")}
+    runs = [b"".join(edge[kind] for _, kind in g.parent_edges(nid)) for nid in range(len(instance))]
+    group = functools.cache(_group)
+    leaf_ids = num[1 : len(lg.leaves) + 1]
+    layers = [leaf_ids]
+    sections = instances, edges, groups, merges = (
+        bytearray(b"".join(instance[nid] % (iid, b"1") for iid, nid in zip(leaf_ids, lg.leaves))),
+        bytearray(),
+        bytearray(group("$", len(leaf_ids), True, "leaves") % (b"1", *leaf_ids, b"1", b"null")),
+        bytearray(),
+    )
+    templates: dict[Expansion, list[_Template]] = {}
+    for exp, members, group_id, layer, ids, group_ids in replay(lg):
+        if not exp.created:  # nothing to write, and no layer to open
+            continue
+        found = templates.get(exp)
+        if found is None:
+            found = templates[exp] = _pop_templates(
+                exp, len(members), sections, instance, runs, group
+            )
+        created = num[ids.start : ids.stop]
+        if len(layers) == layer:
+            layers.append([])
+        layers[layer] += created
+        args = (
+            num[group_id],
+            num[layer + 1],
+            *map(num.__getitem__, members),
+            *created,
+            *num[group_ids.start : group_ids.stop],
+        )
+        for section, text, fields in found:
+            section += text % fields(args)
+    rows = [b",\n    " + json_array(row, 2) for row in layers]
+    return [
+        b'{\n  "mode": %s,\n' % json_string(lg.mode),
+        *_json_list(b"layers", rows),
+        *_json_list(b"instances", [instances]),
+        *_json_list(b"edges", [edges] if edges else []),
+        *_json_list(b"groups", [groups]),
+        *_json_list(b"merge_events", [merges] if merges else [], last=True),
+    ]
 
 
 def layered_json_text(lg: LayeredGraph) -> str:
@@ -307,46 +396,11 @@ def layered_json_text(lg: LayeredGraph) -> str:
     ``edges``, ``groups`` and ``merge_events`` (built from the unfolded graph
     in ``tests/layered_reference.py``).  One replay of the memo fills every
     section; each memo entry's records become ``%`` templates on its first
-    pop, and each trie node's name and label are encoded once.
+    pop, joined from per-call tables of instance records by trie node, edge
+    runs by parent row and group records by shape, and every pop fills them
+    with ids formatted once.  The pieces are freed before the decode.
     """
-    nodes = [""] + [  # indexed by trie node id, which starts at 1
-        f'      "trie_node": {node.id},\n      "name": {_literal(node.name)},\n'
-        f'      "label": {_literal(node.label_text)},\n'
-        for node in lg.source.trie.nodes
-    ]
-    leaf_ids = [str(iid) for iid in range(1, len(lg.leaves) + 1)]
-    layers = [leaf_ids]
-    # "% ()" undoubles the %s of the literals
-    instances = [
-        "".join(_instance(iid, nodes[nid], "1") for iid, nid in zip(leaf_ids, lg.leaves)) % ()
-    ]
-    edges: list[str] = []
-    groups = [_group("1", "$", leaf_ids, "1", "null", True, "leaves") % ()]
-    merges: list[str] = []
-    templates: dict[Expansion, list[_Template]] = {}
-    for exp, members, group_id, layer, ids, group_ids in replay(lg):
-        if not exp.created:  # nothing to write, and no layer to open
-            continue
-        found = templates.get(exp)
-        if found is None:
-            found = templates[exp] = _pop_templates(exp, len(members), nodes)
-        if len(layers) == layer:
-            layers.append([])
-        args = (group_id, layer + 1, *members, *ids, *group_ids)
-        for out, (text, fields) in zip((layers[layer], instances, edges, groups, merges), found):
-            if text:
-                out.append(text % fields(args))
-    rows = [",\n    " + _array(row, 2) for row in layers]
-    return "".join(
-        [
-            f'{{\n  "mode": {encode_basestring_ascii(lg.mode)},\n',
-            *_json_list("layers", rows),
-            *_json_list("instances", instances),
-            *_json_list("edges", edges),
-            *_json_list("groups", groups),
-            *_json_list("merge_events", merges, last=True),
-        ]
-    )
+    return b"".join(_layered_pieces(lg)).decode("ascii")
 
 
 def answer_json(run: PipelineRun) -> dict[str, Any]:

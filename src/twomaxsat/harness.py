@@ -10,7 +10,9 @@ and records each pipeline-vs-oracle disagreement together with a skip-over
 diagnosis built from the attributed span-edge view.  Formulas are checked
 independently, so ``fuzz`` draws them all first and checks them in forked
 worker processes, one per usable CPU; the mismatches come back in formula
-order, so the output does not depend on the worker count.
+order, so the output does not depend on the worker count.  ``report_text``
+writes the fuzz report from ``bytes`` templates, byte for byte what
+``json.dumps(indent=2)`` writes for the mismatches' ``to_dict`` payloads.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from .errors import ExpectationFailedError, TwoMaxSatError
+from .export import json_array, json_string
 from .formula import (
     CnfFormula,
     cnf_to_dnf,
@@ -88,6 +91,55 @@ class Mismatch:
                 for d in self.diagnosis
             ],
         }
+
+
+# A mismatch and one of its skip-over edges, as json.dumps(indent=2) writes
+# them inside the report's "mismatches" list; strings and lists come encoded.
+_MISMATCH = (
+    b'{\n      "dimacs": %s,\n      "ordering": %s,\n      "algorithm": %d,\n'
+    b'      "pipeline_answer": %d,\n      "oracle_answer": %d,\n'
+    b'      "witness_labels": %s,\n      "diagnosis": %s\n    }'
+)
+_SKIP_OVER = (
+    b'{\n          "span_edge": %s,\n          "owners": %s,\n'
+    b'          "violating": %s\n        }'
+)
+_REPORT = b'{\n  "seed": %d,\n  "iterations": %d,\n  "mismatches": %s,\n  "mismatch_count": %d\n}\n'
+
+
+def _strings(items: Sequence[str], depth: int) -> bytes:
+    return json_array(map(json_string, items), depth)
+
+
+def report_text(seed: int, iterations: int, mismatches: Sequence[Mismatch]) -> str:
+    """The fuzz report: the text ``json.dumps(payload, indent=2) + "\n"`` writes
+    for ``seed``, ``iterations``, each mismatch's ``to_dict`` and their count,
+    filled into ``%`` templates instead of going through the indented encoder."""
+    records = [
+        _MISMATCH
+        % (
+            json_string(m.dimacs),
+            _strings(m.ordering, 3),
+            m.algorithm,
+            m.pipeline_answer,
+            m.oracle_answer,
+            _strings(m.witness_labels, 3),
+            json_array(
+                [
+                    _SKIP_OVER
+                    % (
+                        json_array((b"%d" % d.child_node, b"%d" % d.parent_node), 5),
+                        _strings(d.owners, 5),
+                        _strings(d.violating, 5),
+                    )
+                    for d in m.diagnosis
+                ],
+                3,
+            ),
+        )
+        for m in mismatches
+    ]
+    return (_REPORT % (seed, iterations, json_array(records, 1), len(records))).decode("ascii")
 
 
 @dataclass

@@ -54,7 +54,8 @@ Algorithm 1's created parents are the ordered union of the members'
 list in one pass over the same rows, and the edge count is the sum of the
 rows' lengths.  ``Expansion.edges`` derives the (member, parent, kind)
 triples from the key and the graph's ``parent_edges`` on each read, for
-the exports; findSubset ORs its masks along the rows and rebuilds its
+the DOT export; the JSON export writes one edge run per row and fills it
+from the rows; findSubset ORs its masks along the rows and rebuilds its
 witness from them, so a search derives no edge list.  The
 search is a depth-first stack, so every pushed group's subtree
 takes one contiguous block of instance ids and group ids -- its created

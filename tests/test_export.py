@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import tracemalloc
 
 import pytest
 
-from tests.conftest import criterion7_stream
+from tests.conftest import criterion7_stream, seed1_formula
 from tests.layered_reference import (
     fuzz_fronts,
     reference_layered_dot,
@@ -30,7 +32,7 @@ from twomaxsat.export import (
 )
 from twomaxsat.export import STAGES
 from twomaxsat.formula import formula_from_ints, parse_cnf
-from twomaxsat.harness import builtin_counterexamples
+from twomaxsat.harness import builtin_counterexamples, check_one, fuzz, report_text
 from twomaxsat.pipeline import front_end, run_pipeline, search
 
 
@@ -214,3 +216,52 @@ def test_layered_json_bytes_match_reference():
                 grid += 1
                 merged += run.layered.merge_event_count > 0
     assert grid == 311 and merged == 136
+
+
+def test_layered_json_with_more_groups_than_instances():
+    # Algorithm 3's merge-sibling groups can outnumber the instances, and
+    # the writer's id table covers the group ids too
+    front = front_end(formula_from_ints([[3, -1], [3, -4]], 4), "v2>v3>v1>y1>v4>y2")
+    run = search(front, 3)
+    assert run.layered.group_count == 57 and run.layered.vertex_count == 56
+    _assert_layered_exports_match_reference(run.layered, run.answer.witness, "more groups")
+
+
+def _builtin_runs():
+    for spec in builtin_counterexamples():
+        f = parse_cnf(spec.dimacs)
+        for algorithm in spec.algorithms:
+            yield f, algorithm, run_pipeline(f, ordering=spec.ordering, algorithm=algorithm)
+
+
+def test_exports_and_fuzz_reports_are_ascii():
+    # the JSON writers decode their bytes as ASCII, and the files are written as text
+    runs = (run for _, _, run in _builtin_runs())
+    for run in itertools.chain(runs, (search(*item) for item in fuzz_fronts(42, 100))):
+        for stage in STAGES:
+            for fmt in ("dot", "json"):
+                assert export_stage(run, stage, fmt).isascii(), (stage, fmt)
+    found = [
+        check_one(f, run.ordering.display().split(">"), algorithm)
+        for f, algorithm, run in _builtin_runs()
+    ]
+    mismatches = [m for m in found if m is not None]
+    assert mismatches
+    assert report_text(0, len(found), mismatches).isascii()
+    assert report_text(42, 100, fuzz(42, 100)).isascii()
+
+
+@pytest.mark.parametrize("n0", [8, 9])
+def test_layered_json_peak_memory(n0):
+    # the sections are freed before the joined bytes are decoded: a writer
+    # that held them through the decode would peak near 3x the text
+    lg = run_pipeline(seed1_formula(n0)).layered
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        size = len(layered_json_text(lg))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert size > 9_000_000
+    assert peak <= 2.5 * size, peak / size

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import multiprocessing
 import os
 import random
@@ -26,6 +27,7 @@ from twomaxsat.harness import (
     family_ordering,
     fuzz,
     random_formula,
+    report_text,
     run_counterexample,
     shrink,
     tie_consistent_orderings,
@@ -346,6 +348,40 @@ def test_shrunk_mismatches_keep_legal_orderings():
         padded = pad_missing(cnf_to_dnf(parse_cnf(small.dimacs)))
         assert tie_consistent(padded, small.ordering), small
         assert small.pipeline_answer != small.oracle_answer
+
+
+def _dumped_report(seed: int, iterations: int, mismatches) -> str:
+    """The fuzz report as the indented encoder writes it from the mismatches' dicts."""
+    payload = {
+        "seed": seed,
+        "iterations": iterations,
+        "mismatches": [m.to_dict() for m in mismatches],
+        "mismatch_count": len(mismatches),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_report_text_matches_json_dumps():
+    # the template writer against json.dumps over seeds 0-5 under three
+    # parameter sets, shrunk mismatches and an empty campaign
+    empty_diagnosis = shared_owners = 0
+    for params in (
+        FuzzParams(),
+        FuzzParams(max_n0=5, max_m0=4),
+        FuzzParams(max_n0=3, max_m0=2, orderings_per_formula=2, algorithms=(3,)),
+    ):
+        for seed in range(6):
+            mismatches = fuzz(seed, 20, params)
+            text = report_text(seed, 20, mismatches)
+            assert text == _dumped_report(seed, 20, mismatches), (seed, params)
+            assert text.isascii()
+            empty_diagnosis += sum(not m.diagnosis for m in mismatches)
+            shared_owners += sum(len(d.owners) > 1 for m in mismatches for d in m.diagnosis)
+    assert empty_diagnosis and shared_owners
+    shrunk = [shrink(m) for m in fuzz(42, 10)]
+    assert shrunk
+    assert report_text(42, 10, shrunk) == _dumped_report(42, 10, shrunk)
+    assert report_text(-7, 0, []) == _dumped_report(-7, 0, [])
 
 
 def test_audit_running(running):
