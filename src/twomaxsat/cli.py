@@ -48,25 +48,13 @@ def _emit(payload: dict) -> None:
 def cmd_oracle(args: argparse.Namespace) -> int:
     f = _read_formula(args.formula)
     result = oracle_max_sat(f, args.var_cap)
-    if args.k is not None:
-        ok = result.max_count >= args.k
-        _emit(
-            {
-                "k": args.k,
-                "satisfiable_at_k": ok,
-                "max_count": result.max_count,
-                "witness": result.witness.named(f.variables),
-            }
-        )
-        return EXIT_OK if ok else EXIT_NEGATIVE
-    _emit(
-        {
-            "max_count": result.max_count,
-            "witness": result.witness.named(f.variables),
-            "assignments_tried": result.assignments_tried,
-        }
-    )
-    return EXIT_OK
+    answer = {"max_count": result.max_count, "witness": result.witness.named(f.variables)}
+    if args.k is None:
+        _emit({**answer, "assignments_tried": result.assignments_tried})
+        return EXIT_OK
+    ok = result.max_count >= args.k
+    _emit({"k": args.k, "satisfiable_at_k": ok, **answer})
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _out_dir(path: str | Path) -> Path:
@@ -165,23 +153,17 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _int(raw: str) -> int:
-    digits = raw.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
-    return int(raw)
+def _integer(what: str, least: float):
+    """A parser for a plain ASCII decimal integer of at least `least`, signed only
+    when `least` is negative (int() alone takes "1_0", "+7" and other digits)."""
 
+    def parse(raw: str) -> int:
+        digits = raw.removeprefix("-") if least < 0 else raw
+        if not (digits.isascii() and digits.isdigit()) or int(raw) < least:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {raw!r}")
+        return int(raw)
 
-def _non_negative_int(raw: str) -> int:
-    if not (raw.isascii() and raw.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
-    return int(raw)
-
-
-def _positive_int(raw: str) -> int:
-    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
-    return int(raw)
+    return parse
 
 
 def _algorithm(raw: str) -> int:
@@ -206,6 +188,9 @@ def _comma_list(what: str, choices: tuple[str, ...], convert=str):
 
 
 # built once: a parser built per call would sit in argparse's reference cycles
+_int = _integer("an integer", float("-inf"))
+_non_negative_int = _integer("a non-negative integer", 0)
+_positive_int = _integer("a positive integer", 1)
 _algorithm_list = _comma_list("1 and 3", ("1", "3"), int)
 _stage_list = _comma_list(f"stages from {', '.join(ex.STAGES)}", ex.STAGES)
 
@@ -249,15 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export", default=None, help="directory for stage exports")
     p.set_defaults(func=cmd_repro)
 
+    defaults = harness.FuzzParams()
     p = sub.add_parser("fuzz", parents=[cap_opts],
                        help="differential-test random formulas against the oracle")
     p.add_argument("--seed", type=_int, default=_env("SEED", "0"))
     p.add_argument("--iters", type=_non_negative_int, default=_env("ITERS", "100"))
-    p.add_argument("--max-n0", type=_positive_int, default=4)
-    p.add_argument("--max-m0", type=_positive_int, default=3)
-    p.add_argument("--orderings", type=_positive_int, default=6)
-    p.add_argument("--algorithms", type=_algorithm_list, default=(1, 3),
-                   help="comma-separated, each 1 or 3 (default 1,3)")
+    p.add_argument("--max-n0", type=_positive_int, default=defaults.max_n0)
+    p.add_argument("--max-m0", type=_positive_int, default=defaults.max_m0)
+    p.add_argument("--orderings", type=_positive_int, default=defaults.orderings_per_formula)
+    p.add_argument("--algorithms", type=_algorithm_list, default=defaults.algorithms,
+                   help="comma-separated, each 1 or 3 (default "
+                   + ",".join(map(str, defaults.algorithms)) + ")")
     p.add_argument("--shrink", action="store_true", help="minimize each mismatch")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_fuzz)

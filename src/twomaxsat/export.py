@@ -28,7 +28,8 @@ Every export is ASCII, which the decode relies on: trie node names are
 
 The layered DOT export is written from one replay too: per-layer rows of
 instances, then the group clusters and the edges, each straight from the
-popped expansions.  The DOT writers build ``str`` lines as before.
+popped expansions.  The DOT writers build ``str`` lines as before.  Neither
+layered writer checks for a pop that creates nothing: ``replay`` skips those.
 """
 
 from __future__ import annotations
@@ -126,8 +127,6 @@ def layered_dot(lg: LayeredGraph, witness: RootedSubgraph | None = None) -> str:
     edges: list[str] = []
     derived: dict[Expansion, tuple[tuple[int, int, str], ...]] = {}  # for this call only
     for exp, members, _, layer, ids, group_ids in replay(lg):
-        if not exp.created:  # nothing to write, and no layer to open
-            continue
         if len(layers) == layer:
             layers.append([])
         layers[layer].extend(map(instance, ids, exp.created))
@@ -284,7 +283,6 @@ _Template = tuple[bytearray, bytes, Callable[[tuple[bytes, ...]], tuple[bytes, .
 
 def _pop_templates(
     exp: Expansion,
-    width: int,
     sections: tuple[bytearray, ...],
     instance: list[bytes],
     runs: list[bytes],
@@ -294,10 +292,10 @@ def _pop_templates(
     events, as ``%`` templates with their section and the getter of their fields.
 
     A pop's arguments are the id bytes of its group, of the created layer, of
-    the `width` members, of the created instances and of the created groups.
-    A section the pop adds nothing to is left out.
+    its members (one per key node), of the created instances and of the
+    created groups.  A section the pop adds nothing to is left out.
     """
-    parent, layer, start = 0, 1, 2 + width  # positions in a pop's arguments
+    parent, layer, start = 0, 1, 2 + len(exp.key)  # positions in a pop's arguments
     created, groups, merges = exp.created, exp.groups, exp.merges
     ids = range(start, start + len(created))
     at = dict(zip(created, ids))  # a created trie node's position
@@ -357,13 +355,9 @@ def _layered_pieces(lg: LayeredGraph) -> list[bytes | memoryview]:
     )
     templates: dict[Expansion, list[_Template]] = {}
     for exp, members, group_id, layer, ids, group_ids in replay(lg):
-        if not exp.created:  # nothing to write, and no layer to open
-            continue
         found = templates.get(exp)
         if found is None:
-            found = templates[exp] = _pop_templates(
-                exp, len(members), sections, instance, runs, group
-            )
+            found = templates[exp] = _pop_templates(exp, sections, instance, runs, group)
         created = num[ids.start : ids.stop]
         if len(layers) == layer:
             layers.append([])

@@ -411,13 +411,13 @@ def _check(front: FrontEnd, algorithm: int, truth: int) -> Mismatch | None:
 
 def check_one(
     f: CnfFormula,
-    ordering: Sequence[str],
+    ordering: str | Sequence[str],
     algorithm: int,
     variable_cap: int = DEFAULT_VARIABLE_CAP,
 ) -> Mismatch | None:
     """Compare one pipeline run against the oracle; None when they agree."""
     truth = oracle_max_sat(f, variable_cap).max_count
-    return _check(front_end(f, list(ordering)), algorithm, truth)
+    return _check(front_end(f, ordering), algorithm, truth)
 
 
 def fuzz(seed: int, iterations: int, params: FuzzParams = FuzzParams()) -> list[Mismatch]:
@@ -440,7 +440,7 @@ def _fuzz_formula(params: FuzzParams, f: CnfFormula) -> list[Mismatch]:
     truth = oracle_max_sat(f, params.variable_cap).max_count
     mismatches = []
     for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
-        front = front_end(f, list(ordering))
+        front = front_end(f, ordering)
         for algorithm in params.algorithms:
             found = _check(front, algorithm, truth)
             if found is not None:
@@ -537,9 +537,7 @@ def shrink(m: Mismatch, variable_cap: int = DEFAULT_VARIABLE_CAP) -> Mismatch:
     """
 
     def replay(clauses: list[list[int]], m0: int, ordering: Sequence[str]) -> Mismatch | None:
-        if not clauses:
-            return None
-        try:
+        try:  # no clauses left raises EmptyFormulaError
             f = formula_from_ints(clauses, m0)
             if not tie_consistent(pad_missing(cnf_to_dnf(f)), ordering):
                 return None

@@ -63,12 +63,13 @@ parents first, then its child subtrees in pop order -- and the subtree
 sizes give every absolute id.
 ``LayeredGraph`` therefore knows its counts without building anything.
 ``replay`` walks the memo in the search's pop order and hands out those ids,
-in exactly the order a materialising search creates them.  Both exports
-write straight from it, and findSubset (a memoised walk, see ``subsets``),
-the skip-over diagnosis, the audits and the fuzzer read the memo alone, so
-no list of every instance, edge or layer is ever built.  ``groups`` and
-``merge_events`` build their records from ``replay`` on each read, for
-callers that want them as objects.  ``root_count`` lists no root.
+in exactly the order a materialising search creates them, skipping the pops
+that create nothing.  Both exports write straight from it, and findSubset (a
+memoised walk, see ``subsets``), the skip-over diagnosis, the audits and the
+fuzzer read the memo alone, so no list of every instance, edge or layer is
+ever built.  ``groups`` and ``merge_events`` build their records from
+``replay`` on each read, for callers that want them as objects.
+``root_count`` lists no root.
 
 Every graph has a leaf, so nothing here handles an empty one: the parser
 rejects a formula with no clauses, each clause gives two conjunctions, and
@@ -379,13 +380,16 @@ def replay(lg: LayeredGraph) -> Iterator[tuple[Expansion, tuple[int, ...], int, 
     starting at the first instance id) and of its created groups (starting
     at the first group id).  Popping numbers the created parents and groups
     next, then pushes the pushed groups, so the yields come in creation
-    order.  The leaves are ids 1..L and the leaves group is group 1.
+    order.  The leaves are ids 1..L and the leaves group is group 1.  A pop that
+    creates nothing (Algorithm 3's merge-sibling trie root) is skipped.
     """
     next_id = len(lg.leaves) + 1
     next_group = 2
     stack = [(lg.top, tuple(range(1, next_id)), 1, 1)]  # expansion, member ids, group id, layer
     while stack:
         exp, members, group_id, layer = stack.pop()
+        if not exp.created:
+            continue
         ids = range(next_id, next_id + len(exp.created))
         group_ids = range(next_group, next_group + len(exp.groups))
         yield exp, members, group_id, layer, ids, group_ids

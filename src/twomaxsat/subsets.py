@@ -27,7 +27,7 @@ with Algorithm 1, ``PipelineAnswer.walk_states`` reads 710, 65, 291, 429,
 2.2x per two clauses.  The witness closure is rebuilt from the parent
 rows of the chain of groups above the winning root, so a search derives no
 edge list at all.
-``per_subgraph`` runs the unmemoised walk over every root on first read.
+``per_subgraph`` runs ``_walk_roots``, the unmemoised walk, over every root.
 """
 
 from __future__ import annotations
@@ -62,8 +62,12 @@ class PipelineAnswer:
 
     @cached_property
     def per_subgraph(self) -> tuple[tuple[int, int], ...]:
-        """(root instance id, count) for every root, listed on first read."""
-        return tuple(_root_counts(self.layered))
+        """(root instance id, count) for every root by ascending id, listed on first
+        read; no leaf is a root: the leaves group is expanded, each leaf has a parent."""
+        lg = self.layered
+        out: list[tuple[int, int]] = []
+        _walk_roots(lg.top, _leaf_masks(lg), len(lg.leaves) + 1, out)
+        return tuple(out)
 
 
 def _subgraph(
@@ -110,17 +114,6 @@ def _created_masks(exp: Expansion, masks: Sequence[int]) -> list[int]:
         for parent in parent_ids[nid]:
             made[parent] |= mask
     return list(made.values())
-
-
-def _root_counts(lg: LayeredGraph) -> list[tuple[int, int]]:
-    """(root id, claimed count) for every parentless instance, by ascending id.
-
-    Leaves are never roots: the leaves group is always expanded and every
-    leaf has a main parent.
-    """
-    out: list[tuple[int, int]] = []
-    _walk_roots(lg.top, _leaf_masks(lg), len(lg.leaves) + 1, out)
-    return out
 
 
 def _walk_roots(exp: Expansion, masks: list[int], first: int, out: list[tuple[int, int]]) -> None:

@@ -466,6 +466,19 @@ def test_out_of_memory_exit_3(capsys, monkeypatch, running_file):
     assert captured.err == "resource cap: out of memory\n"
 
 
+def test_internal_error_is_not_a_cap(capsys, monkeypatch, running_file):
+    # a RuntimeError other than a dead fuzz worker is a bug: it propagates, no exit 3
+    from twomaxsat.errors import InternalError
+
+    def broken(*args, **kwargs):
+        raise InternalError("an invariant failed")
+
+    monkeypatch.setattr(cli.harness, "audit_bounds", broken)
+    with pytest.raises(InternalError, match="invariant"):
+        main(["audit", running_file])
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_ordering_variable_exit_2(capsys, ce1_file):
     assert main(["pipeline", ce1_file, "--ordering", "y1>y2>v9"]) == 2
     captured = capsys.readouterr()

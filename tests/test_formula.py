@@ -69,6 +69,10 @@ def test_parse_ignores_comments_and_blank_lines():
         ("p cnf 1 1\n\u0661 0\n", ClauseArityError),  # Arabic-Indic digit one
         ("p cnf 1\u20031\n1 0\n", MalformedHeaderError),  # em space
         ("p cnf 1 1\n1 0\u3000\n", ClauseArityError),  # ideographic space
+        ("p cnf 1 1\np cnf 1 1\n1 0\n", MalformedHeaderError),  # duplicate header
+        ("p cnf -1 1\n1 0\n", MalformedHeaderError),  # negative header field
+        ("p cnf 2 1\n0 1 0\n", ClauseArityError),  # embedded 0
+        ("c no header\n", MalformedHeaderError),  # missing header
     ],
 )
 def test_parse_errors(text, err):

@@ -300,6 +300,16 @@ def test_diagnosis_names_the_skip_over(ce1):
     assert "c" in edges[(5, 2)].violating
 
 
+def test_check_one_takes_an_ordering_spec():
+    # the spec string is one ordering, as run_pipeline reads it, not a list of characters
+    f = parse_cnf(CE1_DIMACS)
+    found = check_one(f, "y1>y2>v1", 1)
+    assert found is not None
+    assert (found.pipeline_answer, found.oracle_answer) == (3, 2)
+    assert found.ordering == ("y1", "y2", "v1")
+    assert found.to_dict() == check_one(f, ["y1", "y2", "v1"], 1).to_dict()
+
+
 def test_shrink_family_to_ce1_core():
     fam = family(4)
     seed_mismatch = check_one(fam, tuple(family_ordering(4).split(">")), 1)

@@ -245,6 +245,28 @@ def test_ce1_alg3_witness_and_count(ce1):
     assert run.layered.source.trie.node(top[0].trie_node).label_text == "#"
 
 
+def test_replay_skips_the_pops_that_create_nothing():
+    # Algorithm 3 pushes the parentless trie root as a merge-sibling singleton;
+    # popping it creates nothing, so replay yields no pop for it
+    from tests.conftest import seed1_formula
+    from twomaxsat.layered import replay
+    from twomaxsat.pipeline import front_end, search
+
+    front = front_end(seed1_formula(10), "frequency")
+    for algorithm, skipped in ((1, 0), (3, 1_522)):
+        lg = search(front, algorithm).layered
+        pops = [exp for exp, *_ in replay(lg)]
+        assert all(exp.created for exp in pops)
+        assert lg.expanded_group_count - len(pops) == skipped
+
+
+def test_search_rejects_an_unknown_algorithm(ce1):
+    from twomaxsat.pipeline import front_end, search
+
+    with pytest.raises(ValueError, match="must be 1 or 3, got 2"):
+        search(front_end(ce1, "frequency"), 2)
+
+
 def test_alg3_running_same_answer_as_alg1(running):
     one = run_pipeline(running, ordering="lexical", algorithm=1)
     three = run_pipeline(running, ordering="lexical", algorithm=3)
@@ -405,10 +427,10 @@ def test_search_audit_repro_and_fuzz_never_unfold(monkeypatch):
         lg = run.layered
         del run  # two million roots are enough to hold at once
 
-        def refuse_roots(lg):
+        def refuse_roots(*args):
             raise AssertionError("the roots were listed")
 
-        monkeypatch.setattr(subsets, "_root_counts", refuse_roots)
+        monkeypatch.setattr(subsets, "_walk_roots", refuse_roots)
         report = audit_bounds(f)
         assert report.counters["layered_instances"] == lg.vertex_count
         assert report.counters["layered_edges"] == lg.edge_count

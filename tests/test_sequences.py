@@ -77,6 +77,12 @@ def test_explicit_list_unknown_name(ce1):
         explicit_ordering(cnf_to_dnf(ce1), ["y1", "y2", "v9"])
 
 
+def test_explicit_list_repeated_name(ce1):
+    # a name list does not pass through parse_ordering, which also rejects repeats
+    with pytest.raises(DuplicateNameError, match="y1"):
+        explicit_ordering(cnf_to_dnf(ce1), ["y1", "y1", "v1"])
+
+
 def test_single_conjunction_ordering():
     f = parse_cnf("p cnf 1 1\n1 0\n")
     padded = _padded(f)[:1]
@@ -121,6 +127,8 @@ def test_parse_ordering():
     assert parse_ordering("v1") == ["v1"]
     with pytest.raises(DuplicateNameError):
         parse_ordering("y2>y2")
+    with pytest.raises(UnknownVariableNameError, match="empty name"):
+        parse_ordering("y1>>v1")
 
 
 def test_dropped_literal_accounting(ce3):
