@@ -23,6 +23,7 @@ from .errors import FormulaParseError, TooManyVariablesError, TwoMaxSatError
 from .formula import parse_cnf
 from .oracle import DEFAULT_VARIABLE_CAP, oracle_max_sat
 from .pipeline import run_pipeline
+from .report import report_text
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -130,7 +131,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     mismatches = harness.fuzz(args.seed, args.iters, params)
     if args.shrink:
         mismatches = [harness.shrink(m, params.variable_cap) for m in mismatches]
-    text = harness.report_text(args.seed, args.iters, mismatches)
+    text = report_text(args.seed, args.iters, mismatches)
     if args.report:
         Path(args.report).write_text(text)
     sys.stdout.write(text)

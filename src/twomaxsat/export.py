@@ -19,7 +19,8 @@ merge-sibling groups can outnumber the instances) and fills its templates
 from it.  Each writer joins its pieces and decodes them once as ASCII; the
 layered one grows one ``bytearray`` per section and lets them go before the
 decode, so its peak stays near twice the text.  The answer export goes
-through ``json.dumps``.
+through ``json.dumps``.  ``json_string`` and ``json_array`` come from
+``report``, which writes the fuzz report the same way.
 
 Every export is ASCII, which the decode relies on: trie node names are
 ``n<k>``, formula variables are ``v<k>``/``y<k>``, conjunction labels are
@@ -36,12 +37,12 @@ from __future__ import annotations
 
 import functools
 import json
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .layered import Expansion, LayeredGraph, replay
 from .pipeline import PipelineRun
+from .report import json_array, json_string
 from .spans import PGraph, PStarGraph
 from .subsets import RootedSubgraph
 from .trie import Trie, TrieLikeGraph, TrieNode
@@ -147,21 +148,9 @@ def layered_dot(lg: LayeredGraph, witness: RootedSubgraph | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def json_string(text: str) -> bytes:
-    """`text` as JSON string bytes, escaped to ASCII as ``json.dumps`` does."""
-    return encode_basestring_ascii(text).encode()
-
-
 def _literal(text: str) -> bytes:
     """`text` as JSON string bytes, with ``%`` doubled for use in a ``%`` template."""
     return json_string(text).replace(b"%", b"%%")
-
-
-def json_array(items: Iterable[bytes], depth: int) -> bytes:
-    """A JSON array of already encoded items, nested as ``json.dumps(indent=2)`` does."""
-    inner = b"\n" + b"  " * (depth + 1)
-    body = (b"," + inner).join(items)
-    return b"[%s%s\n%s]" % (inner, body, b"  " * depth) if body else b"[]"
 
 
 def _json_list(

@@ -3,16 +3,15 @@ shrinking, and structure-size bound audits.
 
 The builtin specs carry the recorded expectations; ``run_counterexample``
 replays one and raises ExpectationFailedError when the recorded numbers stop
-reproducing.  The fuzzer streams seeded random 2-CNF formulas (duplicated-
-literal clauses drawn with elevated probability, since every known
-counterexample relies on them), enumerates tie-consistent orderings for each,
-and records each pipeline-vs-oracle disagreement together with a skip-over
-diagnosis built from the attributed span-edge view.  Formulas are checked
-independently, so ``fuzz`` draws them all first and checks them in forked
-worker processes, one per usable CPU; the mismatches come back in formula
-order, so the output does not depend on the worker count.  ``report_text``
-writes the fuzz report from ``bytes`` templates, byte for byte what
-``json.dumps(indent=2)`` writes for the mismatches' ``to_dict`` payloads.
+reproducing.  ``check`` compares the pipeline with the oracle on one formula
+under given orderings and algorithms, and builds each ``Mismatch`` (see
+``report``) with a skip-over diagnosis from the attributed span-edge view.
+The fuzzer draws seeded random 2-CNF formulas (duplicated-literal clauses
+drawn with elevated probability, since every known counterexample relies on
+them), then checks each under its tie-consistent orderings in forked worker
+processes, one per usable CPU; the mismatches come back in formula order, so
+the output does not depend on the worker count.  ``shrink`` re-checks ever
+smaller variants of a mismatch.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ import itertools
 import os
 import random
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import ExpectationFailedError, TwoMaxSatError
-from .export import json_array, json_string
 from .formula import (
     CnfFormula,
     cnf_to_dnf,
@@ -36,7 +34,8 @@ from .formula import (
     render_cnf,
 )
 from .oracle import DEFAULT_VARIABLE_CAP, oracle_max_sat
-from .pipeline import FrontEnd, PipelineRun, front_end, run_pipeline, search
+from .pipeline import PipelineRun, front_end, run_pipeline, search
+from .report import Mismatch, SkipOverEdge
 from .sequences import frequency_ordering, sequence_frequencies, tie_consistent
 
 FAMILY_CAP = 12
@@ -52,94 +51,6 @@ class CounterexampleSpec:
     expected_pipeline: int
     expected_oracle: int
     algorithms: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SkipOverEdge:
-    """A span edge the witness used on behalf of conjunctions that do not own it."""
-
-    child_node: int
-    parent_node: int
-    owners: tuple[str, ...]
-    violating: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Mismatch:
-    dimacs: str
-    ordering: tuple[str, ...]
-    algorithm: int
-    pipeline_answer: int
-    oracle_answer: int
-    witness_labels: tuple[str, ...]
-    diagnosis: tuple[SkipOverEdge, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "dimacs": self.dimacs,
-            "ordering": list(self.ordering),
-            "algorithm": self.algorithm,
-            "pipeline_answer": self.pipeline_answer,
-            "oracle_answer": self.oracle_answer,
-            "witness_labels": list(self.witness_labels),
-            "diagnosis": [
-                {
-                    "span_edge": [d.child_node, d.parent_node],
-                    "owners": list(d.owners),
-                    "violating": list(d.violating),
-                }
-                for d in self.diagnosis
-            ],
-        }
-
-
-# A mismatch and one of its skip-over edges, as json.dumps(indent=2) writes
-# them inside the report's "mismatches" list; strings and lists come encoded.
-_MISMATCH = (
-    b'{\n      "dimacs": %s,\n      "ordering": %s,\n      "algorithm": %d,\n'
-    b'      "pipeline_answer": %d,\n      "oracle_answer": %d,\n'
-    b'      "witness_labels": %s,\n      "diagnosis": %s\n    }'
-)
-_SKIP_OVER = (
-    b'{\n          "span_edge": %s,\n          "owners": %s,\n'
-    b'          "violating": %s\n        }'
-)
-_REPORT = b'{\n  "seed": %d,\n  "iterations": %d,\n  "mismatches": %s,\n  "mismatch_count": %d\n}\n'
-
-
-def _strings(items: Sequence[str], depth: int) -> bytes:
-    return json_array(map(json_string, items), depth)
-
-
-def report_text(seed: int, iterations: int, mismatches: Sequence[Mismatch]) -> str:
-    """The fuzz report: the text ``json.dumps(payload, indent=2) + "\n"`` writes
-    for ``seed``, ``iterations``, each mismatch's ``to_dict`` and their count,
-    filled into ``%`` templates instead of going through the indented encoder."""
-    records = [
-        _MISMATCH
-        % (
-            json_string(m.dimacs),
-            _strings(m.ordering, 3),
-            m.algorithm,
-            m.pipeline_answer,
-            m.oracle_answer,
-            _strings(m.witness_labels, 3),
-            json_array(
-                [
-                    _SKIP_OVER
-                    % (
-                        json_array((b"%d" % d.child_node, b"%d" % d.parent_node), 5),
-                        _strings(d.owners, 5),
-                        _strings(d.violating, 5),
-                    )
-                    for d in m.diagnosis
-                ],
-                3,
-            ),
-        )
-        for m in mismatches
-    ]
-    return (_REPORT % (seed, iterations, json_array(records, 1), len(records))).decode("ascii")
 
 
 @dataclass
@@ -170,9 +81,9 @@ class AuditReport:
     n: int
     m: int
     algorithm: int
-    bounds: list[BoundCheck] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    frame_value_n0_6: int = 0
+    bounds: list[BoundCheck]
+    counters: dict[str, int]
+    frame_value_n0_6: int
 
     @property
     def all_pass(self) -> bool:
@@ -390,23 +301,30 @@ def random_formula(rng: random.Random, params: FuzzParams) -> CnfFormula:
     return formula_from_ints(clauses, m0)
 
 
-def _check(front: FrontEnd, algorithm: int, truth: int) -> Mismatch | None:
-    """Search one front end and compare with the oracle's count; None when they agree.
-
-    The only place a Mismatch is built: fuzz, check_one and shrink all end here.
-    """
-    run = search(front, algorithm)
-    if run.answer.max_count == truth:
-        return None
-    return Mismatch(
-        dimacs=render_cnf(front.formula),
-        ordering=tuple(v.name for v in front.ordering.variables),
-        algorithm=algorithm,
-        pipeline_answer=run.answer.max_count,
-        oracle_answer=truth,
-        witness_labels=tuple(sorted(run.answer.witness.leaf_labels)),
-        diagnosis=diagnose_skip_over(run),
-    )
+def check(
+    f: CnfFormula,
+    orderings: Iterable[str | Sequence[str]],
+    algorithms: Sequence[int],
+    variable_cap: int = DEFAULT_VARIABLE_CAP,
+) -> list[Mismatch]:
+    """Every (ordering, algorithm) pair whose claim disagrees with the oracle,
+    in that order: the oracle runs once, the front end once per ordering and
+    the search once per pair.  The only place a Mismatch is built."""
+    truth = oracle_max_sat(f, variable_cap).max_count
+    mismatches = []
+    for ordering in orderings:
+        front = front_end(f, ordering)
+        names = tuple(v.name for v in front.ordering.variables)
+        for algorithm in algorithms:
+            run = search(front, algorithm)
+            claim = run.answer.max_count
+            if claim != truth:
+                witness = tuple(sorted(run.answer.witness.leaf_labels))
+                diagnosis = diagnose_skip_over(run)
+                mismatches.append(
+                    Mismatch(render_cnf(f), names, algorithm, claim, truth, witness, diagnosis)
+                )
+    return mismatches
 
 
 def check_one(
@@ -416,8 +334,8 @@ def check_one(
     variable_cap: int = DEFAULT_VARIABLE_CAP,
 ) -> Mismatch | None:
     """Compare one pipeline run against the oracle; None when they agree."""
-    truth = oracle_max_sat(f, variable_cap).max_count
-    return _check(front_end(f, ordering), algorithm, truth)
+    found = check(f, [ordering], [algorithm], variable_cap)
+    return found[0] if found else None
 
 
 def fuzz(seed: int, iterations: int, params: FuzzParams = FuzzParams()) -> list[Mismatch]:
@@ -435,17 +353,9 @@ def fuzz(seed: int, iterations: int, params: FuzzParams = FuzzParams()) -> list[
 
 
 def _fuzz_formula(params: FuzzParams, f: CnfFormula) -> list[Mismatch]:
-    """One formula's mismatches: the oracle runs once, the front end once per
-    ordering, and only the search once per algorithm."""
-    truth = oracle_max_sat(f, params.variable_cap).max_count
-    mismatches = []
-    for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
-        front = front_end(f, ordering)
-        for algorithm in params.algorithms:
-            found = _check(front, algorithm, truth)
-            if found is not None:
-                mismatches.append(found)
-    return mismatches
+    """One formula's mismatches, under its tie-consistent orderings."""
+    orderings = tie_consistent_orderings(f, params.orderings_per_formula)
+    return check(f, orderings, params.algorithms, params.variable_cap)
 
 
 def _usable_cpus() -> int:
@@ -571,40 +481,28 @@ def audit_bounds(
     """Run the pipeline and measure every stage against the proved bounds."""
     run = run_pipeline(f, ordering=ordering, algorithm=algorithm)
     n, m = run.dnf.n, run.dnf.m
-    report = AuditReport(
-        n0=f.n0,
-        m0=f.m0,
-        n=n,
-        m=m,
-        algorithm=algorithm,
-        frame_value_n0_6=216 * f.n0**6,
-    )
-    max_spans = max(ps.span_count for ps in run.pstars)
-    report.bounds = [
-        BoundCheck(SPAN_BOUND, max_spans, (m + 2) * (m + 1) // 2),
+    layered = run.layered
+    bounds = [
+        BoundCheck(SPAN_BOUND, max(ps.span_count for ps in run.pstars), (m + 2) * (m + 1) // 2),
         BoundCheck(TRIE_VERTEX_BOUND, run.trielike.vertex_count, n * (m + 2) - 1),
         BoundCheck(TRIE_EDGE_BOUND, run.trielike.edge_count, (m + 2) * (m + 1) * n // 2),
-        BoundCheck(
-            LAYERED_VERTEX_BOUND, run.layered.vertex_count, (n * (m + 2) - 1) * (m + 2)
-        ),
-        BoundCheck(
-            LAYERED_EDGE_BOUND, run.layered.edge_count, (m + 2) * (m + 1) ** 2 * n // 2
-        ),
+        BoundCheck(LAYERED_VERTEX_BOUND, layered.vertex_count, (n * (m + 2) - 1) * (m + 2)),
+        BoundCheck(LAYERED_EDGE_BOUND, layered.edge_count, (m + 2) * (m + 1) ** 2 * n // 2),
     ]
-    report.counters = {
-        "conjunctions": run.dnf.n,
+    counters = {
+        "conjunctions": n,
         "sequence_items": sum(len(s.items) for s in run.sequences),
         "base_spans": sum(len(p.spans) for p in run.pgraphs),
         "closed_spans": sum(ps.span_count for ps in run.pstars),
         "trie_vertices": run.trie.vertex_count,
         "trie_edges": run.trie.edge_count,
         "span_edges": run.trielike.span_edge_count,
-        "layered_instances": run.layered.vertex_count,
-        "layered_edges": run.layered.edge_count,
-        "layered_layers": run.layered.layer_count,
-        "groups": run.layered.group_count,
-        "groups_expanded": run.layered.expanded_group_count,
-        "merge_events": run.layered.merge_event_count,
-        "rooted_subgraphs": run.layered.root_count,
+        "layered_instances": layered.vertex_count,
+        "layered_edges": layered.edge_count,
+        "layered_layers": layered.layer_count,
+        "groups": layered.group_count,
+        "groups_expanded": layered.expanded_group_count,
+        "merge_events": layered.merge_event_count,
+        "rooted_subgraphs": layered.root_count,
     }
-    return report
+    return AuditReport(f.n0, f.m0, n, m, algorithm, bounds, counters, 216 * f.n0**6)

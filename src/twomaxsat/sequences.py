@@ -158,15 +158,10 @@ def explicit_ordering(d: DnfFormula, names: Sequence[str]) -> GlobalOrdering:
 
 
 def parse_ordering(spec: str) -> list[str]:
-    """Parse "y1>y2>v1" into a name list; duplicate names are rejected."""
+    """Parse "y1>y2>v1" into a name list; ``explicit_ordering`` rejects repeats."""
     names = [part.strip() for part in spec.split(">")]
     if any(not name for name in names):
         raise UnknownVariableNameError(f"empty name in ordering spec: {spec!r}")
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateNameError(f"duplicate name in ordering spec: {name}")
-        seen.add(name)
     return names
 
 

@@ -60,7 +60,7 @@ from twomaxsat.errors import (
     UnmappedPositionError,
 )
 from twomaxsat.formula import Variable
-from twomaxsat.harness import FuzzParams, SkipOverEdge, random_formula, tie_consistent_orderings
+from twomaxsat.harness import FuzzParams, random_formula, tie_consistent_orderings
 from twomaxsat.harness import diagnose_skip_over as memo_diagnose_skip_over
 from twomaxsat.layered import (
     DuplicateCase,
@@ -73,6 +73,7 @@ from twomaxsat.layered import (
     replay,
 )
 from twomaxsat.pipeline import FrontEnd, front_end, search
+from twomaxsat.report import SkipOverEdge
 from twomaxsat.sequences import ItemTag
 from twomaxsat.spans import PGraph, Span
 from twomaxsat.subsets import RootedSubgraph, _created_masks, _subgraph

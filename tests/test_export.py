@@ -32,8 +32,9 @@ from twomaxsat.export import (
 )
 from twomaxsat.export import STAGES
 from twomaxsat.formula import formula_from_ints, parse_cnf
-from twomaxsat.harness import builtin_counterexamples, check_one, fuzz, report_text
+from twomaxsat.harness import builtin_counterexamples, check_one, fuzz
 from twomaxsat.pipeline import front_end, run_pipeline, search
+from twomaxsat.report import report_text
 
 
 def test_sequence_text(running):

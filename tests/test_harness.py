@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import multiprocessing
@@ -9,6 +10,7 @@ import os
 import random
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -27,13 +29,13 @@ from twomaxsat.harness import (
     family_ordering,
     fuzz,
     random_formula,
-    report_text,
     run_counterexample,
     shrink,
     tie_consistent_orderings,
 )
 from twomaxsat.oracle import oracle_max_sat
 from twomaxsat.pipeline import run_pipeline
+from twomaxsat.report import report_text
 from twomaxsat.sequences import sequence_frequencies, tie_consistent
 
 
@@ -156,20 +158,27 @@ def test_tie_orderings_wide_tie_is_lazy():
     assert tie_consistent_orderings(f, 6) == expected
 
 
-def test_fuzz_equals_check_one_per_item():
-    # the shared front end and the once-per-formula oracle change no mismatch
+def test_fuzz_equals_one_run_per_item():
+    # the shared front end and the once-per-formula oracle change no mismatch:
+    # the reference is a whole run_pipeline call per item, not harness.check
     params = FuzzParams(max_n0=4, max_m0=3, orderings_per_formula=3)
     rng = random.Random(11)
     expected = []
     for _ in range(40):
         f = random_formula(rng, params)
+        truth = oracle_max_sat(f).max_count
         for ordering in tie_consistent_orderings(f, params.orderings_per_formula):
             for algorithm in params.algorithms:
-                found = check_one(f, ordering, algorithm)
-                if found is not None:
-                    expected.append(found)
+                answer = run_pipeline(f, ordering, algorithm).answer
+                if answer.max_count != truth:
+                    labels = tuple(sorted(answer.witness.leaf_labels))
+                    item = (render_cnf(f), ordering, algorithm, answer.max_count, truth, labels)
+                    expected.append(item)
     assert expected
-    assert fuzz(11, 40, params) == expected
+    assert [
+        (m.dimacs, m.ordering, m.algorithm, m.pipeline_answer, m.oracle_answer, m.witness_labels)
+        for m in fuzz(11, 40, params)
+    ] == expected
 
 
 @pytest.fixture
@@ -392,6 +401,20 @@ def test_report_text_matches_json_dumps():
     assert shrunk
     assert report_text(42, 10, shrunk) == _dumped_report(42, 10, shrunk)
     assert report_text(-7, 0, []) == _dumped_report(-7, 0, [])
+
+
+def test_report_module_imports_nothing_from_the_package():
+    # read from the source: importing twomaxsat.report runs the package
+    # __init__, which imports every module
+    source = Path(harness.__file__).with_name("report.py").read_text()
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert "json.encoder" in imported
+    assert not [name for name in imported if name.startswith((".", "twomaxsat"))]
 
 
 def test_audit_running(running):

@@ -78,7 +78,6 @@ def test_explicit_list_unknown_name(ce1):
 
 
 def test_explicit_list_repeated_name(ce1):
-    # a name list does not pass through parse_ordering, which also rejects repeats
     with pytest.raises(DuplicateNameError, match="y1"):
         explicit_ordering(cnf_to_dnf(ce1), ["y1", "y1", "v1"])
 
@@ -122,13 +121,15 @@ def test_everything_removed_sequence():
     assert seqs[1].display() == "#.$"  # (~v1 ^ ~y1) loses every item
 
 
-def test_parse_ordering():
+def test_parse_ordering(ce1):
     assert parse_ordering("y1>y2>v1") == ["y1", "y2", "v1"]
     assert parse_ordering("v1") == ["v1"]
-    with pytest.raises(DuplicateNameError):
-        parse_ordering("y2>y2")
     with pytest.raises(UnknownVariableNameError, match="empty name"):
         parse_ordering("y1>>v1")
+    # a spec's repeated name is rejected where a name list's is, in explicit_ordering
+    d = cnf_to_dnf(ce1)
+    with pytest.raises(DuplicateNameError, match="duplicate name in ordering: y2"):
+        resolve_ordering(d, pad_missing(d), "y2>y2")
 
 
 def test_dropped_literal_accounting(ce3):
