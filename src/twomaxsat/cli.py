@@ -1,6 +1,8 @@
 """Command-line surface.
 
-Subcommands: oracle, pipeline, repro, fuzz, audit, export.
+Subcommands: oracle, pipeline, repro, fuzz, audit, export.  ``pipeline``
+prints the claimed answer alone; ``export`` writes the stage files of one
+run, and ``repro --export`` the graph stages of each builtin replay.
 Exit codes: 0 success / expectations met; 1 semantic negative (decision false,
 expectation failed, bound violated); 2 input error; 3 resource cap exceeded,
 out of memory, or a fuzz worker process killed.
@@ -79,12 +81,8 @@ def _write_exports(run, stages: tuple[str, ...], fmt: str, out: Path) -> list[st
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     f = _read_formula(args.formula)
-    out = _out_dir(args.out) if args.export else None
     run = run_pipeline(f, ordering=args.ordering, algorithm=args.algorithm)
-    payload = ex.answer_json(run)
-    if out is not None:
-        payload["exports"] = _write_exports(run, args.export, args.format, out)
-    _emit(payload)
+    _emit(ex.answer_json(run))
     return EXIT_OK
 
 
@@ -214,9 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     cap_opts.add_argument(
         "--var-cap", type=_non_negative_int, default=_env("VAR_CAP", str(DEFAULT_VARIABLE_CAP))
     )
-    out_opts = argparse.ArgumentParser(add_help=False)
-    out_opts.add_argument("--format", choices=("dot", "json"), default="dot")
-    out_opts.add_argument("--out", default="exports")
 
     p = sub.add_parser("oracle", parents=[cap_opts],
                        help="exact 2-MAXSAT by exhaustive enumeration")
@@ -224,10 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=None, help="decision threshold")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("pipeline", parents=[run_opts, out_opts],
+    p = sub.add_parser("pipeline", parents=[run_opts],
                        help="run conversion steps 1-10 and report the claimed maximum")
-    p.add_argument("--export", type=_stage_list, default=None,
-                   help="comma-separated stages to write")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("repro", help="replay builtin counterexamples")
@@ -254,8 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measure structure sizes against the proved bounds")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("export", parents=[run_opts, out_opts],
+    p = sub.add_parser("export", parents=[run_opts],
                        help="write stage exports for a pipeline run")
+    p.add_argument("--format", choices=("dot", "json"), default="dot")
+    p.add_argument("--out", default="exports")
     p.add_argument("--stages", type=_stage_list, default=",".join(ex.GRAPH_STAGES))
     p.set_defaults(func=cmd_export)
     return parser

@@ -29,7 +29,8 @@ Every export is ASCII, which the decode relies on: trie node names are
 
 The layered DOT export is written from one replay too: per-layer rows of
 instances, then the group clusters and the edges, each straight from the
-popped expansions.  The DOT writers build ``str`` lines as before.  Neither
+popped expansions, with each memo entry's edges read off its ``parent_ids``
+rows once per call.  The DOT writers build ``str`` lines as before.  Neither
 layered writer checks for a pop that creates nothing: ``replay`` skips those.
 """
 
@@ -126,7 +127,7 @@ def layered_dot(lg: LayeredGraph, witness: RootedSubgraph | None = None) -> str:
     layers = [list(map(instance, range(1, len(lg.leaves) + 1), lg.leaves))]
     clusters: list[str] = []
     edges: list[str] = []
-    derived: dict[Expansion, tuple[tuple[int, int, str], ...]] = {}  # for this call only
+    runs: dict[Expansion, list[tuple[int, int]]] = {}  # (member position, created index)
     for exp, members, _, layer, ids, group_ids in replay(lg):
         if len(layers) == layer:
             layers.append([])
@@ -135,9 +136,11 @@ def layered_dot(lg: LayeredGraph, witness: RootedSubgraph | None = None) -> str:
             if len(cs) >= 2:
                 boxed = " ".join(f"i{ids[c]}" for c in cs)
                 clusters.append(f"  subgraph cluster_g{gid} {{ style=dashed; {boxed}; }}")
-        if exp not in derived:
-            derived[exp] = exp.edges
-        for pos, c, _ in derived[exp]:
+        if exp not in runs:
+            at = {nid: c for c, nid in enumerate(exp.created)}
+            rows = exp.graph.parent_ids
+            runs[exp] = [(pos, at[p]) for pos, nid in enumerate(exp.key) for p in rows[nid]]
+        for pos, c in runs[exp]:
             child, parent = members[pos], ids[c]
             bold = " [penwidth=2]" if child in shaded and parent in shaded else ""
             edges.append(f"  i{child} -> i{parent}{bold};")

@@ -5,13 +5,14 @@ The builtin specs carry the recorded expectations; ``run_counterexample``
 replays one and raises ExpectationFailedError when the recorded numbers stop
 reproducing.  ``check`` compares the pipeline with the oracle on one formula
 under given orderings and algorithms, and builds each ``Mismatch`` (see
-``report``) with a skip-over diagnosis from the attributed span-edge view.
+``report``) with a skip-over diagnosis from the attributed span-edge view;
+it is the one checking entry point, for ``fuzz`` and ``shrink`` alike.
 The fuzzer draws seeded random 2-CNF formulas (duplicated-literal clauses
 drawn with elevated probability, since every known counterexample relies on
 them), then checks each under its tie-consistent orderings in forked worker
-processes, one per usable CPU; the mismatches come back in formula order, so
-the output does not depend on the worker count.  ``shrink`` re-checks ever
-smaller variants of a mismatch.
+processes, one per usable CPU (in this process before CPython 3.11); the
+mismatches come back in formula order, so the output does not depend on the
+worker count.  ``shrink`` re-checks ever smaller variants of a mismatch.
 """
 
 from __future__ import annotations
@@ -327,17 +328,6 @@ def check(
     return mismatches
 
 
-def check_one(
-    f: CnfFormula,
-    ordering: str | Sequence[str],
-    algorithm: int,
-    variable_cap: int = DEFAULT_VARIABLE_CAP,
-) -> Mismatch | None:
-    """Compare one pipeline run against the oracle; None when they agree."""
-    found = check(f, [ordering], [algorithm], variable_cap)
-    return found[0] if found else None
-
-
 def fuzz(seed: int, iterations: int, params: FuzzParams = FuzzParams()) -> list[Mismatch]:
     """Deterministic differential stream; identical seed implies identical output.
 
@@ -368,7 +358,10 @@ def _map_formulas(params: FuzzParams, formulas: list[CnfFormula]) -> list[list[M
     """``_fuzz_formula`` over `formulas`, in order: on a pool of one forked
     worker per usable CPU (never more than formulas), or in this process when
     only one CPU is usable, there are fewer than two formulas, ``fork`` is
-    missing, or this module is no longer the one imported under its name.
+    missing, this module is no longer the one imported under its name, or
+    the interpreter is older than CPython 3.11.  Before 3.11 the pool forks
+    its second worker after its manager thread has started, which can
+    deadlock the child (gh-90622); 3.11 forks every worker up front.
 
     Fork, not spawn: workers inherit the imported package (and any function a
     caller patched) instead of importing it again.  The map still sends
@@ -383,7 +376,7 @@ def _map_formulas(params: FuzzParams, formulas: list[CnfFormula]) -> list[list[M
     check = functools.partial(_fuzz_formula, params)
     workers = min(_usable_cpus(), len(formulas))
     sendable = getattr(sys.modules.get(__name__), "_fuzz_formula", None) is _fuzz_formula
-    if workers > 1 and sendable:
+    if workers > 1 and sendable and sys.version_info >= (3, 11):
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
@@ -451,7 +444,8 @@ def shrink(m: Mismatch, variable_cap: int = DEFAULT_VARIABLE_CAP) -> Mismatch:
             f = formula_from_ints(clauses, m0)
             if not tie_consistent(pad_missing(cnf_to_dnf(f)), ordering):
                 return None
-            return check_one(f, ordering, m.algorithm, variable_cap)
+            found = check(f, [ordering], [m.algorithm], variable_cap)
+            return found[0] if found else None
         except (TwoMaxSatError, ValueError):
             return None
 

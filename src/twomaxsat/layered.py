@@ -52,12 +52,11 @@ keeps its key, a reference to the searched ``TrieLikeGraph`` and no edge:
 Algorithm 1's created parents are the ordered union of the members'
 ``parent_ids`` rows, Algorithm 3 fills each created parent's generator
 list in one pass over the same rows, and the edge count is the sum of the
-rows' lengths.  ``Expansion.edges`` derives the (member, parent, kind)
-triples from the key and the graph's ``parent_edges`` on each read, for
-the DOT export; the JSON export writes one edge run per row and fills it
-from the rows; findSubset ORs its masks along the rows and rebuilds its
-witness from them, so a search derives no edge list.  The
-search is a depth-first stack, so every pushed group's subtree
+rows' lengths.  The entry offers no edge list: the DOT export walks the
+rows for each entry's (member, parent) pairs, the JSON export writes one
+edge run per row and fills it from the rows, and findSubset ORs its masks
+along the rows and rebuilds its witness from them.  The search is a
+depth-first stack, so every pushed group's subtree
 takes one contiguous block of instance ids and group ids -- its created
 parents first, then its child subtrees in pop order -- and the subtree
 sizes give every absolute id.
@@ -140,8 +139,7 @@ class Expansion:
     and created parents are indices into ``created``.  No generation record
     is stored: the member at position ``pos`` generates every parent in its
     row of ``graph.parent_ids``, the searched graph's parent table, and
-    ``edges`` derives the edges from those rows with
-    ``TrieLikeGraph.parent_edges`` on each read.  The totals cover the whole
+    every reader of the edges walks those rows.  The totals cover the whole
     subtree below the popped group: everything its expansion creates plus
     every child subtree.  Entries are shared, so comparing or printing one field by
     field would walk the exponential tree; both are by identity.
@@ -163,17 +161,6 @@ class Expansion:
     expanded_total: int
     merge_total: int
     height: int  # layers the subtree adds above the popped group
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, str], ...]:
-        """(member position, created index, kind) per generation edge: members
-        in key order, each one's parents in row order; derived on each read."""
-        index = {nid: c for c, nid in enumerate(self.created)}
-        return tuple(
-            (pos, index[parent], kind)
-            for pos, nid in enumerate(self.key)
-            for parent, kind in self.graph.parent_edges(nid)
-        )
 
 
 @dataclass

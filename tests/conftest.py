@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import random
+import sys
 
 import pytest
 
@@ -86,4 +87,8 @@ def seed1_formula(n0: int, m0: int = 8) -> CnfFormula:
 
 def fuzz_forks() -> bool:
     """Whether ``fuzz`` of two or more formulas checks them in forked workers."""
-    return harness._usable_cpus() > 1 and "fork" in multiprocessing.get_all_start_methods()
+    return (
+        harness._usable_cpus() > 1
+        and "fork" in multiprocessing.get_all_start_methods()
+        and sys.version_info >= (3, 11)
+    )

@@ -16,8 +16,9 @@ merge's case and anchors are derived twice, and
 kind are derived twice.  ``enumerate_rooted_subgraphs``
 lists every root's closure of an unfolded ``LayeredGraph``.  ``unfold`` turns
 a memoised graph into the materialising search's ``RefGraph``: every
-instance, layer and edge replayed from the memo, with the graph's own
-``groups`` and ``merge_events``.  ``reference_layered_json`` builds the
+instance and layer replayed from the memo, each member's edges read from
+``TrieLikeGraph.parent_edges`` (not from an export's code), with the
+graph's own ``groups`` and ``merge_events``.  ``reference_layered_json`` builds the
 layered JSON export's payload from the unfolded graph, the dict
 ``json.dumps(..., indent=2)`` used to write, and ``reference_layered_dot`` is
 the DOT writer that read the unfolded graph; both exports must write their
@@ -472,7 +473,12 @@ def unfold(lg: LayeredGraph) -> RefGraph:
     for exp, members, _, layer, ids, _ in replay(lg):
         for iid, nid in zip(ids, exp.created):
             out.instances[iid] = NodeInstance(iid, nid, layer + 1)
-        out.edges.extend(LayeredEdge(members[pos], ids[c], kind) for pos, c, kind in exp.edges)
+        at = dict(zip(exp.created, ids))
+        out.edges.extend(
+            LayeredEdge(member, at[parent], kind)
+            for member, nid in zip(members, exp.key)
+            for parent, kind in lg.source.parent_edges(nid)
+        )
     for iid, inst in out.instances.items():
         while len(out.layers) < inst.layer:
             out.layers.append([])

@@ -122,22 +122,35 @@ def test_pipeline_running_default_ordering(capsys, running_file):
     assert code == 0 and payload["max_count"] == 2
 
 
-def test_pipeline_export_writes_stages(capsys, tmp_path, ce1_file):
+def test_pipeline_has_no_export_options(capsys, ce1_file):
+    # export is the one command that writes stage files
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", ce1_file, "--export", "trie"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --export trie" in capsys.readouterr().err
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    pipeline = subparsers.choices["pipeline"]
+    assert [a.dest for a in pipeline._actions] == ["help", "formula", "ordering", "algorithm"]
+
+
+def test_export_writes_stages(capsys, tmp_path, ce1_file):
     out = tmp_path / "stages"
     code, payload = _run(
         capsys,
         [
-            "pipeline",
+            "export",
             ce1_file,
             "--ordering",
             "y1>y2>v1",
-            "--export",
+            "--stages",
             "trie,layered",
             "--out",
             str(out),
         ],
     )
     assert code == 0
+    assert payload == {"exports": [str(out / "trie.dot"), str(out / "layered.dot")]}
     assert (out / "trie.dot").exists()
     assert (out / "layered.dot").exists()
 
@@ -171,15 +184,12 @@ def test_export_determinism(capsys, tmp_path, ce1_file):
     "argv",
     [
         ["export", "{formula}", "--stages", "bogus", "--out", "{out}"],
-        ["pipeline", "{formula}", "--export", "layered,bogus", "--format", "json", "--out", "{out}"],
         # a repeated stage would be written and listed twice
         ["export", "{formula}", "--stages", "trie, trie", "--out", "{out}"],
-        ["pipeline", "{formula}", "--export", "layered,answer,layered", "--out", "{out}"],
         # an empty list or entry would write nothing, or less than was asked
         ["export", "{formula}", "--stages", "", "--out", "{out}"],
         ["export", "{formula}", "--stages", ",", "--out", "{out}"],
         ["export", "{formula}", "--stages", "trie,", "--out", "{out}"],
-        ["pipeline", "{formula}", "--export", "", "--out", "{out}"],
     ],
 )
 def test_unknown_stage_exit_2_writes_nothing(capsys, tmp_path, ce1_file, argv):
@@ -199,7 +209,6 @@ def test_unknown_stage_exit_2_writes_nothing(capsys, tmp_path, ce1_file, argv):
         ["fuzz", "--iters", "1", "--report", "{directory}"],
         ["export", "{formula}", "--out", "{file}"],
         ["repro", "ce1", "--export", "{file}"],
-        ["pipeline", "{formula}", "--export", "layered", "--out", "{file}"],
     ],
 )
 def test_unusable_output_path_exit_2(capsys, monkeypatch, tmp_path, ce1_file, argv):

@@ -32,7 +32,7 @@ from twomaxsat.export import (
 )
 from twomaxsat.export import STAGES
 from twomaxsat.formula import formula_from_ints, parse_cnf
-from twomaxsat.harness import builtin_counterexamples, check_one, fuzz
+from twomaxsat.harness import builtin_counterexamples, check, fuzz
 from twomaxsat.pipeline import front_end, run_pipeline, search
 from twomaxsat.report import report_text
 
@@ -242,13 +242,14 @@ def test_exports_and_fuzz_reports_are_ascii():
         for stage in STAGES:
             for fmt in ("dot", "json"):
                 assert export_stage(run, stage, fmt).isascii(), (stage, fmt)
-    found = [
-        check_one(f, run.ordering.display().split(">"), algorithm)
-        for f, algorithm, run in _builtin_runs()
+    checked = list(_builtin_runs())
+    mismatches = [
+        m
+        for f, algorithm, run in checked
+        for m in check(f, [run.ordering.display().split(">")], [algorithm])
     ]
-    mismatches = [m for m in found if m is not None]
     assert mismatches
-    assert report_text(0, len(found), mismatches).isascii()
+    assert report_text(0, len(checked), mismatches).isascii()
     assert report_text(42, 100, fuzz(42, 100)).isascii()
 
 

@@ -24,7 +24,7 @@ from twomaxsat.harness import (
     audit_bounds,
     builtin_by_name,
     builtin_counterexamples,
-    check_one,
+    check,
     family,
     family_ordering,
     fuzz,
@@ -207,6 +207,24 @@ def test_fuzz_pool_and_in_process_agree(monkeypatch, oracle_pids):
     assert pooled == in_process
 
 
+def test_fuzz_in_process_before_python_3_11(monkeypatch, oracle_pids):
+    # before 3.11 a pool forks its second worker after its manager thread has
+    # started, which can deadlock the child (gh-90622)
+    import concurrent.futures
+
+    expected = fuzz(42, 100)
+    assert oracle_pids == ([] if fuzz_forks() else [os.getpid()] * 100)
+    oracle_pids.clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(sys, "version_info", (3, 10, 14, "final", 0))
+    assert fuzz(42, 100) == expected
+    assert oracle_pids == [os.getpid()] * 100
+
+
 def test_fuzz_in_process_once_its_module_is_imported_again(monkeypatch, oracle_pids):
     # workers would look _fuzz_formula up in the newer module: a pickling error
     expected = fuzz(13, 20)
@@ -295,12 +313,11 @@ def test_single_distinct_literal_clauses_never_mismatch():
                         )
                         for ordering in tie_consistent_orderings(f, 1000):
                             for algorithm in (1, 3):
-                                assert check_one(f, ordering, algorithm) is None
+                                assert check(f, [ordering], [algorithm]) == []
 
 
 def test_diagnosis_names_the_skip_over(ce1):
-    found = check_one(ce1, ("y1", "y2", "v1"), 1)
-    assert found is not None
+    [found] = check(ce1, [("y1", "y2", "v1")], [1])
     assert found.pipeline_answer == 3 and found.oracle_answer == 2
     # conjunction c rides the a-owned span over y2 (nodes n5 -> n2)
     edges = {(d.child_node, d.parent_node): d for d in found.diagnosis}
@@ -309,20 +326,19 @@ def test_diagnosis_names_the_skip_over(ce1):
     assert "c" in edges[(5, 2)].violating
 
 
-def test_check_one_takes_an_ordering_spec():
+def test_check_takes_an_ordering_spec():
     # the spec string is one ordering, as run_pipeline reads it, not a list of characters
     f = parse_cnf(CE1_DIMACS)
-    found = check_one(f, "y1>y2>v1", 1)
-    assert found is not None
+    [found] = check(f, ["y1>y2>v1"], [1])
     assert (found.pipeline_answer, found.oracle_answer) == (3, 2)
     assert found.ordering == ("y1", "y2", "v1")
-    assert found.to_dict() == check_one(f, ["y1", "y2", "v1"], 1).to_dict()
+    [by_names] = check(f, [["y1", "y2", "v1"]], [1])
+    assert found.to_dict() == by_names.to_dict()
 
 
 def test_shrink_family_to_ce1_core():
     fam = family(4)
-    seed_mismatch = check_one(fam, tuple(family_ordering(4).split(">")), 1)
-    assert seed_mismatch is not None
+    [seed_mismatch] = check(fam, [tuple(family_ordering(4).split(">"))], [1])
     small = shrink(seed_mismatch)
     shrunk = parse_cnf(small.dimacs)
     assert shrunk.n0 == 2
@@ -331,8 +347,7 @@ def test_shrink_family_to_ce1_core():
 
 
 def test_shrink_ce1_already_minimal():
-    seed_mismatch = check_one(parse_cnf(CE1_DIMACS), ("y1", "y2", "v1"), 1)
-    assert seed_mismatch is not None
+    [seed_mismatch] = check(parse_cnf(CE1_DIMACS), [("y1", "y2", "v1")], [1])
     small = shrink(seed_mismatch)
     assert small.dimacs == CE1_DIMACS
     assert parse_cnf(small.dimacs).n0 == 2
@@ -344,8 +359,7 @@ def test_shrink_removes_unused_variable():
     f = parse_cnf("p cnf 2 2\n-1 -1 0\n-1 -1 0\n")
     ordering = ("v2", "y1", "y2", "v1")
     assert tie_consistent(pad_missing(cnf_to_dnf(f)), ordering)
-    found = check_one(f, ordering, 1)
-    assert found is not None
+    [found] = check(f, [ordering], [1])
     small = shrink(found)
     assert parse_cnf(small.dimacs).m0 == 1
     assert small.dimacs == CE1_DIMACS
