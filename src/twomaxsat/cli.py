@@ -6,10 +6,6 @@ run, and ``repro --export`` the graph stages of each builtin replay.
 Exit codes: 0 success / expectations met; 1 semantic negative (decision false,
 expectation failed, bound violated); 2 input error; 3 resource cap exceeded,
 out of memory, or a fuzz worker process killed.
-Config precedence: flags > environment (MAXSAT_ prefix) > defaults.  An
-environment value is parsed like the flag it stands for, and only by the
-subcommand that has that flag, so a bad value fails that subcommand alone,
-with exit 2.
 """
 
 from __future__ import annotations
@@ -32,10 +28,6 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXPORT_CHUNK = 1 << 20  # characters encoded and written at a time
-
-
-def _env(name: str, default: str | None = None) -> str | None:
-    return os.environ.get(f"MAXSAT_{name}", default)
 
 
 def _read_formula(path: str):
@@ -204,14 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     # option groups shared by several subcommands, each declared once
     run_opts = argparse.ArgumentParser(add_help=False)
     run_opts.add_argument("formula")
-    run_opts.add_argument("--ordering", default=_env("ORDERING", "frequency"),
+    run_opts.add_argument("--ordering", default="frequency",
                           help="'frequency', 'lexical', or an explicit spec like 'y1>y2>v1'")
-    run_opts.add_argument("--algorithm", type=_algorithm, default=_env("ALGORITHM", "1"),
-                          help="1 or 3")
+    run_opts.add_argument("--algorithm", type=_algorithm, default=1, help="1 or 3")
     cap_opts = argparse.ArgumentParser(add_help=False)
-    cap_opts.add_argument(
-        "--var-cap", type=_non_negative_int, default=_env("VAR_CAP", str(DEFAULT_VARIABLE_CAP))
-    )
+    cap_opts.add_argument("--var-cap", type=_non_negative_int, default=DEFAULT_VARIABLE_CAP)
 
     p = sub.add_parser("oracle", parents=[cap_opts],
                        help="exact 2-MAXSAT by exhaustive enumeration")
@@ -231,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = harness.FuzzParams()
     p = sub.add_parser("fuzz", parents=[cap_opts],
                        help="differential-test random formulas against the oracle")
-    p.add_argument("--seed", type=_int, default=_env("SEED", "0"))
-    p.add_argument("--iters", type=_non_negative_int, default=_env("ITERS", "100"))
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--iters", type=_non_negative_int, default=100)
     p.add_argument("--max-n0", type=_positive_int, default=defaults.max_n0)
     p.add_argument("--max-m0", type=_positive_int, default=defaults.max_m0)
     p.add_argument("--orderings", type=_positive_int, default=defaults.orderings_per_formula)

@@ -1,4 +1,4 @@
-"""Command-line surface: subcommands, exit codes, env precedence, exports."""
+"""Command-line surface: subcommands, exit codes, flag parsing, exports."""
 
 from __future__ import annotations
 
@@ -416,6 +416,8 @@ def test_fuzz_algorithms_flag(capsys, raw, algorithms):
         ["--seed", "1_0"],  # int() would read 10
         ["--seed=+7"],
         ["--seed", "\uff17"],  # fullwidth 7
+        ["--iters", "1.5"],
+        ["--seed", "abc"],
     ],
 )
 def test_fuzz_rejects_bad_input_exit_2(capsys, bad):
@@ -495,16 +497,6 @@ def test_unknown_ordering_variable_exit_2(capsys, ce1_file):
     assert captured.err == "error: unknown variable name: v9\n"
 
 
-def test_env_precedence(capsys, monkeypatch, ce1_file):
-    monkeypatch.setenv("MAXSAT_ALGORITHM", "3")
-    monkeypatch.setenv("MAXSAT_ORDERING", "y1>y2>v1")
-    code, payload = _run(capsys, ["pipeline", ce1_file])
-    assert code == 0 and payload["mode"] == "alg3"
-    # a flag outranks the environment
-    code, payload = _run(capsys, ["pipeline", ce1_file, "--algorithm", "1"])
-    assert code == 0 and payload["mode"] == "alg1"
-
-
 def test_ce3_pipeline_value(capsys, tmp_path):
     path = tmp_path / "ce3.cnf"
     path.write_text(CE3_DIMACS)
@@ -515,42 +507,52 @@ def test_ce3_pipeline_value(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, value, argv",
+    "argv",
     [
-        ("SEED", "abc", ["fuzz", "--iters", "0"]),
-        ("ITERS", "1.5", ["fuzz"]),
-        ("VAR_CAP", "x", ["oracle", "{ce1}"]),
-        ("ALGORITHM", "2", ["pipeline", "{ce1}"]),
-        ("ALGORITHM", "one", ["audit", "{ce1}"]),
-        ("ALGORITHM", "2", ["export", "{ce1}"]),
-        ("ITERS", "-3", ["fuzz"]),
-        ("VAR_CAP", "-1", ["oracle", "{ce1}"]),
-        ("SEED", "1_0", ["fuzz", "--iters", "0"]),  # int() would read 10
+        ["pipeline", "{ce1}", "--algorithm", "2"],
+        ["audit", "{ce1}", "--algorithm", "one"],
+        ["export", "{ce1}", "--algorithm", "2"],
+        ["oracle", "{ce1}", "--var-cap", "x"],
+        ["oracle", "{ce1}", "--var-cap", "-1"],
     ],
 )
-def test_bad_env_value_fails_its_subcommand_exit_2(
-    capsys, monkeypatch, ce1_file, name, value, argv
-):
-    monkeypatch.setenv(f"MAXSAT_{name}", value)
+def test_bad_flag_value_fails_its_subcommand_exit_2(capsys, ce1_file, argv):
     with pytest.raises(SystemExit) as exc:
         main([arg.format(ce1=ce1_file) for arg in argv])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert repr(value) in captured.err
+    assert repr(argv[-1]) in captured.err
 
 
-def test_bad_env_value_ignored_by_other_subcommands(capsys, monkeypatch, ce1_file):
-    # oracle reads no seed or algorithm, pipeline no seed or variable cap
-    monkeypatch.setenv("MAXSAT_SEED", "abc")
-    monkeypatch.setenv("MAXSAT_ITERS", "abc")
-    monkeypatch.setenv("MAXSAT_ALGORITHM", "2")
-    code, payload = _run(capsys, ["oracle", ce1_file])
-    assert code == 0 and payload["max_count"] == 2
-    monkeypatch.setenv("MAXSAT_ALGORITHM", "3")
-    monkeypatch.setenv("MAXSAT_VAR_CAP", "x")
-    code, payload = _run(capsys, ["pipeline", ce1_file, "--ordering", "y1>y2>v1"])
-    assert code == 0 and payload["mode"] == "alg3" and payload["max_count"] == 3
+def test_maxsat_environment_is_ignored(capsys, monkeypatch, tmp_path, ce1_file):
+    # values that once changed or failed these runs through MAXSAT_* variables
+    stray = {"ALGORITHM": "3", "ORDERING": "lexical", "SEED": "abc", "ITERS": "-3", "VAR_CAP": "x"}
+    commands = [
+        ["oracle", ce1_file],
+        ["pipeline", ce1_file],
+        ["audit", ce1_file],
+        ["export", ce1_file, "--out", str(tmp_path / "out")],
+        ["fuzz", "--iters", "2"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((argv[0], code, capsys.readouterr().out))
+        return results
+
+    for name in stray:
+        monkeypatch.delenv(f"MAXSAT_{name}", raising=False)
+    clean = outcomes()
+    assert [code for _, code, _ in clean] == [0] * len(commands)
+    for name, value in stray.items():
+        monkeypatch.setenv(f"MAXSAT_{name}", value)
+    assert outcomes() == clean
 
 
 def test_readme_synopsis_names_every_long_option():

@@ -374,6 +374,27 @@ def test_family_counts_follow_closed_forms():
     assert broken == {"vertex": 11, "edge": 14, "216*n0^6": 38}
 
 
+@pytest.mark.parametrize(
+    "build, below, above",
+    [
+        (build_layered_alg1, (27, 55_360_619_383), (28, 110_721_238_583)),
+        (build_layered_alg3, (28, 99_781_587_142), (29, 198_615_276_467)),
+    ],
+    ids=["alg1", "alg3"],
+)
+def test_seed1_counts_cross_the_frame(build, below, above):
+    # criterion 7's clause rule drawn from Random(1): the layered instance
+    # count passes the audit's 216*n0^6 frame between these n0; only the
+    # eager counts are built, with no findSubset and no oracle
+    from tests.conftest import seed1_formula
+    from twomaxsat.pipeline import front_end
+
+    for (n0, count), crossed in ((below, False), (above, True)):
+        lg = build(front_end(seed1_formula(n0), "frequency").trielike)
+        assert lg.vertex_count == count, n0
+        assert (lg.vertex_count > 216 * n0**6) is crossed, n0
+
+
 def test_layered_exports_leave_no_edge_list_on_memo_entries():
     # both layered writers walk the parent rows: no memo entry keeps or offers an edge list
     from tests.conftest import seed1_formula
