@@ -16,7 +16,6 @@ from .formula import (
     DnfFormula,
     cnf_to_dnf,
     eval_cnf,
-    eval_dnf,
     formula_from_ints,
     pad_missing,
     parse_cnf,
@@ -30,8 +29,8 @@ from .harness import (
     run_counterexample,
     shrink,
 )
-from .layered import build_layered_alg1, build_layered_alg3, classify_duplicate_case
-from .oracle import decide_2maxsat, oracle_max_dnf, oracle_max_sat
+from .layered import build_layered_alg1, build_layered_alg3
+from .oracle import oracle_max_sat
 from .pipeline import FrontEnd, PipelineRun, front_end, run_pipeline, search
 from .sequences import (
     GlobalOrdering,
@@ -57,15 +56,12 @@ __all__ = [
     "audit_bounds",
     "build_layered_alg1",
     "build_layered_alg3",
-    "classify_duplicate_case",
     "build_pgraph",
     "build_sequences",
     "builtin_counterexamples",
     "close_spans",
     "cnf_to_dnf",
-    "decide_2maxsat",
     "eval_cnf",
-    "eval_dnf",
     "family",
     "find_subset_alg2",
     "formula_from_ints",
@@ -74,7 +70,6 @@ __all__ = [
     "fuzz",
     "lexical_ordering",
     "merge_main_paths",
-    "oracle_max_dnf",
     "oracle_max_sat",
     "overlay_spans",
     "pad_missing",

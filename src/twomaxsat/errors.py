@@ -45,10 +45,6 @@ class UnmappedPositionError(TwoMaxSatError):
     """A span references a sequence position with no trie node (construction bug)."""
 
 
-class NotADuplicateError(TwoMaxSatError):
-    pass
-
-
 class TooManyVariablesError(TwoMaxSatError):
     pass
 

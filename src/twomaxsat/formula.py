@@ -279,22 +279,3 @@ def eval_cnf(f: CnfFormula, a: Assignment) -> int:
         if a.literal(clause.literals[0]) or a.literal(clause.literals[1])
     )
 
-
-def eval_dnf(d: DnfFormula, a: Assignment) -> int:
-    """Count conjunctions satisfied by a total assignment (range 0..n)."""
-    _require_total(a, d.variables)
-    return sum(
-        1
-        for conj in d.conjunctions
-        if a.literal(conj.literals[0]) and a.literal(conj.literals[1])
-    )
-
-
-def satisfied_dnf_labels(d: DnfFormula, a: Assignment) -> frozenset[str]:
-    """Labels of the conjunctions a total assignment satisfies."""
-    _require_total(a, d.variables)
-    return frozenset(
-        conj.label
-        for conj in d.conjunctions
-        if a.literal(conj.literals[0]) and a.literal(conj.literals[1])
-    )

@@ -28,11 +28,11 @@ which the build hands to every expansion: trie ids are preorder, so sorted
 by id the generators lie on one path (Case 2) exactly when each one's
 subtree, the ids up to its ``last``, holds the next, and they are in
 pairwise-distinct root branches (Case 1) when their depth-1 ancestors
-differ.  Each merge is classified in the expansion that makes it, by the
-rule ``classify_duplicate_case`` also applies, with the merged node's
-ancestor tuple from the same table as its anchors.  No cache keeps classifications:
-one keyed by (merged node, generators) answered 4 to 32 % of lookups on
-the measured workloads, and the build was no faster with it.
+differ.  Each merge is classified by ``_case`` in the expansion that makes
+it, with the merged node's ancestor tuple from the same table as its
+anchors.  No cache keeps classifications: one keyed by (merged node,
+generators) answered 4 to 32 % of lookups on the measured workloads, and
+the build was no faster with it.
 
 The prose also describes reachable subsets and upper boundaries, never
 formally defined, that would keep a merged instance alive after a Case 1
@@ -80,9 +80,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .errors import InternalError, NotADuplicateError
+from .errors import InternalError
 from .trie import Ancestry, TrieLikeGraph
 
 
@@ -224,15 +224,6 @@ class LayeredGraph:
             for exp, _, _, layer, ids, _ in replay(self)
             for c, generators, case, reason, anchors in exp.merges
         ]
-
-
-def classify_duplicate_case(g: TrieLikeGraph, occurrences: Iterable[int]) -> str:
-    """Case 1/2/3 for the trie nodes that generated one duplicate parent."""
-    occ = sorted(set(occurrences))
-    if len(occ) < 2:
-        raise NotADuplicateError(f"need at least two occurrences, got {occ}")
-    table = g.trie.ancestry
-    return _case(occ, table.last, table.branch)
 
 
 def _case(occ: list[int], last: list[int], branch: list[int]) -> str:

@@ -4,20 +4,19 @@ Assignments are indexed so that the first variable is the most significant
 bit; index order is then exactly lexicographic order over value tuples, and
 the smallest index among the maximizers is the lexicographically-least
 witness.  Evaluation is bit-parallel: each variable gets a column integer
-with bit a set when assignment a makes it true, clause/conjunction masks are
-built from those columns, and a carry-save accumulator yields the per-
-assignment counts as binary digit planes.  All 2^m assignments are covered.
+with bit a set when assignment a makes it true, clause masks are built from
+those columns, and a carry-save accumulator yields the per-assignment counts
+as binary digit planes.  All 2^m assignments are covered.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .errors import TooManyVariablesError
-from .formula import Assignment, CnfFormula, DnfFormula, Literal
+from .formula import Assignment, CnfFormula, Literal
 
 DEFAULT_VARIABLE_CAP = 24
 
@@ -76,34 +75,16 @@ def _decode(index: int, m: int) -> Assignment:
     return Assignment(tuple(bool((index >> (m - 1 - k)) & 1) for k in range(m)))
 
 
-def _oracle(terms: Iterable, m: int, combine: Callable[[int, int], int], cap: int) -> OracleResult:
-    """Exact maximum count of satisfied two-literal terms over all 2^m
-    assignments; `combine` joins a term's two literal masks (``|`` for a
-    clause, ``&`` for a conjunction)."""
-    if m > cap:
-        raise TooManyVariablesError(f"{m} variables exceeds the cap of {cap}")
+def oracle_max_sat(f: CnfFormula, variable_cap: int = DEFAULT_VARIABLE_CAP) -> OracleResult:
+    """Exact maximum satisfied-clause count with lexicographically-least witness."""
+    m = f.m0
+    if m > variable_cap:
+        raise TooManyVariablesError(f"{m} variables exceeds the cap of {variable_cap}")
     cols = _columns(m)
     full = (1 << (1 << m)) - 1
     masks = [
-        combine(_literal_mask(first, cols, full), _literal_mask(second, cols, full))
-        for first, second in (term.literals for term in terms)
+        _literal_mask(first, cols, full) | _literal_mask(second, cols, full)
+        for first, second in (clause.literals for clause in f.clauses)
     ]
     count, index = _max_and_witness(masks, m)
     return OracleResult(count, _decode(index, m), 1 << m)
-
-
-def oracle_max_sat(f: CnfFormula, variable_cap: int = DEFAULT_VARIABLE_CAP) -> OracleResult:
-    """Exact maximum satisfied-clause count with lexicographically-least witness."""
-    return _oracle(f.clauses, f.m0, operator.or_, variable_cap)
-
-
-def oracle_max_dnf(d: DnfFormula, variable_cap: int = DEFAULT_VARIABLE_CAP) -> OracleResult:
-    """Exact maximum satisfied-conjunction count over all 2^m assignments."""
-    return _oracle(d.conjunctions, d.m, operator.and_, variable_cap)
-
-
-def decide_2maxsat(f: CnfFormula, k: int, variable_cap: int = DEFAULT_VARIABLE_CAP) -> bool:
-    """Is there an assignment satisfying at least k clauses?  Requires k >= 1."""
-    if k < 1:
-        raise ValueError(f"threshold k must be positive, got {k}")
-    return oracle_max_sat(f, variable_cap).max_count >= k

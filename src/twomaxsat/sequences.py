@@ -58,10 +58,6 @@ class VarSequence:
     label: str
     items: tuple[SeqItem, ...]
 
-    @property
-    def interior(self) -> tuple[SeqItem, ...]:
-        return self.items[1:-1]
-
     def display(self) -> str:
         return ".".join(item.display() for item in self.items)
 

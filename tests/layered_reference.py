@@ -6,10 +6,11 @@ derivation for the memoised ones in ``twomaxsat.layered``/``twomaxsat.subsets``.
 unchanged except that they write into the plain containers below and that a
 Case 1 merge with anchors raises InternalError, as the memo does: reachable
 subsets and upper boundaries would start there, and no pipeline-built graph
-gets there (see ``twomaxsat.layered``).  ``classify_duplicate_case`` and
-``anchor_candidates`` are the walk-based originals: they follow
-``TrieNode.parent`` themselves, never the trie's cached ancestry, so every
-merge's case and anchors are derived twice, and
+gets there (see ``twomaxsat.layered``).  ``walk_case`` and
+``anchor_candidates`` are the walk-based originals of ``layered._case`` and
+the memo's anchor lookup: they follow ``TrieNode.parent`` themselves, never
+the trie's cached ancestry, so every merge's case and anchors are derived
+twice, and
 ``assert_ancestry_matches_walks`` checks the cached table itself;
 ``walk_parents`` likewise reads ``TrieNode.parent`` and ``span_edges``, never
 ``TrieLikeGraph.parent_ids``, so every expansion's parents and each edge's
@@ -57,7 +58,6 @@ from typing import Any, Iterator, Sequence
 from twomaxsat import layered
 from twomaxsat.errors import (
     InternalError,
-    NotADuplicateError,
     UnmappedPositionError,
 )
 from twomaxsat.formula import Variable
@@ -125,11 +125,11 @@ def walk_parents(g: TrieLikeGraph, node_id: int) -> list[tuple[int, str]]:
     return out + [(pid, "span") for pid in targets]
 
 
-def classify_duplicate_case(g: TrieLikeGraph, occurrences) -> str:
+def walk_case(g: TrieLikeGraph, occurrences) -> str:
     """Case 1/2/3 for the trie nodes that generated one duplicate parent."""
     occ = sorted(set(occurrences))
     if len(occ) < 2:
-        raise NotADuplicateError(f"need at least two occurrences, got {occ}")
+        raise ValueError(f"need at least two occurrences, got {occ}")
     chains = {nid: walk_ancestors(g.trie, nid) for nid in occ}
     ancestor_sets = {nid: set(chain) for nid, chain in chains.items()}
 
@@ -292,7 +292,7 @@ class _Builder:
         gen_nodes = tuple(
             sorted({self.lg.instances[iid].trie_node for iid in generator_iids})
         )
-        case = classify_duplicate_case(g, gen_nodes)
+        case = walk_case(g, gen_nodes)
         anchors = anchor_candidates(g, inst.trie_node)
         event = MergeEvent(
             layer=inst.layer,

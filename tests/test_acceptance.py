@@ -41,11 +41,12 @@ from twomaxsat.harness import (
     fuzz,
     run_counterexample,
 )
-from twomaxsat.oracle import oracle_max_dnf, oracle_max_sat
+from twomaxsat.oracle import oracle_max_sat
 from twomaxsat.pipeline import run_pipeline
 from twomaxsat.spans import build_pgraph, close_spans
 from tests.conftest import all_formulas
 from tests.layered_reference import unfold
+from tests.test_oracle import dnf_max_count
 from tests.test_spans import closure_oracle, fixpoint_closure, sequence_from_pattern
 
 
@@ -249,9 +250,7 @@ def test_criterion_08_transformation_soundness():
     checked = 0
     for f in all_formulas(3, 3):
         d = cnf_to_dnf(f)
-        sat = oracle_max_sat(f)
-        dnf = oracle_max_dnf(d)
-        assert dnf.max_count == sat.max_count, f"disagreement on {f}"
+        assert dnf_max_count(d) == oracle_max_sat(f).max_count, f"disagreement on {f}"
         checked += 1
     # at-most-one-per-pair for every assignment, exhaustively at the same scale
     for f in all_formulas(2, 2):

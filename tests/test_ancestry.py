@@ -1,5 +1,6 @@
 """The trie's cached ancestry table against parent-pointer walks, and the
-interval-based duplicate classification against the walk-based reference."""
+interval-based duplicate classification the build runs (``layered._case``)
+against the walk-based reference."""
 
 from __future__ import annotations
 
@@ -8,8 +9,7 @@ import itertools
 import random
 
 from tests.conftest import seed1_formula
-from tests.layered_reference import assert_ancestry_matches_walks
-from tests.layered_reference import classify_duplicate_case as ref_classify
+from tests.layered_reference import assert_ancestry_matches_walks, walk_case
 from twomaxsat.formula import Variable, parse_cnf
 from twomaxsat.harness import (
     FuzzParams,
@@ -19,7 +19,7 @@ from twomaxsat.harness import (
     random_formula,
     tie_consistent_orderings,
 )
-from twomaxsat.layered import classify_duplicate_case
+from twomaxsat.layered import _case
 from twomaxsat.pipeline import front_end
 from twomaxsat.sequences import ItemTag
 from twomaxsat.trie import Trie, TrieLikeGraph, TrieNode
@@ -70,6 +70,8 @@ def test_table_matches_parent_walks():
 def test_classification_matches_reference_on_pairs_and_triples():
     for name, g in _small_graphs():
         ids = [node.id for node in g.trie.nodes]
+        table = g.trie.ancestry
         for size in (2, 3):
             for occ in itertools.combinations(ids, size):
-                assert classify_duplicate_case(g, occ) == ref_classify(g, occ), (name, occ)
+                got = _case(sorted(occ), table.last, table.branch)
+                assert got == walk_case(g, occ), (name, occ)

@@ -21,6 +21,7 @@ from twomaxsat.export import STAGES, export_stage
 from twomaxsat.formula import parse_cnf
 from twomaxsat.harness import (
     CE1_DIMACS,
+    CE2_DIMACS,
     CE3_DIMACS,
     RUNNING_DIMACS,
     FuzzParams,
@@ -58,11 +59,30 @@ def test_oracle_ce1(capsys, ce1_file):
     assert payload["witness"] == {"v1": False}
 
 
-def test_oracle_threshold_exit_codes(capsys, ce1_file):
+def test_oracle_threshold_exit_codes(capsys, ce1_file, running_file, tmp_path):
     code, payload = _run(capsys, ["oracle", ce1_file, "--k", "2"])
     assert code == 0 and payload["satisfiable_at_k"] is True
     code, payload = _run(capsys, ["oracle", ce1_file, "--k", "3"])
     assert code == 1 and payload["satisfiable_at_k"] is False
+    ce3_file = tmp_path / "ce3.cnf"
+    ce3_file.write_text(CE3_DIMACS)
+    code, payload = _run(capsys, ["oracle", str(ce3_file), "--k", "2"])
+    assert code == 1 and payload["satisfiable_at_k"] is False
+    code, payload = _run(capsys, ["oracle", running_file, "--k", "2"])
+    assert code == 0 and payload["satisfiable_at_k"] is True
+
+
+def test_oracle_threshold_monotone(capsys, tmp_path):
+    # once a threshold fails, every larger one fails too, up to 2·n0 + 1
+    builtins = {"ce1": CE1_DIMACS, "ce2": CE2_DIMACS, "ce3": CE3_DIMACS, "running": RUNNING_DIMACS}
+    for name, dimacs in builtins.items():
+        path = tmp_path / f"{name}.cnf"
+        path.write_text(dimacs)
+        codes = [
+            _run(capsys, ["oracle", str(path), "--k", str(k)])[0]
+            for k in range(1, 2 * parse_cnf(dimacs).n0 + 2)
+        ]
+        assert codes == sorted(codes) and set(codes) <= {0, 1}, (name, codes)
 
 
 @pytest.mark.parametrize("k", ["0", "-3", "x", "³"])

@@ -17,15 +17,14 @@ from twomaxsat.errors import (
 )
 from twomaxsat.formula import (
     Assignment,
+    DnfFormula,
     cnf_to_dnf,
     conjunction_label,
     eval_cnf,
-    eval_dnf,
     formula_from_ints,
     pad_missing,
     parse_cnf,
     render_cnf,
-    satisfied_dnf_labels,
 )
 from tests.conftest import all_formulas
 
@@ -196,26 +195,40 @@ def test_eval_cnf_partial_assignment(running):
         eval_cnf(running, Assignment((True,)))
 
 
+def _satisfied_dnf_labels(d: DnfFormula, a: Assignment) -> frozenset[str]:
+    """Labels of the conjunctions a total assignment satisfies."""
+    return frozenset(
+        conj.label
+        for conj in d.conjunctions
+        if a.literal(conj.literals[0]) and a.literal(conj.literals[1])
+    )
+
+
+def _eval_dnf(d: DnfFormula, a: Assignment) -> int:
+    """Count conjunctions satisfied by a total assignment (range 0..n)."""
+    return len(_satisfied_dnf_labels(d, a))
+
+
 def test_eval_dnf_running_derived(running):
     # v1=T v2=F v3=T y1=T y2=T satisfies only conjunction a = (v1 ^ y1):
     # b needs ~y1, c needs ~v1, d needs ~y2.
     d = cnf_to_dnf(running)
     a = Assignment((True, False, True, True, True))
-    assert satisfied_dnf_labels(d, a) == frozenset({"a"})
-    assert eval_dnf(d, a) == 1
+    assert _satisfied_dnf_labels(d, a) == frozenset({"a"})
+    assert _eval_dnf(d, a) == 1
 
 
 def test_eval_dnf_nothing_satisfied(ce1):
     d = cnf_to_dnf(ce1)
     # v1=T falsifies every base literal ~v1
-    assert eval_dnf(d, Assignment((True, False, False))) == 0
+    assert _eval_dnf(d, Assignment((True, False, False))) == 0
 
 
 def test_eval_dnf_ce1_derived(ce1):
     d = cnf_to_dnf(ce1)
     a = Assignment((False, True, True))
-    assert satisfied_dnf_labels(d, a) == frozenset({"a", "c"})
-    assert eval_dnf(d, a) == 2
+    assert _satisfied_dnf_labels(d, a) == frozenset({"a", "c"})
+    assert _eval_dnf(d, a) == 2
 
 
 def _assignments(count):

@@ -9,9 +9,8 @@ from collections import Counter
 import pytest
 
 from tests.layered_reference import unfold
-from twomaxsat.errors import NotADuplicateError
 from twomaxsat.formula import cnf_to_dnf, pad_missing, parse_cnf
-from twomaxsat.layered import build_layered_alg1, build_layered_alg3, classify_duplicate_case
+from twomaxsat.layered import _case, build_layered_alg1, build_layered_alg3
 from twomaxsat.pipeline import resolve_ordering, run_pipeline
 from twomaxsat.sequences import build_sequences
 from twomaxsat.spans import build_pgraph, close_spans
@@ -161,17 +160,21 @@ def test_alg3_dedup_within_expansion(ce2):
         assert len(nodes) == len(set(nodes))
 
 
+def _classify(g, generators):
+    """The case the build gives a merge of these distinct generator nodes."""
+    table = g.trie.ancestry
+    return _case(sorted(generators), table.last, table.branch)
+
+
 def test_classify_cases(ce1, running):
     g = _trielike(ce1, "y1>y2>v1")
     # n3 and n7 generated parent n1 from different root branches
-    assert classify_duplicate_case(g, {3, 7}) == "case1"
+    assert _classify(g, {3, 7}) == "case1"
     # n3 and n5 share the branch through n2 without lying on one path
-    assert classify_duplicate_case(g, {3, 5}) == "case3"
+    assert _classify(g, {3, 5}) == "case3"
     # two nodes on one root-to-leaf path
     gr = _trielike(running, "lexical")
-    assert classify_duplicate_case(gr, {2, 4}) == "case2"
-    with pytest.raises(NotADuplicateError):
-        classify_duplicate_case(g, {3})
+    assert _classify(gr, {2, 4}) == "case2"
 
 
 def test_every_public_name_resolves():
@@ -179,6 +182,40 @@ def test_every_public_name_resolves():
 
     for name in twomaxsat.__all__:
         assert hasattr(twomaxsat, name), name
+
+
+def test_public_surface_is_used():
+    # every public top-level def/class and every __all__ name has a user: code
+    # in src/ outside __init__.py (docstrings do not count), bench/, or README
+    import ast
+    import re
+    from pathlib import Path
+
+    import twomaxsat
+
+    root = Path(__file__).resolve().parents[1]
+    public = set(twomaxsat.__all__)
+    used = set()
+    for path in sorted((root / "src" / "twomaxsat").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        public.update(
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        )
+        if path.name != "__init__.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    texts = [p.read_text() for p in sorted((root / "bench").glob("*.py"))]
+    texts.append((root / "README.md").read_text())
+    used.update(
+        name for name in public if any(re.search(rf"\b{name}\b", text) for text in texts)
+    )
+    unused = sorted(public - used)
+    assert not unused, f"public names that src/, bench/ and README.md never use: {unused}"
 
 
 def test_every_merge_degenerates_on_pipeline_graphs():
@@ -294,7 +331,7 @@ def test_case1_merge_below_the_root_is_an_internal_error():
         ]
     )
     g = TrieLikeGraph(trie, {}, {(5, 2): ["b"]})
-    assert classify_duplicate_case(g, {3, 5}) == "case1"
+    assert _classify(g, {3, 5}) == "case1"
     assert build_layered_alg1(g).vertex_count == 4  # n2 and n4 form no group
     for build in (build_layered_alg3, layered_reference.build_layered_alg3):
         with pytest.raises(InternalError, match="n2"):

@@ -1,7 +1,8 @@
-"""Exact oracle: values, witnesses, decision form, and agreement properties."""
+"""Exact oracle: values, witnesses, the variable cap, and agreement properties."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -15,10 +16,22 @@ from twomaxsat.formula import (
     Variable,
     cnf_to_dnf,
     eval_cnf,
-    eval_dnf,
     formula_from_ints,
 )
-from twomaxsat.oracle import decide_2maxsat, oracle_max_dnf, oracle_max_sat
+from twomaxsat.oracle import oracle_max_sat
+
+
+def dnf_max_count(d: DnfFormula) -> int:
+    """The most conjunctions of `d` one assignment satisfies, one assignment at a
+    time over all 2^m: a check that shares no code with the bit-parallel oracle."""
+    pairs = [
+        (a.variable.id, a.positive, b.variable.id, b.positive)
+        for a, b in (conj.literals for conj in d.conjunctions)
+    ]
+    return max(
+        sum(bits[i] == p and bits[j] == q for i, p, j, q in pairs)
+        for bits in itertools.product((False, True), repeat=d.m)
+    )
 
 
 def test_ce1_value_and_witness(ce1):
@@ -53,12 +66,8 @@ def test_witness_reproduces_max(ce1, ce2, ce3, running):
 
 
 def test_oracle_max_dnf_derived(ce1, running):
-    assert oracle_max_dnf(cnf_to_dnf(ce1)).max_count == 2
-    d = cnf_to_dnf(running)
-    result = oracle_max_dnf(d)
-    assert result.max_count == 2
-    assert eval_dnf(d, result.witness) == 2
-    assert result.assignments_tried == 2**d.m
+    assert dnf_max_count(cnf_to_dnf(ce1)) == 2
+    assert dnf_max_count(cnf_to_dnf(running)) == 2
 
 
 def test_oracle_single_conjunction_dnf():
@@ -67,39 +76,13 @@ def test_oracle_single_conjunction_dnf():
         (DnfConjunction("a", (Literal(v, True), Literal(v, True))),),
         (v,),
     )
-    assert oracle_max_dnf(d).max_count == 1
-
-
-@pytest.mark.parametrize(
-    "name, k, expected",
-    [("ce1", 2, True), ("ce1", 3, False), ("ce3", 2, False), ("running", 2, True)],
-)
-def test_decide(name, k, expected, request):
-    f = request.getfixturevalue(name)
-    assert decide_2maxsat(f, k) is expected
-
-
-def test_decide_requires_positive_k(ce1):
-    with pytest.raises(ValueError):
-        decide_2maxsat(ce1, 0)
-
-
-def test_decide_monotone(ce1, ce2, ce3, running):
-    for f in (ce1, ce2, ce3, running):
-        previous = True
-        for k in range(1, 2 * f.n0 + 2):
-            now = decide_2maxsat(f, k)
-            assert previous or not now  # once false, stays false
-            previous = now
+    assert dnf_max_count(d) == 1
 
 
 def test_variable_cap():
     f = formula_from_ints([[1, 2], [3, -1]], 3)
     with pytest.raises(TooManyVariablesError):
         oracle_max_sat(f, variable_cap=2)
-    d = cnf_to_dnf(f)  # m = 5
-    with pytest.raises(TooManyVariablesError):
-        oracle_max_dnf(d, variable_cap=4)
 
 
 def test_oracle_agrees_with_direct_evaluation():
@@ -125,7 +108,7 @@ def test_oracle_agrees_with_direct_evaluation():
 
 
 def test_transformation_agreement_sampled():
-    # oracle_max_dnf(cnf_to_dnf(F)) == oracle_max_sat(F) at the 6/6 scale, sampled
+    # the DNF maximum of cnf_to_dnf(F) == oracle_max_sat(F) at the 6/6 scale, sampled
     rng = random.Random(23)
     for _ in range(300):
         m0 = rng.randint(1, 6)
@@ -136,4 +119,4 @@ def test_transformation_agreement_sampled():
             b = a if rng.random() < 0.3 else rng.randint(1, m0) * rng.choice((1, -1))
             clauses.append([a, b])
         f = formula_from_ints(clauses, m0)
-        assert oracle_max_dnf(cnf_to_dnf(f)).max_count == oracle_max_sat(f).max_count
+        assert dnf_max_count(cnf_to_dnf(f)) == oracle_max_sat(f).max_count

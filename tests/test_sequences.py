@@ -138,7 +138,7 @@ def test_dropped_literal_accounting(ce3):
         positive = {lit.variable.name for lit in pc.base.literals if lit.positive}
         starred = {v.name for v in pc.starred}
         negated = {lit.variable.name for lit in pc.base.literals if not lit.positive}
-        interior_names = {item.variable.name for item in seq.interior}
+        interior_names = {item.variable.name for item in seq.items[1:-1]}
         assert interior_names == positive | starred
         assert not interior_names & (negated - positive - starred)
 
@@ -149,7 +149,7 @@ def test_sequences_strictly_sorted(running, ce1, ce2, ce3):
         padded = pad_missing(d)
         ordering = frequency_ordering(padded)
         for seq in build_sequences(padded, ordering):
-            ranks = [ordering.variables.index(item.variable) for item in seq.interior]
+            ranks = [ordering.variables.index(item.variable) for item in seq.items[1:-1]]
             assert ranks == sorted(ranks)
             assert len(set(ranks)) == len(ranks)
             assert seq.items[0].tag is ItemTag.START
@@ -159,9 +159,9 @@ def test_sequences_strictly_sorted(running, ce1, ce2, ce3):
 def test_ce1_structural_facts(ce1):
     padded, ordering = _recorded(ce1, "y1>y2>v1")
     a, b, c, dd = build_sequences(padded, ordering)
-    assert {i.variable.name for i in a.interior} == {i.variable.name for i in c.interior}
-    assert all(i.tag is ItemTag.STARRED for i in b.interior)
-    assert all(i.tag is ItemTag.STARRED for i in dd.interior)
+    assert {i.variable.name for i in a.items[1:-1]} == {i.variable.name for i in c.items[1:-1]}
+    assert all(i.tag is ItemTag.STARRED for i in b.items[1:-1])
+    assert all(i.tag is ItemTag.STARRED for i in dd.items[1:-1])
 
 
 def test_determinism(ce2):
