@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
 import random
 
 import pytest
 
+from twomaxsat.cli import main
 from twomaxsat.errors import TooManyVariablesError
 from twomaxsat.formula import (
     Assignment,
@@ -18,6 +21,7 @@ from twomaxsat.formula import (
     eval_cnf,
     formula_from_ints,
 )
+from twomaxsat.harness import CE1_DIMACS, CE3_DIMACS, RUNNING_DIMACS
 from twomaxsat.oracle import oracle_max_sat
 
 
@@ -77,6 +81,20 @@ def test_oracle_single_conjunction_dnf():
         (v,),
     )
     assert dnf_max_count(d) == 1
+
+
+@pytest.mark.parametrize(
+    "name, k, expected",
+    [("ce1", 2, True), ("ce1", 3, False), ("ce3", 2, False), ("running", 2, True)],
+)
+def test_decide(name, k, expected, capsys, monkeypatch):
+    # the decision form "max_count >= k" is answered by oracle --k
+    dimacs = {"ce1": CE1_DIMACS, "ce3": CE3_DIMACS, "running": RUNNING_DIMACS}[name]
+    monkeypatch.setattr("sys.stdin", io.StringIO(dimacs))
+    code = main(["oracle", "-", "--k", str(k)])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["satisfiable_at_k"] is expected
+    assert code == (0 if expected else 1)
 
 
 def test_variable_cap():
