@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+One class per way a caller reacts, not per fault: the message names the
+fault.  The CLI prints a ``FormulaParseError`` as ``parse error: ...`` and
+any other ``TwoMaxSatError`` (a bad ordering, assignment or builtin) as
+``error: ...``, both with exit code 2; a ``TooManyVariablesError`` is a
+resource cap and exits 3.  ``InternalError`` is not an input error at all:
+it marks a bug, and the CLI lets its traceback through.
+"""
 
 
 class TwoMaxSatError(Exception):
@@ -6,39 +14,15 @@ class TwoMaxSatError(Exception):
 
 
 class FormulaParseError(TwoMaxSatError):
-    """Base class for CNF text parsing errors."""
+    """CNF text or literal pairs that do not form a formula."""
 
 
-class MalformedHeaderError(FormulaParseError):
-    pass
-
-
-class ClauseArityError(FormulaParseError):
-    pass
-
-
-class UnknownVariableError(FormulaParseError):
-    pass
-
-
-class EmptyFormulaError(FormulaParseError):
-    pass
+class OrderingError(TwoMaxSatError):
+    """An ordering that is not a permutation of the variable table."""
 
 
 class PartialAssignmentError(TwoMaxSatError):
     """An assignment does not cover every variable it must."""
-
-
-class UnknownVariableNameError(TwoMaxSatError):
-    pass
-
-
-class DuplicateNameError(TwoMaxSatError):
-    pass
-
-
-class IncompleteExplicitOrderError(TwoMaxSatError):
-    pass
 
 
 class UnmappedPositionError(TwoMaxSatError):

@@ -15,13 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    ClauseArityError,
-    EmptyFormulaError,
-    MalformedHeaderError,
-    PartialAssignmentError,
-    UnknownVariableError,
-)
+from .errors import FormulaParseError, PartialAssignmentError
 
 _DIMACS_INT = re.compile(r"-?[0-9]+")  # ASCII only: no '+', '_' or other scripts' digits
 # bytes.split()'s whitespace; str.split() would also split on Unicode spaces,
@@ -168,7 +162,7 @@ def formula_from_ints(pairs: Iterable[Sequence[int]], m0: int) -> CnfFormula:
     clauses = []
     for idx, lits in enumerate(pairs):
         if not 1 <= len(lits) <= 2:
-            raise ClauseArityError(f"clause {idx + 1}: need 1 or 2 literals, got {len(lits)}")
+            raise FormulaParseError(f"clause {idx + 1}: need 1 or 2 literals, got {len(lits)}")
         norm = list(lits)
         if len(norm) == 1:
             norm = [norm[0], norm[0]]
@@ -176,11 +170,11 @@ def formula_from_ints(pairs: Iterable[Sequence[int]], m0: int) -> CnfFormula:
         for raw in norm:
             v = abs(raw)
             if raw == 0 or v > m0:
-                raise UnknownVariableError(f"clause {idx + 1}: variable index {raw} out of range")
+                raise FormulaParseError(f"clause {idx + 1}: variable index {raw} out of range")
             built.append(Literal(variables[v - 1], raw > 0))
         clauses.append(Clause((built[0], built[1]), idx))
     if not clauses:
-        raise EmptyFormulaError("formula has no clauses")
+        raise FormulaParseError("formula has no clauses")
     return CnfFormula(tuple(clauses), variables)
 
 
@@ -200,37 +194,37 @@ def parse_cnf(text: str | bytes) -> CnfFormula:
             continue
         if line.startswith("p"):
             if header is not None:
-                raise MalformedHeaderError(f"line {lineno}: duplicate header")
+                raise FormulaParseError(f"line {lineno}: duplicate header")
             parts = _FIELD_SEP.split(line)
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise MalformedHeaderError(f"line {lineno}: expected 'p cnf <m0> <n0>'")
+                raise FormulaParseError(f"line {lineno}: expected 'p cnf <m0> <n0>'")
             if not all(_DIMACS_INT.fullmatch(field) for field in parts[2:]):
-                raise MalformedHeaderError(f"line {lineno}: non-integer header field")
+                raise FormulaParseError(f"line {lineno}: non-integer header field")
             header = (int(parts[2]), int(parts[3]))
             if header[0] < 0 or header[1] < 0:
-                raise MalformedHeaderError(f"line {lineno}: negative header field")
+                raise FormulaParseError(f"line {lineno}: negative header field")
             continue
         if header is None:
-            raise MalformedHeaderError(f"line {lineno}: clause before header")
+            raise FormulaParseError(f"line {lineno}: clause before header")
         tokens = _FIELD_SEP.split(line)
         if not all(_DIMACS_INT.fullmatch(tok) for tok in tokens):
-            raise ClauseArityError(f"line {lineno}: non-integer token")
+            raise FormulaParseError(f"line {lineno}: non-integer token")
         ints = [int(tok) for tok in tokens]
         if not ints or ints[-1] != 0:
-            raise ClauseArityError(f"line {lineno}: clause not terminated by 0")
+            raise FormulaParseError(f"line {lineno}: clause not terminated by 0")
         lits = ints[:-1]
         if any(v == 0 for v in lits):
-            raise ClauseArityError(f"line {lineno}: embedded 0 in clause")
+            raise FormulaParseError(f"line {lineno}: embedded 0 in clause")
         if not 1 <= len(lits) <= 2:
-            raise ClauseArityError(f"line {lineno}: {len(lits)} literal slots (need 1 or 2)")
+            raise FormulaParseError(f"line {lineno}: {len(lits)} literal slots (need 1 or 2)")
         raw_clauses.append(lits)
     if header is None:
-        raise MalformedHeaderError("missing 'p cnf' header")
+        raise FormulaParseError("missing 'p cnf' header")
     m0, n0 = header
     if n0 == 0 or not raw_clauses:
-        raise EmptyFormulaError("empty formula rejected (2-MAXSAT needs positive k < n)")
+        raise FormulaParseError("empty formula rejected (2-MAXSAT needs positive k < n)")
     if len(raw_clauses) != n0:
-        raise MalformedHeaderError(f"header declares {n0} clauses, found {len(raw_clauses)}")
+        raise FormulaParseError(f"header declares {n0} clauses, found {len(raw_clauses)}")
     return formula_from_ints(raw_clauses, m0)
 
 

@@ -440,7 +440,7 @@ def shrink(m: Mismatch, variable_cap: int = DEFAULT_VARIABLE_CAP) -> Mismatch:
     """
 
     def replay(clauses: list[list[int]], m0: int, ordering: Sequence[str]) -> Mismatch | None:
-        try:  # no clauses left raises EmptyFormulaError
+        try:  # no clauses left raises FormulaParseError
             f = formula_from_ints(clauses, m0)
             if not tie_consistent(pad_missing(cnf_to_dnf(f)), ordering):
                 return None

@@ -28,11 +28,10 @@ from .trie import NodeMap, Trie, TrieLikeGraph, merge_main_paths, overlay_spans
 
 @dataclass
 class FrontEnd:
-    """Steps 1-8 of one run: every stage before the layered search."""
+    """Steps 1-8 of one run: the stages before the layered search, less the padding."""
 
     formula: CnfFormula
     dnf: DnfFormula
-    padded: list[PaddedConjunction]
     ordering: GlobalOrdering
     sequences: list[VarSequence]
     pgraphs: list[PGraph]
@@ -75,9 +74,7 @@ def front_end(f: CnfFormula, ordering: str | Sequence[str]) -> FrontEnd:
     pstars = [close_spans(pg) for pg in pgraphs]
     trie, node_map = merge_main_paths(pgraphs)
     trielike = overlay_spans(trie, node_map, pstars)
-    return FrontEnd(
-        f, dnf, padded, ordering_used, sequences, pgraphs, pstars, trie, node_map, trielike
-    )
+    return FrontEnd(f, dnf, ordering_used, sequences, pgraphs, pstars, trie, node_map, trielike)
 
 
 def search(front: FrontEnd, algorithm: int) -> PipelineRun:

@@ -13,16 +13,11 @@ checks against the frequencies, and the fuzzer enumerates every tie-break.
 from __future__ import annotations
 
 import enum
-import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    DuplicateNameError,
-    IncompleteExplicitOrderError,
-    UnknownVariableNameError,
-)
+from .errors import OrderingError
 from .formula import DnfFormula, Literal, PaddedConjunction, Variable
 
 
@@ -70,16 +65,6 @@ class GlobalOrdering:
 
     def display(self) -> str:
         return ">".join(v.name for v in self.variables)
-
-
-_NAME_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
-
-
-def _natural_key(name: str) -> tuple[str, int]:
-    match = _NAME_RE.match(name)
-    if match:
-        return (match.group(1), int(match.group(2)))
-    return (name, -1)
 
 
 def sequence_frequencies(padded: Sequence[PaddedConjunction]) -> dict[Variable, int]:
@@ -130,9 +115,11 @@ def tie_consistent(padded: Sequence[PaddedConjunction], names: Sequence[str]) ->
 
 
 def lexical_ordering(d: DnfFormula) -> GlobalOrdering:
-    """Name order (v1 > v2 > ... > y1 > y2 ...); the running example's ordering."""
-    ordered = sorted(d.variables, key=lambda v: _natural_key(v.name))
-    return GlobalOrdering(tuple(ordered))
+    """The table order, v1 > ... > vm0 > y1 > ... > yn0; the running example's ordering.
+
+    ``cnf_to_dnf`` builds the table in this name order.
+    """
+    return GlobalOrdering(d.variables)
 
 
 def explicit_ordering(d: DnfFormula, names: Sequence[str]) -> GlobalOrdering:
@@ -142,14 +129,14 @@ def explicit_ordering(d: DnfFormula, names: Sequence[str]) -> GlobalOrdering:
     ordered = []
     for name in names:
         if name in seen:
-            raise DuplicateNameError(f"duplicate name in ordering: {name}")
+            raise OrderingError(f"duplicate name in ordering: {name}")
         seen.add(name)
         if name not in by_name:
-            raise UnknownVariableNameError(f"unknown variable name: {name}")
+            raise OrderingError(f"unknown variable name: {name}")
         ordered.append(by_name[name])
     if len(ordered) != len(d.variables):
-        missing = sorted((v.name for v in d.variables if v.name not in seen), key=_natural_key)
-        raise IncompleteExplicitOrderError(f"ordering misses: {', '.join(missing)}")
+        missing = [v.name for v in d.variables if v.name not in seen]
+        raise OrderingError(f"ordering misses: {', '.join(missing)}")
     return GlobalOrdering(tuple(ordered))
 
 
@@ -157,7 +144,7 @@ def parse_ordering(spec: str) -> list[str]:
     """Parse "y1>y2>v1" into a name list; ``explicit_ordering`` rejects repeats."""
     names = [part.strip() for part in spec.split(">")]
     if any(not name for name in names):
-        raise UnknownVariableNameError(f"empty name in ordering spec: {spec!r}")
+        raise OrderingError(f"empty name in ordering spec: {spec!r}")
     return names
 
 
@@ -172,7 +159,7 @@ def build_sequences(
     covered = {var.id for var in ordering.variables}
     for var, count in sequence_frequencies(padded).items():  # id order: name the lowest
         if count and var.id not in covered:
-            raise IncompleteExplicitOrderError(f"ordering does not cover {var.name}")
+            raise OrderingError(f"ordering does not cover {var.name}")
     sequences = []
     for pc in padded:
         own = {lit.variable.id: lit.positive for lit in pc.base.literals}

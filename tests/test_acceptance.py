@@ -44,7 +44,7 @@ from twomaxsat.harness import (
 from twomaxsat.oracle import oracle_max_sat
 from twomaxsat.pipeline import run_pipeline
 from twomaxsat.spans import build_pgraph, close_spans
-from tests.conftest import all_formulas
+from tests.conftest import all_formulas, criterion7_stream
 from tests.layered_reference import unfold
 from tests.test_oracle import dnf_max_count
 from tests.test_spans import closure_oracle, fixpoint_closure, sequence_from_pattern
@@ -203,21 +203,13 @@ def test_criterion_06_algorithm_3_failure(ce1):
 def test_criterion_07_proposition_1_bounds():
     # The audit measures Proposition 1's bounds; the layered ones break on
     # random formulas (180 of these 1005 audits), everything else holds.
-    rng = random.Random(1789)
     layered_bounds = {LAYERED_VERTEX_BOUND, LAYERED_EDGE_BOUND}
     checked = 0
     violating = 0
     broken: Counter[str] = Counter()
     non_layered = []
     failures = []
-    for _ in range(1000):
-        n0 = rng.randint(1, 8)
-        m0 = rng.randint(1, 8)
-        clauses = []
-        for _ in range(n0):
-            a = rng.randint(1, m0) * rng.choice((1, -1))
-            b = a if rng.random() < 0.3 else rng.randint(1, m0) * rng.choice((1, -1))
-            clauses.append([a, b])
+    for m0, clauses in criterion7_stream(1000):
         f = formula_from_ints(clauses, m0)
         report = audit_bounds(f)
         checked += 1

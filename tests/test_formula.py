@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twomaxsat.errors import (
-    ClauseArityError,
-    EmptyFormulaError,
-    MalformedHeaderError,
-    PartialAssignmentError,
-    UnknownVariableError,
-)
+from twomaxsat.errors import FormulaParseError, PartialAssignmentError
 from twomaxsat.formula import (
     Assignment,
     DnfFormula,
@@ -52,37 +47,38 @@ def test_parse_ignores_comments_and_blank_lines():
 
 
 @pytest.mark.parametrize(
-    "text, err",
+    "text, message",
     [
-        ("1 2 0\n", MalformedHeaderError),
-        ("p dnf 2 1\n1 2 0\n", MalformedHeaderError),
-        ("p cnf 2\n1 2 0\n", MalformedHeaderError),
-        ("p cnf 2 2\n1 2 0\n", MalformedHeaderError),  # clause count mismatch
-        ("p cnf 3 1\n1 2 3 0\n", ClauseArityError),
-        ("p cnf 2 1\n0\n", ClauseArityError),
-        ("p cnf 2 1\n1 2\n", ClauseArityError),
-        ("p cnf 2 1\n1 3 0\n", UnknownVariableError),
-        ("p cnf 2 0\n", EmptyFormulaError),
-        ("p cnf 1_0 1\n1 0\n", MalformedHeaderError),  # int() would read 10
-        ("p cnf 1 1\n+1 0\n", ClauseArityError),
-        ("p cnf 1 1\n\u0661 0\n", ClauseArityError),  # Arabic-Indic digit one
-        ("p cnf 1\u20031\n1 0\n", MalformedHeaderError),  # em space
-        ("p cnf 1 1\n1 0\u3000\n", ClauseArityError),  # ideographic space
-        ("p cnf 1 1\np cnf 1 1\n1 0\n", MalformedHeaderError),  # duplicate header
-        ("p cnf -1 1\n1 0\n", MalformedHeaderError),  # negative header field
-        ("p cnf 2 1\n0 1 0\n", ClauseArityError),  # embedded 0
-        ("c no header\n", MalformedHeaderError),  # missing header
+        ("1 2 0\n", "line 1: clause before header"),
+        ("p dnf 2 1\n1 2 0\n", "line 1: expected 'p cnf <m0> <n0>'"),
+        ("p cnf 2\n1 2 0\n", "line 1: expected 'p cnf <m0> <n0>'"),
+        ("p cnf 2 2\n1 2 0\n", "header declares 2 clauses, found 1"),
+        ("p cnf 3 1\n1 2 3 0\n", "line 2: 3 literal slots (need 1 or 2)"),
+        ("p cnf 2 1\n0\n", "line 2: 0 literal slots (need 1 or 2)"),
+        ("p cnf 2 1\n1 2\n", "line 2: clause not terminated by 0"),
+        ("p cnf 2 1\n1 3 0\n", "clause 1: variable index 3 out of range"),
+        ("p cnf 2 0\n", "empty formula rejected (2-MAXSAT needs positive k < n)"),
+        ("p cnf 1_0 1\n1 0\n", "line 1: non-integer header field"),  # int() would read 10
+        ("p cnf 1 1\n+1 0\n", "line 2: non-integer token"),
+        ("p cnf 1 1\n\u0661 0\n", "line 2: non-integer token"),  # Arabic-Indic digit one
+        ("p cnf 1\u20031\n1 0\n", "line 1: expected 'p cnf <m0> <n0>'"),  # em space
+        ("p cnf 1 1\n1 0\u3000\n", "line 2: non-integer token"),  # ideographic space
+        ("p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate header"),
+        ("p cnf -1 1\n1 0\n", "line 1: negative header field"),
+        ("p cnf 2 1\n0 1 0\n", "line 2: embedded 0 in clause"),
+        ("c no header\n", "missing 'p cnf' header"),
     ],
 )
-def test_parse_errors(text, err):
-    with pytest.raises(err):
+def test_parse_errors(text, message):
+    # one class for every parse fault: the message is what tells them apart
+    with pytest.raises(FormulaParseError, match=f"^{re.escape(message)}$"):
         parse_cnf(text)
 
 
 @pytest.mark.parametrize("text", ["p cnf 1 1\n1\u20030\n", "p cnf 1 1\n1 0\u3000\n"])
 def test_parse_rejects_unicode_space_as_text_and_bytes(text):
     # only ASCII whitespace separates or ends tokens, so text and bytes agree
-    with pytest.raises(ClauseArityError, match="non-integer token"):
+    with pytest.raises(FormulaParseError, match="non-integer token"):
         parse_cnf(text)
     with pytest.raises(UnicodeDecodeError):
         parse_cnf(text.encode())

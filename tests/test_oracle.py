@@ -23,6 +23,7 @@ from twomaxsat.formula import (
 )
 from twomaxsat.harness import CE1_DIMACS, CE3_DIMACS, RUNNING_DIMACS
 from twomaxsat.oracle import oracle_max_sat
+from tests.conftest import criterion7_clauses
 
 
 def dnf_max_count(d: DnfFormula) -> int:
@@ -109,12 +110,7 @@ def test_oracle_agrees_with_direct_evaluation():
     for _ in range(150):
         m0 = rng.randint(1, 4)
         n0 = rng.randint(1, 5)
-        clauses = []
-        for _ in range(n0):
-            a = rng.randint(1, m0) * rng.choice((1, -1))
-            b = a if rng.random() < 0.3 else rng.randint(1, m0) * rng.choice((1, -1))
-            clauses.append([a, b])
-        f = formula_from_ints(clauses, m0)
+        f = formula_from_ints(criterion7_clauses(rng, n0, m0), m0)
         best = max(
             eval_cnf(
                 f,
@@ -131,10 +127,5 @@ def test_transformation_agreement_sampled():
     for _ in range(300):
         m0 = rng.randint(1, 6)
         n0 = rng.randint(1, 6)
-        clauses = []
-        for _ in range(n0):
-            a = rng.randint(1, m0) * rng.choice((1, -1))
-            b = a if rng.random() < 0.3 else rng.randint(1, m0) * rng.choice((1, -1))
-            clauses.append([a, b])
-        f = formula_from_ints(clauses, m0)
+        f = formula_from_ints(criterion7_clauses(rng, n0, m0), m0)
         assert dnf_max_count(cnf_to_dnf(f)) == oracle_max_sat(f).max_count

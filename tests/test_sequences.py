@@ -6,13 +6,9 @@ import random
 
 import pytest
 
-from twomaxsat.errors import (
-    DuplicateNameError,
-    IncompleteExplicitOrderError,
-    UnknownVariableNameError,
-)
+from twomaxsat.errors import OrderingError
 from tests.conftest import all_formulas
-from twomaxsat.formula import cnf_to_dnf, pad_missing, parse_cnf
+from twomaxsat.formula import cnf_to_dnf, formula_from_ints, pad_missing, parse_cnf
 from twomaxsat.harness import FuzzParams, random_formula
 from twomaxsat.sequences import (
     GlobalOrdering,
@@ -68,17 +64,22 @@ def test_explicit_list_contradiction(ce2):
 
 
 def test_explicit_list_incomplete(ce1):
-    with pytest.raises(IncompleteExplicitOrderError):
+    with pytest.raises(OrderingError, match="^ordering misses: v1$"):
         explicit_ordering(cnf_to_dnf(ce1), ["y1", "y2"])
+    # the missing names come in table order, so v10 follows v9
+    d = cnf_to_dnf(formula_from_ints([[1, 10]], 10))
+    missing = ", ".join(f"v{i}" for i in range(2, 11))
+    with pytest.raises(OrderingError, match=f"^ordering misses: {missing}$"):
+        explicit_ordering(d, ["y1", "v1"])
 
 
 def test_explicit_list_unknown_name(ce1):
-    with pytest.raises(UnknownVariableNameError):
+    with pytest.raises(OrderingError, match="^unknown variable name: v9$"):
         explicit_ordering(cnf_to_dnf(ce1), ["y1", "y2", "v9"])
 
 
 def test_explicit_list_repeated_name(ce1):
-    with pytest.raises(DuplicateNameError, match="y1"):
+    with pytest.raises(OrderingError, match="y1"):
         explicit_ordering(cnf_to_dnf(ce1), ["y1", "y1", "v1"])
 
 
@@ -124,11 +125,11 @@ def test_everything_removed_sequence():
 def test_parse_ordering(ce1):
     assert parse_ordering("y1>y2>v1") == ["y1", "y2", "v1"]
     assert parse_ordering("v1") == ["v1"]
-    with pytest.raises(UnknownVariableNameError, match="empty name"):
+    with pytest.raises(OrderingError, match="empty name"):
         parse_ordering("y1>>v1")
     # a spec's repeated name is rejected where a name list's is, in explicit_ordering
     d = cnf_to_dnf(ce1)
-    with pytest.raises(DuplicateNameError, match="duplicate name in ordering: y2"):
+    with pytest.raises(OrderingError, match="duplicate name in ordering: y2"):
         resolve_ordering(d, pad_missing(d), "y2>y2")
 
 
@@ -182,6 +183,10 @@ def test_resolve_ordering_forms(running):
     )
     by_freq = resolve_ordering(d, padded, "frequency")
     assert by_freq.display() == "v3>v1>v2>y1>y2"
+    # lexical is name order with numeric indices: v9 > v10 and y9 > y10 > y11
+    d = cnf_to_dnf(formula_from_ints([[i, -i] for i in range(1, 11)] + [[1, 2]], 10))
+    names = [f"v{i}" for i in range(1, 11)] + [f"y{i}" for i in range(1, 12)]
+    assert resolve_ordering(d, pad_missing(d), "lexical").display() == ">".join(names)
 
 
 def _reference_frequencies(padded):
@@ -226,7 +231,7 @@ def test_build_sequences_names_the_lowest_uncovered_variable(running, ce1):
     assert full.display() == "v3>v1>v2>y1>y2"
     for dropped, named in (({"v3", "v1"}, "v1"), ({"y2", "v2"}, "v2"), ({"y1"}, "y1")):
         partial = GlobalOrdering(tuple(v for v in full.variables if v.name not in dropped))
-        with pytest.raises(IncompleteExplicitOrderError, match=f"does not cover {named}$"):
+        with pytest.raises(OrderingError, match=f"does not cover {named}$"):
             build_sequences(padded, partial)
     # v1 is negated in every conjunction of CE1, so no sequence needs it
     padded = _padded(ce1)
