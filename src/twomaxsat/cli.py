@@ -82,11 +82,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
     if args.name == "all":
         specs = harness.builtin_counterexamples()
     else:
-        try:
-            specs = [harness.builtin_by_name(args.name)]
-        except (KeyError, ValueError) as exc:  # unknown name, or family(N) without N in 2..12
-            print(str(exc), file=sys.stderr)
-            return EXIT_INPUT
+        specs = [harness.builtin_by_name(args.name)]
     outs: list[list[Path]] = [[] for _ in specs]  # per spec, one directory per algorithm
     if args.export:
         root = Path(args.export)

@@ -2,10 +2,13 @@
 
 One class per way a caller reacts, not per fault: the message names the
 fault.  The CLI prints a ``FormulaParseError`` as ``parse error: ...`` and
-any other ``TwoMaxSatError`` (a bad ordering, assignment or builtin) as
+any other ``TwoMaxSatError`` (a bad ordering or assignment, or a builtin
+name ``repro`` cannot resolve, raised as ``TwoMaxSatError`` itself) as
 ``error: ...``, both with exit code 2; a ``TooManyVariablesError`` is a
 resource cap and exits 3.  ``InternalError`` is not an input error at all:
-it marks a bug, and the CLI lets its traceback through.
+it marks a bug, and the CLI lets its traceback through.  Library calls
+whose arguments do not fit together, such as ``overlay_spans`` given a node
+map that misses a conjunction, raise ``ValueError``.
 """
 
 
@@ -23,10 +26,6 @@ class OrderingError(TwoMaxSatError):
 
 class PartialAssignmentError(TwoMaxSatError):
     """An assignment does not cover every variable it must."""
-
-
-class UnmappedPositionError(TwoMaxSatError):
-    """A span references a sequence position with no trie node (construction bug)."""
 
 
 class TooManyVariablesError(TwoMaxSatError):

@@ -288,7 +288,7 @@ def _pop_templates(
     created groups.  A section the pop adds nothing to is left out.
     """
     parent, layer, start = 0, 1, 2 + len(exp.key)  # positions in a pop's arguments
-    created, groups, merges = exp.created, exp.groups, exp.merges
+    created, groups, merges = exp.created, exp.groups, exp.merge_records()
     ids = range(start, start + len(created))
     at = dict(zip(created, ids))  # a created trie node's position
     parent_ids = exp.graph.parent_ids  # the rows the edge runs were joined from

@@ -147,15 +147,20 @@ def builtin_counterexamples(family_n: int = 4) -> list[CounterexampleSpec]:
 
 
 def builtin_by_name(name: str) -> CounterexampleSpec:
+    """The builtin case called `name`, or family(N) for any N in range; an
+    unknown name or a bad N is an input error."""
     if name.startswith("family(") and name.endswith(")"):
         size = name[len("family(") : -1]
         if not (size.isascii() and size.isdigit()):
-            raise ValueError(f"family(N) needs an integer N in 2..{FAMILY_CAP}, got {name!r}")
-        return builtin_counterexamples(int(size))[-1]
+            raise TwoMaxSatError(f"family(N) needs an integer N in 2..{FAMILY_CAP}, got {name!r}")
+        try:
+            return builtin_counterexamples(int(size))[-1]
+        except ValueError as exc:  # N outside 2..FAMILY_CAP, as family() words it
+            raise TwoMaxSatError(str(exc)) from None
     for spec in builtin_counterexamples():
         if spec.name == name:
             return spec
-    raise KeyError(f"unknown builtin counterexample {name!r}")
+    raise TwoMaxSatError(f"unknown builtin counterexample {name!r}")
 
 
 def diagnose_skip_over(run: PipelineRun) -> tuple[SkipOverEdge, ...]:

@@ -17,22 +17,22 @@ are pushed, singletons keep their instance and edges but never expand.
 Algorithm 3 exists only as prose and worked examples, never as pseudocode;
 this is a reconstruction of that described behavior.  Expansion works as in
 Algorithm 1, but whenever a parent trie node is generated by two or more
-members of one expansion the merge is classified (Case 1: generators in
-pairwise-distinct root branches; Case 2: on one root-to-leaf path; Case 3:
-the unexplained catch-all).  Case 2 never happens: a merge's generators are
-members of one group, so they share one label, and a root path names each
-label once.  The merged instance is not expanded further and the
-expansion's non-merged parents that form no pushed group continue as
-single-node recursions.  The cases read the trie's ``ancestry`` table,
-which the build hands to every expansion: trie ids are preorder, so sorted
-by id the generators lie on one path (Case 2) exactly when each one's
-subtree, the ids up to its ``last``, holds the next, and they are in
-pairwise-distinct root branches (Case 1) when their depth-1 ancestors
-differ.  Each merge is classified by ``_case`` in the expansion that makes
-it, with the merged node's ancestor tuple from the same table as its
-anchors.  No cache keeps classifications: one keyed by (merged node,
-generators) answered 4 to 32 % of lookups on the measured workloads, and
-the build was no faster with it.
+members of one expansion the merge is classified.  The prose names three
+cases: Case 1, generators in pairwise-distinct root branches; Case 2,
+generators on one root-to-leaf path; Case 3, the unexplained catch-all.
+Case 2 never happens: a merge's generators are members of one group, so
+they share one label, and a root path names each label once.  So ``_case``
+answers Case 1 when the generators' depth-1 ancestors, read from the trie's
+cached ``branch`` table, differ, and Case 3 otherwise.  The merged instance
+is not expanded further and the expansion's non-merged parents that form no
+pushed group continue as single-node recursions.  Each merge is classified
+in the expansion that makes it, and the memo keeps only its created index,
+generators and case: its reason follows from the case, and its anchors are
+the merged node's main-path ancestors, so ``Expansion.merge_records``
+derives both when ``merge_events`` or the JSON export reads the entry.  No
+cache keeps classifications: one keyed by (merged node, generators)
+answered 4 to 32 % of lookups on the measured workloads, and the build was
+no faster with it.
 
 The prose also describes reachable subsets and upper boundaries, never
 formally defined, that would keep a merged instance alive after a Case 1
@@ -42,7 +42,8 @@ so all generators of a repeated non-root node share that node's root branch
 (never Case 1), and a Case 1 repeat can only be the root, which has no
 anchor.  Every merge therefore degenerates, which is precisely how the
 recorded counterexamples defeat the improved search, so those structures
-have no code here: a Case 1 merge with anchors raises InternalError.
+have no code here: a Case 1 merge at any node but the root raises
+InternalError.
 
 Both searches are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): popping a group depends only on the
@@ -77,18 +78,18 @@ every sequence ends in ``$``, so ``merge_main_paths`` makes at least one leaf.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
 from .errors import InternalError
-from .trie import Ancestry, TrieLikeGraph
+from .trie import TrieLikeGraph
 
 
 class DuplicateCase:
     CASE1 = "case1"
-    CASE2 = "case2"
     CASE3 = "case3"
 
 
@@ -150,8 +151,8 @@ class Expansion:
     graph: TrieLikeGraph  # the searched graph, shared by every entry of one build
     groups: tuple[tuple[str, tuple[int, ...], bool, str], ...]
     # (label, created indices, pushed, origin)
-    merges: tuple[tuple[int, tuple[int, ...], str, str, tuple[int, ...]], ...]
-    # (created index, generator trie nodes, case, reason, anchors)
+    merges: tuple[tuple[int, tuple[int, ...], str], ...]
+    # (created index, generator trie nodes, case)
     children: tuple[tuple[int, Expansion], ...]  # (group index, its expansion), in pop order
     roots: tuple[int, ...]  # created indices that never get a parent
     instances: int
@@ -161,6 +162,21 @@ class Expansion:
     expanded_total: int
     merge_total: int
     height: int  # layers the subtree adds above the popped group
+
+    def merge_records(self) -> list[tuple[int, tuple[int, ...], str, str, tuple[int, ...]]]:
+        """``merges`` with each one's reason and anchors, derived on each call:
+        (created index, generator trie nodes, case, reason, anchors).  A Case 1
+        merge is the root's, which has no anchor, and reachable subsets are
+        only defined relative to a Case 1 repeat."""
+        ancestors = self.graph.trie.ancestors
+        reasons = {
+            DuplicateCase.CASE1: "anchor-not-on-path",
+            DuplicateCase.CASE3: "non-case1-merge",
+        }
+        return [
+            (c, generators, case, reasons[case], tuple(ancestors(self.created[c])))
+            for c, generators, case in self.merges
+        ]
 
 
 @dataclass
@@ -219,37 +235,27 @@ class LayeredGraph:
     @property
     def merge_events(self) -> list[MergeEvent]:
         """Every merge event in creation order, built from ``replay`` on each read."""
+        records = functools.cache(Expansion.merge_records)  # once per memo entry
         return [
             MergeEvent(layer + 1, exp.created[c], ids[c], generators, case, True, reason, anchors)
             for exp, _, _, layer, ids, _ in replay(self)
-            for c, generators, case, reason, anchors in exp.merges
+            for c, generators, case, reason, anchors in records(exp)
         ]
 
 
-def _case(occ: list[int], last: list[int], branch: list[int]) -> str:
-    """The case of two or more distinct generators, sorted by id."""
-    # ids are preorder: every pair is comparable exactly when each node's subtree holds the next
-    above = occ[0]
-    for nid in occ:
-        if nid > last[above]:
-            break
-        above = nid
-    else:
-        return DuplicateCase.CASE2
-    seen = set()
-    for nid in occ:
-        if branch[nid] in seen:
-            return DuplicateCase.CASE3
-        seen.add(branch[nid])
-    return DuplicateCase.CASE1
+def _case(occ: list[int], branch: list[int]) -> str:
+    """The case of two or more distinct same-label generators: never Case 2."""
+    if len({branch[nid] for nid in occ}) == len(occ):
+        return DuplicateCase.CASE1
+    return DuplicateCase.CASE3
 
 
 def _expansion(
-    memo: dict, g: TrieLikeGraph, ancestry: Ancestry | None, key: tuple[int, ...]
+    memo: dict, g: TrieLikeGraph, branch: list[int] | None, key: tuple[int, ...]
 ) -> Expansion:
     """The expansion of one member trie-node tuple of `g`, memoised in ``memo``.
 
-    ``ancestry`` is the trie's table under Algorithm 3, which classifies each
+    ``branch`` is the trie's table under Algorithm 3, which classifies each
     merge here, where it is made, and None under Algorithm 1.  Module level,
     like ``subsets._best``: a search leaves no reference cycle.
     """
@@ -260,7 +266,7 @@ def _expansion(
     rows = list(map(g.parent_ids.__getitem__, key))
     buckets: defaultdict[str, list[int]] = defaultdict(list)  # unmerged parents by label
     merges = []
-    if ancestry is None:
+    if branch is None:
         # a path of its own: through the generator lists below, Algorithm 1 built 1.2-1.5x slower
         created = tuple(dict.fromkeys(chain.from_iterable(rows)))
         for c, node in enumerate(created):
@@ -271,22 +277,18 @@ def _expansion(
             for parent in row:
                 gens[parent].append(nid)
         created = tuple(gens)
-        last, branch, ancestors = ancestry.last, ancestry.branch, ancestry.ancestors
         for c, (node, generators) in enumerate(gens.items()):
             if len(generators) < 2:
                 buckets[labels[node]].append(c)
                 continue
             generators.sort()  # key nodes are distinct
-            case = _case(generators, last, branch)
-            anchors = ancestors[node]
-            if case == DuplicateCase.CASE1 and anchors:
+            case = _case(generators, branch)
+            if case == DuplicateCase.CASE1 and node != 1:
                 raise InternalError(
                     f"Case 1 merge at non-root node n{node} (generators {tuple(generators)}): "
                     "a span edge leaves its owner's root path"
                 )
-            # reachable subsets are only defined relative to a Case 1 repeat
-            reason = "anchor-not-on-path" if case == DuplicateCase.CASE1 else "non-case1-merge"
-            merges.append((c, tuple(generators), case, reason, anchors))
+            merges.append((c, tuple(generators), case))
     groups = [(label, tuple(cs), len(cs) >= 2, "label") for label, cs in buckets.items()]
     if merges:
         # a duplicate appeared: each parent left in an unpushed (singleton)
@@ -300,7 +302,7 @@ def _expansion(
         _, cs, pushed, _ = groups[gi]
         if pushed:
             expanded.update(cs)
-            child = _expansion(memo, g, ancestry, tuple(map(created.__getitem__, cs)))
+            child = _expansion(memo, g, branch, tuple(map(created.__getitem__, cs)))
             children.append((gi, child))
     # the trie root, id 1, has no parent even when its group is expanded
     roots = tuple(c for c, nid in enumerate(created) if c not in expanded or nid == 1)
@@ -335,8 +337,8 @@ def _expansion(
 
 def _build(g: TrieLikeGraph, mode: str) -> LayeredGraph:
     leaves = tuple(n.id for n in g.trie.leaves())
-    ancestry = g.trie.ancestry if mode == "alg3" else None
-    return LayeredGraph(mode, g, leaves, _expansion({}, g, ancestry, leaves))
+    branch = g.trie.branch if mode == "alg3" else None
+    return LayeredGraph(mode, g, leaves, _expansion({}, g, branch, leaves))
 
 
 def build_layered_alg1(g: TrieLikeGraph) -> LayeredGraph:

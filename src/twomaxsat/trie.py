@@ -10,7 +10,7 @@ an entry creates its node and appends the node's id to the path of each
 p-graph landing on it, then pushes the groups in reverse order and the leaf
 last.  So the leaf is created first and each group's subtree is finished
 before the next group starts: node ids are preorder with the leaf first
-(the contract ``Trie.ancestry`` reads; see ``Trie``), reproducing the
+(the contract ``Trie.branch`` reads; see ``Trie``), reproducing the
 n1, n2, ... numbering the recorded counterexamples use, and every sequence
 position is mapped by construction.
 
@@ -35,7 +35,6 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .errors import UnmappedPositionError
 from .formula import Variable
 from .sequences import ItemTag
 from .spans import PGraph, PStarGraph
@@ -62,19 +61,10 @@ class TrieNode:
         return self.variable.name
 
 
-@dataclass(frozen=True)
-class Ancestry:
-    """Main-path ancestry of every node of one trie, indexed by node id."""
-
-    ancestors: list[tuple[int, ...]]  # root first, the node excluded
-    branch: list[int]  # the depth-1 ancestor, or the node itself at depth <= 1
-    last: list[int]  # the largest id in the node's subtree
-
-
 @dataclass
 class Trie:
-    """``nodes[i]`` has id ``i + 1``, so the root is node 1, and ids are preorder:
-    `a` is `b` or an ancestor of `b` exactly when ``a <= b <= ancestry.last[a]``."""
+    """``nodes[i]`` has id ``i + 1``, so the root is node 1, and ids are
+    preorder: a node comes after its parent, which ``branch`` reads."""
 
     nodes: list[TrieNode]
 
@@ -94,25 +84,25 @@ class Trie:
 
     def ancestors(self, node_id: int) -> list[int]:
         """Main-path ancestors of a node, root first, the node excluded."""
-        return list(self.ancestry.ancestors[node_id])
+        path = []
+        parent = self.node(node_id).parent
+        while parent is not None:
+            path.append(parent)
+            parent = self.node(parent).parent
+        path.reverse()
+        return path
 
     @cached_property
-    def ancestry(self) -> Ancestry:
-        """Built on first read; a trie does not change once merged."""
-        size = len(self.nodes) + 1
-        ancestors: list[tuple[int, ...]] = [()] * size
-        branch = list(range(size))
-        for node in self.nodes:  # in preorder a parent comes before its children
-            above = ancestors[node.id] + (node.id,)
+    def branch(self) -> list[int]:
+        """Each node's depth-1 ancestor, or the node itself at depth <= 1, by id.
+
+        Built on first read; a trie does not change once merged.
+        """
+        branch = list(range(len(self.nodes) + 1))
+        for node in self.nodes[1:]:  # in preorder a parent comes before its children
             for child in node.children:
-                ancestors[child] = above
-                if len(above) > 1:
-                    branch[child] = branch[node.id]
-        last = list(range(size))
-        for node in reversed(self.nodes):
-            if node.children:
-                last[node.id] = last[node.children[-1]]
-        return Ancestry(ancestors, branch, last)
+                branch[child] = branch[node.id]
+        return branch
 
 
 NodeMap = dict[str, tuple[int, ...]]
@@ -233,18 +223,19 @@ def overlay_spans(
 
     A run (first, last) closes the spans (i, j) with first - 1 <= i and
     i + 2 <= j <= last + 1, so each i adds the edges from the nodes at
-    ``mapped[i + 2 : last + 2]`` to the node at ``mapped[i]``.
+    ``mapped[i + 2 : last + 2]`` to the node at ``mapped[i]``.  Stage inputs
+    that do not fit together, a construction bug, raise ValueError.
     """
     owners: Owners = {}
     add_owner = owners.setdefault
     for ps in pstars:
         label = ps.base.label
         if label not in node_map:
-            raise UnmappedPositionError(f"no node map entry for conjunction {label}")
+            raise ValueError(f"no node map entry for conjunction {label}")
         mapped = node_map[label]
         for first, last in ps.runs:
             if last + 1 >= len(mapped):
-                raise UnmappedPositionError(
+                raise ValueError(
                     f"positions {first - 1}..{last + 1} of {label} outside the mapped "
                     f"sequence of {len(mapped)} positions"
                 )

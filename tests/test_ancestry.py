@@ -1,6 +1,6 @@
-"""The trie's cached ancestry table against parent-pointer walks, and the
-interval-based duplicate classification the build runs (``layered._case``)
-against the walk-based reference."""
+"""The trie's cached ``branch`` table and ``ancestors`` against parent-pointer
+walks, and the duplicate classification the build runs (``layered._case``)
+against the walk-based reference on every set of nodes the build can pass."""
 
 from __future__ import annotations
 
@@ -68,10 +68,18 @@ def test_table_matches_parent_walks():
 
 
 def test_classification_matches_reference_on_pairs_and_triples():
+    # a merge's generators are members of one group, so the build only ever
+    # classifies distinct nodes of one label: no such set lies on one root path
+    checked = 0
     for name, g in _small_graphs():
-        ids = [node.id for node in g.trie.nodes]
-        table = g.trie.ancestry
-        for size in (2, 3):
-            for occ in itertools.combinations(ids, size):
-                got = _case(sorted(occ), table.last, table.branch)
-                assert got == walk_case(g, occ), (name, occ)
+        by_label: dict[str, list[int]] = {}
+        for node in g.trie.nodes:
+            by_label.setdefault(node.label_text, []).append(node.id)
+        for ids in by_label.values():
+            for size in (2, 3):
+                for occ in itertools.combinations(ids, size):
+                    want = walk_case(g, occ)
+                    assert want != "case2", (name, occ)
+                    assert _case(sorted(occ), g.trie.branch) == want, (name, occ)
+                    checked += 1
+    assert checked > 10_000

@@ -249,12 +249,20 @@ def test_repro_single(capsys, tmp_path):
     assert main(["repro", "running"]) == 0
     capsys.readouterr()
     assert main(["repro", "nonsense"]) == 2
-    for name in ("family(1)", "family(13)", "family(x)"):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # an input error like any other: prefixed, and no KeyError repr's quotes
+    assert captured.err == "error: unknown builtin counterexample 'nonsense'\n"
+    for name, err in (
+        ("family(1)", "family(N) needs N in 2..12, got 1"),
+        ("family(13)", "family(N) needs N in 2..12, got 13"),
+        ("family(x)", "family(N) needs an integer N in 2..12, got 'family(x)'"),
+    ):
         assert main(["repro", name]) == 2, name
         captured = capsys.readouterr()
         assert captured.out == "", name
         # the message names the case and the accepted range, not int()'s complaint
-        assert "family(N)" in captured.err and "2..12" in captured.err, name
+        assert captured.err == f"error: {err}\n", name
 
 
 def test_repro_export_writes_each_algorithms_stages(capsys, tmp_path):

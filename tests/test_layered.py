@@ -162,19 +162,15 @@ def test_alg3_dedup_within_expansion(ce2):
 
 def _classify(g, generators):
     """The case the build gives a merge of these distinct generator nodes."""
-    table = g.trie.ancestry
-    return _case(sorted(generators), table.last, table.branch)
+    return _case(sorted(generators), g.trie.branch)
 
 
-def test_classify_cases(ce1, running):
+def test_classify_cases(ce1):
     g = _trielike(ce1, "y1>y2>v1")
     # n3 and n7 generated parent n1 from different root branches
     assert _classify(g, {3, 7}) == "case1"
     # n3 and n5 share the branch through n2 without lying on one path
     assert _classify(g, {3, 5}) == "case3"
-    # two nodes on one root-to-leaf path
-    gr = _trielike(running, "lexical")
-    assert _classify(gr, {2, 4}) == "case2"
 
 
 def test_every_public_name_resolves():
@@ -253,9 +249,10 @@ def test_every_merge_degenerates_on_pipeline_graphs():
 def test_algorithm3_never_makes_a_case2_merge():
     # a merge's generators are members of one group, so they share one label,
     # and a root path names each label once: no two generators lie on one
-    # root path, and the only Case 1 merges are at the trie root, node 1
+    # root path, and the only Case 1 merges are at the trie root, node 1;
+    # the walk-based reference, which still knows Case 2, classifies each one
     from tests.conftest import all_formulas
-    from tests.layered_reference import fuzz_fronts
+    from tests.layered_reference import fuzz_fronts, walk_case
     from twomaxsat.harness import tie_consistent_orderings
     from twomaxsat.pipeline import front_end
 
@@ -266,7 +263,8 @@ def test_algorithm3_never_makes_a_case2_merge():
     cases = Counter()
     for g in graphs:
         for exp in _entries(build_layered_alg3(g)):
-            for c, _, case, _, _ in exp.merges:
+            for c, generators, case in exp.merges:
+                assert walk_case(g, generators) == case, generators
                 cases[case] += 1
                 if case == "case1":
                     assert exp.created[c] == 1
