@@ -35,7 +35,8 @@ from .formula import (
     render_cnf,
 )
 from .oracle import DEFAULT_VARIABLE_CAP, oracle_max_sat
-from .pipeline import PipelineRun, front_end, run_pipeline, search
+# run_pipeline is imported for the benchmark's tracer, which wraps harness.run_pipeline
+from .pipeline import PipelineRun, build_layered, front_end, run_pipeline, search  # noqa: F401
 from .report import Mismatch, SkipOverEdge
 from .sequences import frequency_ordering, sequence_frequencies, tie_consistent
 
@@ -477,10 +478,11 @@ def audit_bounds(
     ordering: str | Sequence[str] = "frequency",
     algorithm: int = 1,
 ) -> AuditReport:
-    """Run the pipeline and measure every stage against the proved bounds."""
-    run = run_pipeline(f, ordering=ordering, algorithm=algorithm)
+    """Run the front end and the layered search, and measure every stage
+    against the proved bounds; findSubset's answer is not needed."""
+    run = front_end(f, ordering)
+    layered = build_layered(run.trielike, algorithm)
     n, m = run.dnf.n, run.dnf.m
-    layered = run.layered
     bounds = [
         BoundCheck(SPAN_BOUND, max(ps.span_count for ps in run.pstars), (m + 2) * (m + 1) // 2),
         BoundCheck(TRIE_VERTEX_BOUND, run.trielike.vertex_count, n * (m + 2) - 1),

@@ -16,21 +16,23 @@ are pushed, singletons keep their instance and edges but never expand.
 
 Algorithm 3 exists only as prose and worked examples, never as pseudocode;
 this is a reconstruction of that described behavior.  Expansion works as in
-Algorithm 1, but whenever a parent trie node is generated by two or more
-members of one expansion the merge is classified.  The prose names three
-cases: Case 1, generators in pairwise-distinct root branches; Case 2,
-generators on one root-to-leaf path; Case 3, the unexplained catch-all.
-Case 2 never happens: a merge's generators are members of one group, so
-they share one label, and a root path names each label once.  So ``_case``
-answers Case 1 when the generators' depth-1 ancestors, read from the trie's
-cached ``branch`` table, differ, and Case 3 otherwise.  The merged instance
-is not expanded further and the expansion's non-merged parents that form no
-pushed group continue as single-node recursions.  Each merge is classified
-in the expansion that makes it, and the memo keeps only its created index,
-generators and case: its reason follows from the case, and its anchors are
-the merged node's main-path ancestors, so ``Expansion.merge_records``
-derives both when ``merge_events`` or the JSON export reads the entry.  No
-cache keeps classifications: one keyed by (merged node, generators)
+Algorithm 1, but a parent trie node generated by two or more members of one
+expansion is merged: one ``Counter`` over the members' rows finds the
+created parents in Algorithm 1's first-seen order, and a row names a parent
+once, so a count of two or more marks a merge.  The merged instance is not
+expanded further and the expansion's non-merged parents that form no
+pushed group continue as single-node recursions.  The memo keeps only each
+merge's created index, since the search reads nothing more;
+``Expansion.merge_records`` derives the rest when ``merge_events`` or the
+JSON export reads the entry.  The prose names three cases: Case 1,
+generators in pairwise-distinct root branches; Case 2, generators on one
+root-to-leaf path; Case 3, the unexplained catch-all.  Case 2 never
+happens: a merge's generators are members of one group, so they share one
+label, and a root path names each label once.  So ``_case`` answers Case 1
+when the generators' depth-1 ancestors, read from the trie's cached
+``branch`` table, differ, and Case 3 otherwise.  A merge's reason follows
+from its case, and its anchors are the merged node's main-path ancestors.
+No cache keeps classifications: one keyed by (merged node, generators)
 answered 4 to 32 % of lookups on the measured workloads, and the build was
 no faster with it.
 
@@ -42,21 +44,21 @@ so all generators of a repeated non-root node share that node's root branch
 (never Case 1), and a Case 1 repeat can only be the root, which has no
 anchor.  Every merge therefore degenerates, which is precisely how the
 recorded counterexamples defeat the improved search, so those structures
-have no code here: a Case 1 merge at any node but the root raises
-InternalError.
+have no code here.  Each Algorithm 3 build checks the premise once, before
+it searches, and raises InternalError for a non-root parent outside its
+child's root branch, the only way to a Case 1 merge below the root.
 
 Both searches are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): popping a group depends only on the
 ordered tuple of its members' trie nodes, so each distinct tuple is expanded
 once into an ``Expansion`` that also sums its subtree's sizes.  An entry
 keeps its key, a reference to the searched ``TrieLikeGraph`` and no edge:
-Algorithm 1's created parents are the ordered union of the members'
-``parent_ids`` rows, Algorithm 3 fills each created parent's generator
-list in one pass over the same rows, and the edge count is the sum of the
-rows' lengths.  The entry offers no edge list: the DOT export walks the
-rows for each entry's (member, parent) pairs, the JSON export writes one
-edge run per row and fills it from the rows, and findSubset ORs its masks
-along the rows and rebuilds its witness from them.  The search is a
+the created parents are the ordered union of the members' ``parent_ids``
+rows, and the edge count is the sum of the rows' lengths.  The entry offers
+no edge list: the DOT export walks the rows for each entry's (member,
+parent) pairs, the JSON export writes one edge run per row and fills it
+from the rows, and findSubset ORs its masks along the rows and rebuilds its
+witness from them.  The search is a
 depth-first stack, so every pushed group's subtree
 takes one contiguous block of instance ids and group ids -- its created
 parents first, then its child subtrees in pop order -- and the subtree
@@ -79,9 +81,9 @@ every sequence ends in ``$``, so ``merge_main_paths`` makes at least one leaf.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterator
 
 from .errors import InternalError
@@ -132,7 +134,13 @@ class MergeEvent:
     anchors: tuple[int, ...] = ()
 
 
-@dataclass(eq=False, repr=False)
+_REASONS = {
+    DuplicateCase.CASE1: "anchor-not-on-path",
+    DuplicateCase.CASE3: "non-case1-merge",
+}
+
+
+@dataclass(eq=False, repr=False, slots=True)
 class Expansion:
     """What popping a group with one member trie-node tuple creates, and its subtree.
 
@@ -140,10 +148,12 @@ class Expansion:
     and created parents are indices into ``created``.  No generation record
     is stored: the member at position ``pos`` generates every parent in its
     row of ``graph.parent_ids``, the searched graph's parent table, and
-    every reader of the edges walks those rows.  The totals cover the whole
-    subtree below the popped group: everything its expansion creates plus
-    every child subtree.  Entries are shared, so comparing or printing one field by
-    field would walk the exponential tree; both are by identity.
+    every reader of the edges walks those rows.  ``merges`` holds only the
+    created indices of Algorithm 3's merged parents; ``merge_records``
+    derives the rest.  The totals cover the whole subtree below the popped
+    group: everything its expansion creates plus every child subtree.
+    Entries are shared, so comparing or printing one field by field would
+    walk the exponential tree; both are by identity.
     """
 
     key: tuple[int, ...]  # member trie nodes, the memo key
@@ -151,8 +161,7 @@ class Expansion:
     graph: TrieLikeGraph  # the searched graph, shared by every entry of one build
     groups: tuple[tuple[str, tuple[int, ...], bool, str], ...]
     # (label, created indices, pushed, origin)
-    merges: tuple[tuple[int, tuple[int, ...], str], ...]
-    # (created index, generator trie nodes, case)
+    merges: tuple[int, ...]  # created indices of the merged parents
     children: tuple[tuple[int, Expansion], ...]  # (group index, its expansion), in pop order
     roots: tuple[int, ...]  # created indices that never get a parent
     instances: int
@@ -164,19 +173,24 @@ class Expansion:
     height: int  # layers the subtree adds above the popped group
 
     def merge_records(self) -> list[tuple[int, tuple[int, ...], str, str, tuple[int, ...]]]:
-        """``merges`` with each one's reason and anchors, derived on each call:
-        (created index, generator trie nodes, case, reason, anchors).  A Case 1
-        merge is the root's, which has no anchor, and reachable subsets are
-        only defined relative to a Case 1 repeat."""
-        ancestors = self.graph.trie.ancestors
-        reasons = {
-            DuplicateCase.CASE1: "anchor-not-on-path",
-            DuplicateCase.CASE3: "non-case1-merge",
-        }
-        return [
-            (c, generators, case, reasons[case], tuple(ancestors(self.created[c])))
-            for c, generators, case in self.merges
-        ]
+        """Each merge with what the search never reads, derived on each call:
+        (created index, generator trie nodes, case, reason, anchors).
+
+        A merged parent's generators are the key members whose rows hold it,
+        sorted (key nodes are distinct).  A Case 1 merge is the root's, which
+        has no anchor, and reachable subsets are only defined relative to a
+        Case 1 repeat, so the reason follows from the case.
+        """
+        trie = self.graph.trie
+        branch = trie.branch
+        rows = list(map(self.graph.parent_ids.__getitem__, self.key))
+        out = []
+        for c in self.merges:
+            node = self.created[c]
+            generators = sorted(nid for nid, row in zip(self.key, rows) if node in row)
+            case = _case(generators, branch)
+            out.append((c, tuple(generators), case, _REASONS[case], tuple(trie.ancestors(node))))
+        return out
 
 
 @dataclass
@@ -250,13 +264,29 @@ def _case(occ: list[int], branch: list[int]) -> str:
     return DuplicateCase.CASE3
 
 
-def _expansion(
-    memo: dict, g: TrieLikeGraph, branch: list[int] | None, key: tuple[int, ...]
-) -> Expansion:
+def _check_root_paths(g: TrieLikeGraph) -> None:
+    """Refuse a graph where a Case 1 merge below the root could happen.
+
+    Such a merge's generators lie in pairwise-distinct root branches, so at
+    least one of them has a parent edge into another branch.  So it suffices
+    that every non-root parent shares its child's root branch; a main parent
+    always does, and a span edge does when it stays on its owner's root path.
+    """
+    branch = g.trie.branch
+    for child, row in enumerate(g.parent_ids):
+        for parent in row[1:]:
+            if parent != 1 and branch[parent] != branch[child]:
+                raise InternalError(
+                    f"span edge n{child} -> n{parent} leaves its owner's root path, "
+                    f"so n{parent} could repeat as a Case 1 merge below the root"
+                )
+
+
+def _expansion(memo: dict, g: TrieLikeGraph, merging: bool, key: tuple[int, ...]) -> Expansion:
     """The expansion of one member trie-node tuple of `g`, memoised in ``memo``.
 
-    ``branch`` is the trie's table under Algorithm 3, which classifies each
-    merge here, where it is made, and None under Algorithm 1.  Module level,
+    ``merging`` is true under Algorithm 3: a parent generated by two or more
+    members is merged, and only its created index is kept.  Module level,
     like ``subsets._best``: a search leaves no reference cycle.
     """
     found = memo.get(key)
@@ -266,29 +296,20 @@ def _expansion(
     rows = list(map(g.parent_ids.__getitem__, key))
     buckets: defaultdict[str, list[int]] = defaultdict(list)  # unmerged parents by label
     merges = []
-    if branch is None:
-        # a path of its own: through the generator lists below, Algorithm 1 built 1.2-1.5x slower
+    if merging:
+        # first-seen order, as Algorithm 1's; a row names a parent once, so
+        # a count is the parent's number of generators
+        counts = Counter(chain.from_iterable(rows))
+        created = tuple(counts)
+        for c, (node, count) in enumerate(counts.items()):
+            if count < 2:
+                buckets[labels[node]].append(c)
+            else:
+                merges.append(c)
+    else:
         created = tuple(dict.fromkeys(chain.from_iterable(rows)))
         for c, node in enumerate(created):
             buckets[labels[node]].append(c)
-    else:
-        gens: defaultdict[int, list[int]] = defaultdict(list)  # generators per created parent
-        for nid, row in zip(key, rows):
-            for parent in row:
-                gens[parent].append(nid)
-        created = tuple(gens)
-        for c, (node, generators) in enumerate(gens.items()):
-            if len(generators) < 2:
-                buckets[labels[node]].append(c)
-                continue
-            generators.sort()  # key nodes are distinct
-            case = _case(generators, branch)
-            if case == DuplicateCase.CASE1 and node != 1:
-                raise InternalError(
-                    f"Case 1 merge at non-root node n{node} (generators {tuple(generators)}): "
-                    "a span edge leaves its owner's root path"
-                )
-            merges.append((c, tuple(generators), case))
     groups = [(label, tuple(cs), len(cs) >= 2, "label") for label, cs in buckets.items()]
     if merges:
         # a duplicate appeared: each parent left in an unpushed (singleton)
@@ -297,15 +318,17 @@ def _expansion(
             (label, cs, True, "merge-sibling") for label, cs, pushed, _ in groups if not pushed
         ]
     children = []
-    expanded: set[int] = set()
+    parentless = [True] * len(created)
     for gi in range(len(groups) - 1, -1, -1):  # the last pushed group pops first
         _, cs, pushed, _ = groups[gi]
         if pushed:
-            expanded.update(cs)
-            child = _expansion(memo, g, branch, tuple(map(created.__getitem__, cs)))
+            for c in cs:
+                parentless[c] = False
+            child = _expansion(memo, g, merging, tuple(map(created.__getitem__, cs)))
             children.append((gi, child))
-    # the trie root, id 1, has no parent even when its group is expanded
-    roots = tuple(c for c, nid in enumerate(created) if c not in expanded or nid == 1)
+    if 1 in created:  # the trie root has no parent even when its group is expanded
+        parentless[created.index(1)] = True
+    roots = tuple(compress(range(len(created)), parentless))
     instances, root_total, edge_total = len(created), len(roots), sum(map(len, rows))
     group_total, expanded_total, merge_total, height = len(groups), len(children), len(merges), 0
     for _, child in children:
@@ -317,28 +340,29 @@ def _expansion(
         merge_total += child.merge_total
         height = max(height, child.height)
     found = memo[key] = Expansion(
-        key=key,
-        created=created,
-        graph=g,
-        groups=tuple(groups),
-        merges=tuple(merges),
-        children=tuple(children),
-        roots=roots,
-        instances=instances,
-        root_total=root_total,
-        edge_total=edge_total,
-        group_total=group_total,
-        expanded_total=expanded_total,
-        merge_total=merge_total,
-        height=1 + height if created else 0,
+        key,
+        created,
+        g,
+        tuple(groups),
+        tuple(merges),
+        tuple(children),
+        roots,
+        instances,
+        root_total,
+        edge_total,
+        group_total,
+        expanded_total,
+        merge_total,
+        1 + height if created else 0,
     )
     return found
 
 
 def _build(g: TrieLikeGraph, mode: str) -> LayeredGraph:
     leaves = tuple(n.id for n in g.trie.leaves())
-    branch = g.trie.branch if mode == "alg3" else None
-    return LayeredGraph(mode, g, leaves, _expansion({}, g, branch, leaves))
+    if mode == "alg3":
+        _check_root_paths(g)
+    return LayeredGraph(mode, g, leaves, _expansion({}, g, mode == "alg3", leaves))
 
 
 def build_layered_alg1(g: TrieLikeGraph) -> LayeredGraph:

@@ -2,7 +2,8 @@
 
 ``front_end`` runs steps 1-8 up to the trie-like graph, which nothing writes
 to afterwards, so one front end serves both search algorithms; ``search``
-runs the layered build and findSubset on it.  ``run_pipeline`` is the two.
+runs the layered build (``build_layered``) and findSubset on it.
+``run_pipeline`` is the two.
 """
 
 from __future__ import annotations
@@ -77,12 +78,17 @@ def front_end(f: CnfFormula, ordering: str | Sequence[str]) -> FrontEnd:
     return FrontEnd(f, dnf, ordering_used, sequences, pgraphs, pstars, trie, node_map, trielike)
 
 
-def search(front: FrontEnd, algorithm: int) -> PipelineRun:
-    """Steps 9-10 on a built front end: the layered search, then findSubset."""
+def build_layered(g: TrieLikeGraph, algorithm: int) -> LayeredGraph:
+    """Step 9: Algorithm 1's or Algorithm 3's layered search on a trie-like graph."""
     if algorithm not in (1, 3):
         raise ValueError(f"algorithm must be 1 or 3, got {algorithm}")
     build = build_layered_alg1 if algorithm == 1 else build_layered_alg3
-    layered = build(front.trielike)
+    return build(g)
+
+
+def search(front: FrontEnd, algorithm: int) -> PipelineRun:
+    """Steps 9-10 on a built front end: the layered search, then findSubset."""
+    layered = build_layered(front.trielike, algorithm)
     answer = find_subset_alg2(layered)
     return PipelineRun(**vars(front), layered=layered, answer=answer)
 

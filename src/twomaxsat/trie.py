@@ -17,13 +17,14 @@ position is mapped by construction.
 The NodeMap remembers, per conjunction, which trie node each sequence
 position landed on; overlaying a closed span (i, j) adds the rootward edge
 map[j] -> map[i].  The overlay reads each p*-graph's runs of covered
-positions, never a span object: it fills one ``owners`` dict from
-(child, parent) to the conjunctions that put the edge there, and the
-``TrieLikeGraph`` sorts its keys once into the ``parent_ids`` rows.  Parent
+positions, never a span object: it checks them against the node map and
+hands them to the ``TrieLikeGraph``, which fills the ``parent_ids`` rows and
+``span_edge_count`` from one set of span parents per child node.  Parent
 discovery for the layered search deliberately ignores which conjunctions own
-a span edge (the skip-over flaw); the owners are read by the harness'
-diagnosis (``span_owners``), the audit (``span_edge_count``) and the
-trie-like JSON export only.  ``TrieLikeGraph.span_edges`` lists the edges as
+a span edge (the skip-over flaw), so the ``owners`` dict from (child,
+parent) to the conjunctions that put the edge there is built only when read:
+by the harness' diagnosis (``span_owners``), ``span_edges`` and the
+trie-like JSON export.  ``TrieLikeGraph.span_edges`` lists the edges as
 ``SpanEdge`` objects on first read, for the trie-like DOT export, the traced
 benchmark and the tests.
 """
@@ -156,28 +157,36 @@ class SpanEdge:
 
 
 Owners = dict[tuple[int, int], list[str]]
+Runs = dict[str, tuple[tuple[int, int], ...]]
 
 
 @dataclass
 class TrieLikeGraph:
     """The trie plus its span edges, and the tables the layered search reads.
 
+    ``runs`` holds each conjunction's runs of covered positions, by label in
+    p*-graph order, and ``node_map`` its path; together they give the span
+    edges.  ``parent_ids[nid]`` is node ``nid``'s parent row, with no label
+    attribution; an entry's kind is its position, and ``parent_edges`` is the
+    one place that applies it.  The root's row is empty, and any other row
+    holds its main parent first and then its span targets by id: a span edge
+    skips at least one level, so it never reaches the main parent.
+    ``labels[nid]`` is the node's label text.  Both are indexed by node id
+    (row 0 is unused) and built once, since the graph does not change, and
+    ``span_edge_count`` is counted from the same per-child parent sets.  The
+    layered search's memo entries read these tables through a reference to
+    the graph itself.
+
     ``owners`` maps each span edge (child, parent) to the conjunctions whose
     closed spans put it there, each named once: a conjunction's spans all lie
-    on its own path, so it adds a given edge once.  ``parent_ids[nid]`` is
-    node ``nid``'s parent row, with no label attribution; an entry's kind is
-    its position, and ``parent_edges`` is the one place that applies it.  The
-    root's row is empty, and any other row holds its main parent first and
-    then its span targets by id: a span edge skips at least one level, so it
-    never reaches the main parent.  ``labels[nid]`` is the node's label text.
-    Both are indexed by node id (row 0 is unused) and built once, since the
-    graph does not change.  The layered search's memo entries read these
-    tables through a reference to the graph itself.
+    on its own path, so it adds a given edge once.  The search never reads
+    it, so it is built on first read, by ``span_owners``, ``span_edges`` or
+    the trie-like JSON export.
     """
 
     trie: Trie
     node_map: NodeMap
-    owners: Owners
+    runs: Runs
 
     def __post_init__(self) -> None:
         nodes = self.trie.nodes
@@ -185,8 +194,30 @@ class TrieLikeGraph:
             [] if n.parent is None else [n.parent] for n in nodes
         ]
         self.labels = [""] + [n.label_text for n in nodes]
-        for child, parent in sorted(self.owners):
-            self.parent_ids[child].append(parent)
+        spans: dict[int, set[int]] = {}  # span parents per child node
+        for label, runs in self.runs.items():
+            mapped = self.node_map[label]
+            for first, last in runs:
+                # position j's node gets an edge to each node at first - 1 .. j - 2
+                for j in range(first + 1, last + 2):
+                    spans.setdefault(mapped[j], set()).update(mapped[first - 1 : j - 1])
+        for child, parents in spans.items():
+            self.parent_ids[child] += sorted(parents)
+        self.span_edge_count = sum(map(len, spans.values()))
+
+    @cached_property
+    def owners(self) -> Owners:
+        """Every span edge's owners, in the order the runs add them; built on first read."""
+        owners: Owners = {}
+        add_owner = owners.setdefault
+        for label, runs in self.runs.items():
+            mapped = self.node_map[label]
+            for first, last in runs:
+                for i in range(first - 1, last):
+                    parent = mapped[i]
+                    for child in mapped[i + 2 : last + 2]:
+                        add_owner((child, parent), []).append(label)
+        return owners
 
     def parent_edges(self, nid: int) -> Iterator[tuple[int, str]]:
         """(parent, kind) per entry of row `nid`: "main" first, "span" after."""
@@ -208,12 +239,8 @@ class TrieLikeGraph:
         return self.trie.vertex_count
 
     @property
-    def span_edge_count(self) -> int:
-        return len(self.owners)
-
-    @property
     def edge_count(self) -> int:
-        return self.trie.edge_count + len(self.owners)
+        return self.trie.edge_count + self.span_edge_count
 
 
 def overlay_spans(
@@ -222,12 +249,12 @@ def overlay_spans(
     """Step 8: add every closed span as a rootward edge; duplicates merge labels.
 
     A run (first, last) closes the spans (i, j) with first - 1 <= i and
-    i + 2 <= j <= last + 1, so each i adds the edges from the nodes at
-    ``mapped[i + 2 : last + 2]`` to the node at ``mapped[i]``.  Stage inputs
-    that do not fit together, a construction bug, raise ValueError.
+    i + 2 <= j <= last + 1, so the node at position j gets the edges to the
+    nodes at ``mapped[first - 1 : j - 1]``.  This checks that every run fits
+    its conjunction's mapped path; stage inputs that do not fit together, a
+    construction bug, raise ValueError.
     """
-    owners: Owners = {}
-    add_owner = owners.setdefault
+    runs: Runs = {}
     for ps in pstars:
         label = ps.base.label
         if label not in node_map:
@@ -239,8 +266,5 @@ def overlay_spans(
                     f"positions {first - 1}..{last + 1} of {label} outside the mapped "
                     f"sequence of {len(mapped)} positions"
                 )
-            for i in range(first - 1, last):
-                parent = mapped[i]
-                for child in mapped[i + 2 : last + 2]:
-                    add_owner((child, parent), []).append(label)
-    return TrieLikeGraph(trie, node_map, owners)
+        runs[label] = ps.runs
+    return TrieLikeGraph(trie, node_map, runs)

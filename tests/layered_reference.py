@@ -42,6 +42,11 @@ The front end has its own gate.  ``reference_close_spans`` and
 one ``SpanEdge`` per distinct edge, sorted twice.
 ``assert_front_matches_reference`` requires the run-based front end to give
 the same spans, counts, span edges, parent rows and owners.
+``eager_owner_overlay`` is the owner map that ``overlay_spans`` filled on
+every front end before ``TrieLikeGraph.owners`` was derived on read, with the
+parent rows and span edge count built from its keys;
+``assert_owners_match_eager_overlay`` requires the per-child rows, the count
+and the derived owners, in their order, to equal it.
 ``reference_trie_json``/``reference_trielike_json`` are the payloads whose
 ``json.dumps(..., indent=2)`` the trie and trie-like JSON exports write.
 ``reference_merge_main_paths`` is the recursive step-7 merge that the
@@ -75,10 +80,11 @@ from twomaxsat.layered import (
 from twomaxsat.pipeline import FrontEnd, front_end, search
 from twomaxsat.report import SkipOverEdge
 from twomaxsat.sequences import ItemTag
-from twomaxsat.spans import PGraph, Span
+from twomaxsat.spans import PGraph, PStarGraph, Span
 from twomaxsat.subsets import RootedSubgraph, _created_masks, _subgraph
 from twomaxsat.trie import (
     NodeMap,
+    Owners,
     SpanEdge,
     Trie,
     TrieLikeGraph,
@@ -557,6 +563,42 @@ def reference_overlay(node_map: NodeMap, pgraphs: Sequence[PGraph]) -> tuple[Spa
         SpanEdge(child, parent, frozenset(edges[(child, parent)]))
         for child, parent in sorted(order)
     )
+
+
+def eager_owner_overlay(
+    trie: Trie, node_map: NodeMap, pstars: Sequence[PStarGraph]
+) -> tuple[Owners, list[list[int]], int]:
+    """The owner map ``overlay_spans`` once filled on every front end, with the
+    parent rows and span edge count ``TrieLikeGraph`` then built from its keys.
+
+    One dict from (child, parent) to the conjunctions that put the edge there,
+    in the order the runs add them; the rows hold the main parent and then
+    the span parents of the sorted keys.
+    """
+    owners: Owners = {}
+    for ps in pstars:
+        label = ps.base.label
+        mapped = node_map[label]
+        for first, last in ps.runs:
+            for i in range(first - 1, last):
+                for child in mapped[i + 2 : last + 2]:
+                    owners.setdefault((child, mapped[i]), []).append(label)
+    rows = [[]] + [[] if n.parent is None else [n.parent] for n in trie.nodes]
+    for child, parent in sorted(owners):
+        rows[child].append(parent)
+    return owners, rows, len(owners)
+
+
+def assert_owners_match_eager_overlay(front: FrontEnd) -> None:
+    """The rows and count built from per-child parent sets, and the owners
+    derived on read, == the eager overlay's, the owners' order included."""
+    g = front.trielike
+    where = f"{front.formula} / {front.ordering.display()}"
+    owners, rows, count = eager_owner_overlay(front.trie, front.node_map, front.pstars)
+    assert "owners" not in g.__dict__, where  # the rows do not come from the owners
+    assert g.parent_ids == rows, where
+    assert g.span_edge_count == count, where
+    assert list(g.owners.items()) == list(owners.items()), where
 
 
 def assert_front_matches_reference(front: FrontEnd) -> None:

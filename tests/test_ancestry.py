@@ -39,7 +39,7 @@ def _two_branches() -> TrieLikeGraph:
             TrieNode(7, ItemTag.END, None, 6, [], frozenset({"a"})),
         ]
     )
-    return TrieLikeGraph(trie, {}, {})
+    return TrieLikeGraph(trie, node_map={}, runs={})  # no span edge
 
 
 @functools.cache

@@ -263,7 +263,7 @@ def test_algorithm3_never_makes_a_case2_merge():
     cases = Counter()
     for g in graphs:
         for exp in _entries(build_layered_alg3(g)):
-            for c, generators, case in exp.merges:
+            for c, generators, case, _, _ in exp.merge_records():
                 assert walk_case(g, generators) == case, generators
                 cases[case] += 1
                 if case == "case1":
@@ -311,7 +311,7 @@ def test_alg3_running_same_answer_as_alg1(running):
 def test_case1_merge_below_the_root_is_an_internal_error():
     # hand-built: a span edge from leaf n5 (branch n4) to n2 (branch n2) leaves
     # its owner's root path, so n2 repeats as a Case 1 merge with anchor n1;
-    # the memo and the reference builder both refuse it
+    # Algorithm 3's per-graph check and the reference builder both refuse it
     from tests import layered_reference
     from twomaxsat.errors import InternalError
     from twomaxsat.formula import Variable
@@ -328,7 +328,10 @@ def test_case1_merge_below_the_root_is_an_internal_error():
             TrieNode(5, ItemTag.END, None, 4, [], frozenset({"b"})),
         ]
     )
-    g = TrieLikeGraph(trie, {}, {(5, 2): ["b"]})
+    # b's mapped path runs n1, n2, n4, n5, and its one covered position, 2,
+    # closes the span (1, 3): the edge n5 -> n2
+    g = TrieLikeGraph(trie, node_map={"b": (1, 2, 4, 5)}, runs={"b": ((2, 2),)})
+    assert g.parent_ids[5] == [4, 2] and g.owners == {(5, 2): ["b"]}
     assert _classify(g, {3, 5}) == "case1"
     assert build_layered_alg1(g).vertex_count == 4  # n2 and n4 form no group
     for build in (build_layered_alg3, layered_reference.build_layered_alg3):

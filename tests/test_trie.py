@@ -238,6 +238,37 @@ def test_run_closure_and_overlay_match_per_span_reference():
     assert fronts > 100
 
 
+def test_derived_owners_match_eager_overlay():
+    # every tie-consistent ordering of the formulas with n0, m0 <= 2, the front
+    # ends fuzz(42, 100) checks and the seed-1 formulas n0 = 8..16
+    from tests.conftest import all_formulas, seed1_formula
+    from tests.layered_reference import assert_owners_match_eager_overlay, fuzz_fronts
+    from twomaxsat.harness import tie_consistent_orderings
+    from twomaxsat.pipeline import front_end
+
+    fronts = [
+        front_end(f, list(ordering))
+        for f in all_formulas(2, 2)
+        for ordering in tie_consistent_orderings(f, 10**6)
+    ]
+    fronts += [front for front, algorithm in fuzz_fronts(42, 100) if algorithm == 1]
+    fronts += [front_end(seed1_formula(n0), "frequency") for n0 in range(8, 17)]
+    for front in fronts:
+        assert_owners_match_eager_overlay(front)
+    assert sum(bool(front.trielike.owners) for front in fronts) > 300
+
+
+def test_search_never_builds_the_owner_map():
+    # the search reads the parent rows alone; only the diagnosis, the
+    # trie-like exports and span_edges build the owners
+    from tests.conftest import seed1_formula
+
+    for algorithm in (1, 3):
+        run = run_pipeline(seed1_formula(12), algorithm=algorithm)
+        assert run.answer.max_count > 0
+        assert "owners" not in run.trielike.__dict__, algorithm
+
+
 def test_trie_bounds(running, ce1):
     for f, spec in ((running, "lexical"), (ce1, "y1>y2>v1")):
         run = run_pipeline(f, ordering=spec, algorithm=1)
