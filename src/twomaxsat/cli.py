@@ -4,8 +4,8 @@ Subcommands: oracle, pipeline, repro, fuzz, audit, export.  ``pipeline``
 prints the claimed answer alone; ``export`` writes the stage files of one
 run, and ``repro --export`` the graph stages of each builtin replay.
 Exit codes: 0 success / expectations met; 1 semantic negative (decision false,
-expectation failed, bound violated); 2 input error; 3 resource cap exceeded,
-out of memory, or a fuzz worker process killed.
+expectation failed, bound violated); 2 input error; 3 a ``ResourceCapError``
+(the oracle's variable cap, or a fuzz worker process killed) or out of memory.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import export as ex
 from . import harness
-from .errors import FormulaParseError, TooManyVariablesError, TwoMaxSatError
+from .errors import FormulaParseError, ResourceCapError, TwoMaxSatError
 from .formula import parse_cnf
 from .oracle import DEFAULT_VARIABLE_CAP, oracle_max_sat
 from .pipeline import run_pipeline
@@ -252,20 +252,11 @@ def main(argv: list[str] | None = None) -> int:
     except (FormulaParseError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except TooManyVariablesError as exc:
+    except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except MemoryError:
         print("resource cap: out of memory", file=sys.stderr)
-        return EXIT_CAP
-    except RuntimeError as exc:
-        # a fuzz worker killed by a signal or by the kernel; imported here,
-        # as in harness.fuzz, so that other subcommands do not pay for it
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not isinstance(exc, BrokenProcessPool):
-            raise
-        print(f"resource cap: a fuzz worker process died: {exc}", file=sys.stderr)
         return EXIT_CAP
     except TwoMaxSatError as exc:
         print(f"error: {exc}", file=sys.stderr)

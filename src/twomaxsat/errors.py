@@ -4,8 +4,10 @@ One class per way a caller reacts, not per fault: the message names the
 fault.  The CLI prints a ``FormulaParseError`` as ``parse error: ...`` and
 any other ``TwoMaxSatError`` (a bad ordering or assignment, or a builtin
 name ``repro`` cannot resolve, raised as ``TwoMaxSatError`` itself) as
-``error: ...``, both with exit code 2; a ``TooManyVariablesError`` is a
-resource cap and exits 3.  ``InternalError`` is not an input error at all:
+``error: ...``, both with exit code 2.  A ``ResourceCapError`` is a run
+stopped at a resource limit: the oracle's variable cap, or a fuzz worker
+process killed by a signal or by the kernel.  It exits 3, as a
+``MemoryError`` does.  ``InternalError`` is not an input error at all:
 it marks a bug, and the CLI lets its traceback through.  Library calls
 whose arguments do not fit together, such as ``overlay_spans`` given a node
 map that misses a conjunction, raise ``ValueError``.
@@ -28,8 +30,8 @@ class PartialAssignmentError(TwoMaxSatError):
     """An assignment does not cover every variable it must."""
 
 
-class TooManyVariablesError(TwoMaxSatError):
-    pass
+class ResourceCapError(TwoMaxSatError):
+    """A run stopped at a resource limit; the message names the limit."""
 
 
 class ExpectationFailedError(TwoMaxSatError):

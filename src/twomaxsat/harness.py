@@ -10,9 +10,10 @@ it is the one checking entry point, for ``fuzz`` and ``shrink`` alike.
 The fuzzer draws seeded random 2-CNF formulas (duplicated-literal clauses
 drawn with elevated probability, since every known counterexample relies on
 them), then checks each under its tie-consistent orderings in forked worker
-processes, one per usable CPU (in this process before CPython 3.11); the
-mismatches come back in formula order, so the output does not depend on the
-worker count.  ``shrink`` re-checks ever smaller variants of a mismatch.
+processes, one per usable CPU; the mismatches come back in formula order, so
+the output does not depend on the worker count, and a killed worker stops
+the run with ``ResourceCapError``.  ``shrink`` re-checks ever smaller
+variants of a mismatch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import ExpectationFailedError, TwoMaxSatError
+from .errors import ExpectationFailedError, ResourceCapError, TwoMaxSatError
 from .formula import (
     CnfFormula,
     cnf_to_dnf,
@@ -364,10 +365,7 @@ def _map_formulas(params: FuzzParams, formulas: list[CnfFormula]) -> list[list[M
     """``_fuzz_formula`` over `formulas`, in order: on a pool of one forked
     worker per usable CPU (never more than formulas), or in this process when
     only one CPU is usable, there are fewer than two formulas, ``fork`` is
-    missing, this module is no longer the one imported under its name, or
-    the interpreter is older than CPython 3.11.  Before 3.11 the pool forks
-    its second worker after its manager thread has started, which can
-    deadlock the child (gh-90622); 3.11 forks every worker up front.
+    missing, or this module is no longer the one imported under its name.
 
     Fork, not spawn: workers inherit the imported package (and any function a
     caller patched) instead of importing it again.  The map still sends
@@ -375,24 +373,29 @@ def _map_formulas(params: FuzzParams, formulas: list[CnfFormula]) -> list[list[M
     import of the package (or a patch) has bound that name to another
     function.  The process machinery is imported here, so a caller that
     never fuzzes does not pay for it.  A worker's exception re-raises here
-    with its own type; the map's iterator then cancels the chunks not yet
-    started, and leaving the ``with`` block joins every worker, on return
-    and on raise alike.
+    with its own type, and a worker killed by a signal or by the kernel
+    breaks the pool, which re-raises here as ``ResourceCapError``; the map's
+    iterator then cancels the chunks not yet started, and leaving the
+    ``with`` block joins every worker, on return and on raise alike.
     """
     check = functools.partial(_fuzz_formula, params)
     workers = min(_usable_cpus(), len(formulas))
     sendable = getattr(sys.modules.get(__name__), "_fuzz_formula", None) is _fuzz_formula
-    if workers > 1 and sendable and sys.version_info >= (3, 11):
+    if workers > 1 and sendable:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
             # several chunks per worker even out formulas of unequal cost
             chunksize = -(-len(formulas) // (workers * CHUNKS_PER_WORKER))
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(check, formulas, chunksize=chunksize))
+                try:
+                    return list(pool.map(check, formulas, chunksize=chunksize))
+                except BrokenProcessPool as exc:
+                    raise ResourceCapError(f"a fuzz worker process died: {exc}") from exc
     return list(map(check, formulas))
 
 
@@ -413,13 +416,14 @@ def _rename(ordering: Sequence[str], prefix: str, k: int) -> list[str]:
 def _candidates(m: Mismatch) -> Iterator[tuple[list[list[int]], int, Sequence[str]]]:
     """Every one-step reduction of `m` as (clauses, m0, ordering), in shrink's order.
 
-    Clause drops by index, then unused-variable drops from m0 down, then the
-    default frequency ordering.  Lazy: the default ordering is built only
-    once every drop has been tried.
+    Clause drops by index (none from a one-clause formula: a formula needs a
+    clause), then unused-variable drops from m0 down, then the default
+    frequency ordering.  Lazy: the default ordering is built only once every
+    drop has been tried.
     """
     f = parse_cnf(m.dimacs)
     clauses = [[lit.dimacs for lit in clause.literals] for clause in f.clauses]
-    for i in range(len(clauses)):
+    for i in range(len(clauses) if len(clauses) > 1 else 0):
         # auxiliary y{i+1} goes with its clause
         yield clauses[:i] + clauses[i + 1 :], f.m0, _rename(m.ordering, "y", i + 1)
     mentioned = {abs(lit) for clause in clauses for lit in clause}
@@ -442,26 +446,19 @@ def shrink(m: Mismatch, variable_cap: int = DEFAULT_VARIABLE_CAP) -> Mismatch:
     ordering for the default frequency ordering; stops when no single step
     preserves the disagreement.  Never increases the clause count.  A step
     counts only if the renamed ordering still just breaks frequency ties, so
-    the result stays a counterexample to the procedure as specified.
+    the result stays a counterexample to the procedure as specified.  Every
+    candidate is a valid formula under a valid ordering, so an error raised
+    while checking one propagates: it is a fault, not a step that failed.
     """
-
-    def replay(clauses: list[list[int]], m0: int, ordering: Sequence[str]) -> Mismatch | None:
-        try:  # no clauses left raises FormulaParseError
-            f = formula_from_ints(clauses, m0)
-            if not tie_consistent(pad_missing(cnf_to_dnf(f)), ordering):
-                return None
-            found = check(f, [ordering], [m.algorithm], variable_cap)
-            return found[0] if found else None
-        except (TwoMaxSatError, ValueError):
-            return None
-
     current = m
     while True:
         for clauses, m0, ordering in _candidates(current):
-            found = replay(clauses, m0, ordering)
-            if found is not None:
-                current = found
-                break
+            f = formula_from_ints(clauses, m0)
+            if tie_consistent(pad_missing(cnf_to_dnf(f)), ordering):
+                found = check(f, [ordering], [m.algorithm], variable_cap)
+                if found:
+                    current = found[0]
+                    break
         else:
             return current
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import TooManyVariablesError
+from .errors import ResourceCapError
 from .formula import Assignment, CnfFormula, Literal
 
 DEFAULT_VARIABLE_CAP = 24
@@ -79,7 +79,7 @@ def oracle_max_sat(f: CnfFormula, variable_cap: int = DEFAULT_VARIABLE_CAP) -> O
     """Exact maximum satisfied-clause count with lexicographically-least witness."""
     m = f.m0
     if m > variable_cap:
-        raise TooManyVariablesError(f"{m} variables exceeds the cap of {variable_cap}")
+        raise ResourceCapError(f"{m} variables exceeds the cap of {variable_cap}")
     cols = _columns(m)
     full = (1 << (1 << m)) - 1
     masks = [

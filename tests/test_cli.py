@@ -16,7 +16,7 @@ import pytest
 from tests.conftest import fuzz_forks
 from twomaxsat import cli
 from twomaxsat.cli import build_parser, main
-from twomaxsat.errors import TooManyVariablesError
+from twomaxsat.errors import ResourceCapError
 from twomaxsat.export import STAGES, export_stage
 from twomaxsat.formula import parse_cnf
 from twomaxsat.harness import (
@@ -362,7 +362,7 @@ def test_failed_fuzz_campaign_writes_no_report(capsys, tmp_path):
 def test_fuzz_worker_cap_error_exits_3(capsys, monkeypatch):
     # with workers, only they call the oracle, so the error crosses the pool
     def refuse(f, cap):
-        raise TooManyVariablesError("refused by the oracle")
+        raise ResourceCapError("refused by the oracle")
 
     monkeypatch.setattr(cli.harness, "oracle_max_sat", refuse)
     assert main(["fuzz", "--iters", "4"]) == cli.EXIT_CAP
@@ -500,7 +500,7 @@ def test_out_of_memory_exit_3(capsys, monkeypatch, running_file):
 
 
 def test_internal_error_is_not_a_cap(capsys, monkeypatch, running_file):
-    # a RuntimeError other than a dead fuzz worker is a bug: it propagates, no exit 3
+    # an InternalError is a bug, not a ResourceCapError: it propagates, no exit 3
     from twomaxsat.errors import InternalError
 
     def broken(*args, **kwargs):

@@ -79,6 +79,18 @@ def test_parse_errors(text, message):
         parse_cnf(text)
 
 
+@pytest.mark.parametrize(
+    "pairs, m0, message",
+    [
+        ([[1, -2], [1, 2, -2]], 2, "clause 2: need 1 or 2 literals, got 3"),
+        ([], 2, "formula has no clauses"),
+    ],
+)
+def test_formula_from_ints_errors(pairs, m0, message):
+    with pytest.raises(FormulaParseError, match=f"^{re.escape(message)}$"):
+        formula_from_ints(pairs, m0)
+
+
 @pytest.mark.parametrize("text", ["p cnf 1 1\n1\u20030\n", "p cnf 1 1\n1 0\u3000\n"])
 def test_parse_rejects_unicode_space_as_text_and_bytes(text):
     # only ASCII whitespace separates or ends tokens, so text and bytes agree

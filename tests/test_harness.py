@@ -16,7 +16,7 @@ import pytest
 
 from tests.conftest import fuzz_forks
 from twomaxsat import harness
-from twomaxsat.errors import ExpectationFailedError, TooManyVariablesError
+from twomaxsat.errors import ExpectationFailedError, ResourceCapError
 from twomaxsat.formula import cnf_to_dnf, formula_from_ints, pad_missing, parse_cnf, render_cnf
 from twomaxsat.harness import (
     CE1_DIMACS,
@@ -35,7 +35,7 @@ from twomaxsat.harness import (
 )
 from twomaxsat.oracle import oracle_max_sat
 from twomaxsat.pipeline import run_pipeline
-from twomaxsat.report import report_text
+from twomaxsat.report import Mismatch, report_text
 from twomaxsat.sequences import sequence_frequencies, tie_consistent
 
 
@@ -207,24 +207,6 @@ def test_fuzz_pool_and_in_process_agree(monkeypatch, oracle_pids):
     assert pooled == in_process
 
 
-def test_fuzz_in_process_before_python_3_11(monkeypatch, oracle_pids):
-    # before 3.11 a pool forks its second worker after its manager thread has
-    # started, which can deadlock the child (gh-90622)
-    import concurrent.futures
-
-    expected = fuzz(42, 100)
-    assert oracle_pids == ([] if fuzz_forks() else [os.getpid()] * 100)
-    oracle_pids.clear()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was built")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(sys, "version_info", (3, 10, 14, "final", 0))
-    assert fuzz(42, 100) == expected
-    assert oracle_pids == [os.getpid()] * 100
-
-
 def test_fuzz_in_process_once_its_module_is_imported_again(monkeypatch, oracle_pids):
     # workers would look _fuzz_formula up in the newer module: a pickling error
     expected = fuzz(13, 20)
@@ -239,11 +221,21 @@ def test_fuzz_leaves_no_worker_running(monkeypatch):
     assert multiprocessing.active_children() == []
 
     def refuse(f, cap):
-        raise TooManyVariablesError(f"refused in process {os.getpid()}")
+        raise ResourceCapError(f"refused in process {os.getpid()}")
 
     monkeypatch.setattr(harness, "oracle_max_sat", refuse)
-    with pytest.raises(TooManyVariablesError, match="refused in process"):
+    with pytest.raises(ResourceCapError, match="refused in process"):
         fuzz(3, 20)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not fuzz_forks(), reason="fuzz runs in-process: os._exit would end pytest")
+def test_fuzz_killed_worker_is_a_cap_error(monkeypatch):
+    # the pool's BrokenProcessPool, a RuntimeError, leaves fuzz as the one cap error
+    monkeypatch.setattr(harness, "oracle_max_sat", lambda f, cap: os._exit(9))
+    with pytest.raises(ResourceCapError, match="^a fuzz worker process died: ") as caught:
+        fuzz(3, 4)
+    assert type(caught.value) is ResourceCapError
     assert multiprocessing.active_children() == []
 
 
@@ -363,6 +355,45 @@ def test_shrink_removes_unused_variable():
     small = shrink(found)
     assert parse_cnf(small.dimacs).m0 == 1
     assert small.dimacs == CE1_DIMACS
+
+
+def test_shrink_lets_a_failed_check_through(monkeypatch):
+    # an error while checking a candidate is a fault, not "no mismatch": a
+    # shrink that swallowed it would return a wrongly minimal counterexample
+    fam = family(4)
+    [seed_mismatch] = check(fam, [tuple(family_ordering(4).split(">"))], [1])
+    calls = []
+    real_diagnose = harness.diagnose_skip_over
+
+    def diagnose(run):
+        calls.append(run)
+        if len(calls) == 2:
+            raise ValueError("diagnosis failed")
+        return real_diagnose(run)
+
+    monkeypatch.setattr(harness, "diagnose_skip_over", diagnose)
+    with pytest.raises(ValueError, match="diagnosis failed"):
+        shrink(seed_mismatch)
+    assert len(calls) == 2
+
+
+def test_shrink_never_offers_an_empty_formula(monkeypatch):
+    one_clause = Mismatch("p cnf 2 1\n-1 -1 0\n", ("v2", "y1", "v1"), 1, 2, 1, ("c1",), ())
+    candidates = list(harness._candidates(one_clause))
+    assert candidates and all(clauses for clauses, _, _ in candidates)
+    # every formula shrink builds has a clause, over fuzz mismatches of every size
+    built = []
+    real_from_ints = harness.formula_from_ints
+
+    def from_ints(clauses, m0):
+        built.append(len(clauses))
+        return real_from_ints(clauses, m0)
+
+    monkeypatch.setattr(harness, "formula_from_ints", from_ints)
+    assert shrink(one_clause) == one_clause
+    for mismatch in fuzz(42, 10):
+        shrink(mismatch)
+    assert built and min(built) == 1
 
 
 def test_shrink_never_grows():

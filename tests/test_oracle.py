@@ -10,7 +10,7 @@ import random
 import pytest
 
 from twomaxsat.cli import main
-from twomaxsat.errors import TooManyVariablesError
+from twomaxsat.errors import ResourceCapError
 from twomaxsat.formula import (
     Assignment,
     DnfConjunction,
@@ -100,7 +100,7 @@ def test_decide(name, k, expected, capsys, monkeypatch):
 
 def test_variable_cap():
     f = formula_from_ints([[1, 2], [3, -1]], 3)
-    with pytest.raises(TooManyVariablesError):
+    with pytest.raises(ResourceCapError):
         oracle_max_sat(f, variable_cap=2)
 
 

@@ -90,6 +90,14 @@ def test_single_conjunction_ordering():
     assert sorted(v.name for v in ordering.variables) == ["v1", "y1"]
 
 
+def test_no_conjunctions():
+    assert sequence_frequencies([]) == {}
+    with pytest.raises(
+        ValueError, match="^frequency ordering needs at least one padded conjunction$"
+    ):
+        frequency_ordering([])
+
+
 def test_build_sequences_running_lexical(running):
     d = cnf_to_dnf(running)
     seqs = build_sequences(pad_missing(d), lexical_ordering(d))

@@ -218,6 +218,13 @@ def test_overlay_short_mapped_path(ce1):
         overlay_spans(trie, broken, pstars)
 
 
+def test_merge_rejects_pgraph_without_start(ce1):
+    _, pgraphs, _ = _stages(ce1, "y1>y2>v1")
+    headless = PGraph(pgraphs[1].label, pgraphs[1].items[1:], ())
+    with pytest.raises(ValueError, match="^p-graph b does not begin with '#'$"):
+        merge_main_paths([pgraphs[0], headless])
+
+
 def test_run_closure_and_overlay_match_per_span_reference():
     # the builtins, the seed-1 formulas n0 = 8..16 and the front ends fuzz(42, 100) checks
     from tests.conftest import seed1_formula
