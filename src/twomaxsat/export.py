@@ -8,7 +8,7 @@ creation-ordered collections so exports are byte-stable.
 The graph exports write the text ``json.dumps(indent=2)`` would, from
 ``bytes`` ``%`` templates instead of a dict payload and the pure-Python
 indented encoder: ``trie_json_text`` and ``trielike_json_text`` straight
-from the trie and the owner map (no span edge objects), and
+from the trie and its sorted owner items (``TrieLikeGraph.span_edges``), and
 ``layered_json_text`` from one replay of the memo, since the layered graph
 can hold millions of instances.  ``bytes`` ``%`` finds its next field with
 ``memchr`` where ``str`` ``%`` scans character by character, and a ``%s``
@@ -97,11 +97,10 @@ def trie_dot(trie: Trie) -> str:
 def trielike_dot(g: TrieLikeGraph) -> str:
     lines = ["digraph trielike {", "  node [shape=circle];"]
     _trie_nodes_dot(g.trie, lines)
-    for edge in g.span_edges:
-        owners = ",".join(sorted(edge.labels))
+    for (child, parent), labels in g.span_edges:
+        owners = ",".join(sorted(labels))
         lines.append(
-            f"  n{edge.child} -> n{edge.parent} "
-            f'[style=dashed, constraint=false, tooltip="{owners}"];'
+            f'  n{child} -> n{parent} [style=dashed, constraint=false, tooltip="{owners}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -210,10 +209,10 @@ def trie_json_text(trie: Trie) -> str:
 def trielike_json_text(g: TrieLikeGraph) -> str:
     """The trie-like graph's JSON export: the trie's sections, then the span
     edges by (child, parent) with their sorted owners and the node map by
-    conjunction label, written from the owner map without building span edges."""
+    conjunction label."""
     span_edges = [
         _SPAN_EDGE % (child, parent, json_array(map(json_string, sorted(labels)), 3))
-        for (child, parent), labels in sorted(g.owners.items())
+        for (child, parent), labels in g.span_edges
     ]
     node_map = [
         b",\n    %s: %s" % (json_string(label), json_array((b"%d" % k for k in path), 2))

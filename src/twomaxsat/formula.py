@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import FormulaParseError, PartialAssignmentError
+from .errors import FormulaParseError
 
 _DIMACS_INT = re.compile(r"-?[0-9]+")  # ASCII only: no '+', '_' or other scripts' digits
 # bytes.split()'s whitespace; str.split() would also split on Unicode spaces,
@@ -149,13 +149,6 @@ class Assignment:
         return {v.name: self.values[v.id] for v in variables}
 
 
-def _require_total(a: Assignment, variables: Sequence[Variable]) -> None:
-    if len(a.values) < len(variables):
-        raise PartialAssignmentError(
-            f"assignment covers {len(a.values)} variables, need {len(variables)}"
-        )
-
-
 def formula_from_ints(pairs: Iterable[Sequence[int]], m0: int) -> CnfFormula:
     """Build a CnfFormula from DIMACS-style literal pairs (1-based, sign = polarity)."""
     variables = tuple(Variable(i, f"v{i + 1}") for i in range(m0))
@@ -265,8 +258,10 @@ def pad_missing(d: DnfFormula) -> list[PaddedConjunction]:
 
 
 def eval_cnf(f: CnfFormula, a: Assignment) -> int:
-    """Count clauses satisfied by a total assignment (range 0..n0)."""
-    _require_total(a, f.variables)
+    """Count clauses satisfied by a total assignment (range 0..n0); a short one
+    raises ValueError."""
+    if len(a.values) < len(f.variables):
+        raise ValueError(f"assignment covers {len(a.values)} variables, need {len(f.variables)}")
     return sum(
         1
         for clause in f.clauses

@@ -171,7 +171,9 @@ def diagnose_skip_over(run: PipelineRun) -> tuple[SkipOverEdge, ...]:
     For each span-kind edge inside the witness, the leaf labels reachable
     below its child are compared against the edge's owner labels; any label
     that climbed through a span it does not own is a skip-over.  Reads only
-    the witness closure, never the whole layered graph.
+    the witness closure, never the whole layered graph.  The owner map and
+    the parent rows come from the same runs, so a span edge with no owner
+    entry is a bug and raises ``KeyError``.
     """
     witness = run.answer.witness
     trie = run.trielike.trie
@@ -189,8 +191,8 @@ def diagnose_skip_over(run: PipelineRun) -> tuple[SkipOverEdge, ...]:
             continue
         child_node = witness.nodes[edge.child].trie_node
         parent_node = witness.nodes[edge.parent].trie_node
-        owners = run.trielike.span_owners(child_node, parent_node)
-        violating = below[edge.child] - owners
+        owners = run.trielike.owners[child_node, parent_node]
+        violating = below[edge.child].difference(owners)
         if violating:
             findings.append(
                 SkipOverEdge(

@@ -12,7 +12,6 @@ as binary digit planes.  All 2^m assignments are covered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import ResourceCapError
@@ -28,7 +27,6 @@ class OracleResult:
     assignments_tried: int
 
 
-@lru_cache(maxsize=32)
 def _columns(m: int) -> tuple[int, ...]:
     size = 1 << m
     cols = []

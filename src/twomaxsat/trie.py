@@ -23,10 +23,8 @@ hands them to the ``TrieLikeGraph``, which fills the ``parent_ids`` rows and
 discovery for the layered search deliberately ignores which conjunctions own
 a span edge (the skip-over flaw), so the ``owners`` dict from (child,
 parent) to the conjunctions that put the edge there is built only when read:
-by the harness' diagnosis (``span_owners``), ``span_edges`` and the
-trie-like JSON export.  ``TrieLikeGraph.span_edges`` lists the edges as
-``SpanEdge`` objects on first read, for the trie-like DOT export, the traced
-benchmark and the tests.
+by the harness' diagnosis, which indexes it, and by ``span_edges``, its items
+sorted by (child, parent), which both trie-like exports write.
 """
 
 from __future__ import annotations
@@ -147,15 +145,6 @@ def merge_main_paths(pgraphs: Sequence[PGraph]) -> tuple[Trie, NodeMap]:
     return Trie(nodes), {label: tuple(path) for label, path in paths.items()}
 
 
-@dataclass(frozen=True)
-class SpanEdge:
-    """A rootward span edge: child is deeper on the path, parent closer to '#'."""
-
-    child: int
-    parent: int
-    labels: frozenset[str]
-
-
 Owners = dict[tuple[int, int], list[str]]
 Runs = dict[str, tuple[tuple[int, int], ...]]
 
@@ -180,8 +169,10 @@ class TrieLikeGraph:
     ``owners`` maps each span edge (child, parent) to the conjunctions whose
     closed spans put it there, each named once: a conjunction's spans all lie
     on its own path, so it adds a given edge once.  The search never reads
-    it, so it is built on first read, by ``span_owners``, ``span_edges`` or
-    the trie-like JSON export.
+    it, so it is built on first read, by the diagnosis or ``span_edges``.
+    It comes from the same runs as the rows, so every span entry of a row
+    has its key, which the diagnosis indexes.  ``span_edges`` is its one
+    sorted view, which both trie-like exports read.
     """
 
     trie: Trie
@@ -223,16 +214,10 @@ class TrieLikeGraph:
         """(parent, kind) per entry of row `nid`: "main" first, "span" after."""
         return zip(self.parent_ids[nid], chain(("main",), repeat("span")))
 
-    def span_owners(self, child: int, parent: int) -> frozenset[str]:
-        return frozenset(self.owners.get((child, parent), ()))
-
     @cached_property
-    def span_edges(self) -> tuple[SpanEdge, ...]:
-        """Every span edge by (child, parent), with its owners; built on first read."""
-        return tuple(
-            SpanEdge(child, parent, frozenset(labels))
-            for (child, parent), labels in sorted(self.owners.items())
-        )
+    def span_edges(self) -> list[tuple[tuple[int, int], list[str]]]:
+        """The ``owners`` items by (child, parent), for the exports; built on first read."""
+        return sorted(self.owners.items())
 
     @property
     def vertex_count(self) -> int:

@@ -38,8 +38,9 @@ the search must build no ``Group`` or ``MergeEvent`` on its way.
 
 The front end has its own gate.  ``reference_close_spans`` and
 ``reference_overlay`` are the per-span closure and overlay that the run-based
-``close_spans``/``overlay_spans`` replaced: one ``Span`` per closed span and
-one ``SpanEdge`` per distinct edge, sorted twice.
+``close_spans``/``overlay_spans`` replaced: one ``Span`` per closed span, and
+one ``((child, parent), labels)`` item per distinct edge in (child, parent)
+order, the shape of ``TrieLikeGraph.span_edges``.
 ``assert_front_matches_reference`` requires the run-based front end to give
 the same spans, counts, span edges, parent rows and owners.
 ``eager_owner_overlay`` is the owner map that ``overlay_spans`` filled on
@@ -85,7 +86,6 @@ from twomaxsat.subsets import RootedSubgraph, _created_masks, _subgraph
 from twomaxsat.trie import (
     NodeMap,
     Owners,
-    SpanEdge,
     Trie,
     TrieLikeGraph,
     TrieNode,
@@ -119,7 +119,7 @@ def walk_parents(g: TrieLikeGraph, node_id: int) -> list[tuple[int, str]]:
     """(parent, kind) of a node: its ``TrieNode.parent``, then span targets by id."""
     parent = g.trie.node(node_id).parent
     out = [] if parent is None else [(parent, "main")]
-    targets = sorted(e.parent for e in g.span_edges if e.child == node_id)
+    targets = sorted(parent for (child, parent), _ in g.span_edges if child == node_id)
     return out + [(pid, "span") for pid in targets]
 
 
@@ -540,10 +540,12 @@ def reference_close_spans(p: PGraph) -> tuple[Span, ...]:
     return tuple(spans)
 
 
-def reference_overlay(node_map: NodeMap, pgraphs: Sequence[PGraph]) -> tuple[SpanEdge, ...]:
-    """One rootward edge map[j] -> map[i] per closed span (i, j); duplicates merge labels."""
-    edges: dict[tuple[int, int], set[str]] = {}
-    order: list[tuple[int, int]] = []
+def reference_overlay(
+    node_map: NodeMap, pgraphs: Sequence[PGraph]
+) -> list[tuple[tuple[int, int], list[str]]]:
+    """One rootward edge map[j] -> map[i] per closed span (i, j); duplicates merge
+    labels, each named once in p-graph order, and the edges are sorted."""
+    edges: Owners = {}
     for p in pgraphs:
         label = p.label
         if label not in node_map:
@@ -554,15 +556,10 @@ def reference_overlay(node_map: NodeMap, pgraphs: Sequence[PGraph]) -> tuple[Spa
                 raise ValueError(
                     f"span {span} of {label} outside the mapped sequence"
                 )
-            key = (mapped[span.to_pos], mapped[span.from_pos])
-            if key not in edges:
-                edges[key] = set()
-                order.append(key)
-            edges[key].add(label)
-    return tuple(
-        SpanEdge(child, parent, frozenset(edges[(child, parent)]))
-        for child, parent in sorted(order)
-    )
+            labels = edges.setdefault((mapped[span.to_pos], mapped[span.from_pos]), [])
+            if label not in labels:
+                labels.append(label)
+    return sorted(edges.items())
 
 
 def eager_owner_overlay(
@@ -616,12 +613,14 @@ def assert_front_matches_reference(front: FrontEnd) -> None:
     # the rows as the per-span TrieLikeGraph built them: main parent, then
     # the span edges stably sorted by parent
     rows = {node.id: [] if node.parent is None else [(node.parent, "main")] for node in g.trie.nodes}
-    for edge in sorted(edges, key=lambda e: e.parent):
-        rows[edge.child].append((edge.parent, "span"))
+    for (child, parent), _ in sorted(edges, key=lambda e: e[0][1]):
+        rows[child].append((parent, "span"))
     for node in g.trie.nodes:
         assert list(g.parent_edges(node.id)) == rows[node.id], (where, node.id)
-    for edge in edges:
-        assert g.span_owners(edge.child, edge.parent) == edge.labels, (where, edge)
+    # the diagnosis indexes the owner map itself
+    assert len(g.owners) == len(edges), where
+    for key, labels in edges:
+        assert g.owners[key] == labels, (where, key)
 
 
 def reference_merge_main_paths(pgraphs: Sequence[PGraph]) -> tuple[Trie, NodeMap]:
@@ -714,8 +713,8 @@ def reference_trie_json(trie: Trie) -> dict[str, Any]:
 def reference_trielike_json(g: TrieLikeGraph) -> dict[str, Any]:
     payload = reference_trie_json(g.trie)
     payload["span_edges"] = [
-        {"child": e.child, "parent": e.parent, "labels": sorted(e.labels)}
-        for e in g.span_edges
+        {"child": child, "parent": parent, "labels": sorted(labels)}
+        for (child, parent), labels in g.span_edges
     ]
     payload["node_map"] = {
         label: list(path) for label, path in sorted(g.node_map.items())
@@ -842,8 +841,8 @@ def diagnose_skip_over(run) -> tuple[SkipOverEdge, ...]:
                 continue
             child_node = lg.instances[edge.child].trie_node
             parent_node = lg.instances[edge.parent].trie_node
-            owners = lg.source.span_owners(child_node, parent_node)
-            violating = labels_below(edge.child) - owners
+            owners = lg.source.owners[child_node, parent_node]
+            violating = labels_below(edge.child).difference(owners)
             if violating:
                 findings.append(
                     SkipOverEdge(

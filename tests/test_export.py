@@ -154,6 +154,24 @@ def test_builtin_export_bytes_pinned():
     assert digest.hexdigest() == PINNED_BUILTIN_EXPORTS
 
 
+# CI's grid.cnf: criterion 7's rule with seed 1, n0 = 6, m0 = 8
+GRID_DIMACS = "p cnf 8 6\n3 3 0\n-8 7 0\n-2 -2 0\n-7 -1 0\n5 -2 0\n1 1 0\n"
+
+# sha256 over the span-reading exports (p-graph and p*-graph DOT, trie-like
+# DOT and JSON) of seed-1 n0 = 8 and 12 and of the grid formula, under the
+# frequency ordering; the builtins' fronts have at most 4 clauses
+PINNED_FRONT_EXPORTS = "d6fd9686a7325b5df7dc7af09ba0bec5f87b8e6150ff3f4bbd6ee004c4a6ba3b"
+
+
+def test_front_end_export_bytes_pinned():
+    digest = hashlib.sha256()
+    for f in (seed1_formula(8), seed1_formula(12), parse_cnf(GRID_DIMACS)):
+        run = run_pipeline(f, ordering="frequency", algorithm=1)
+        for stage, fmt in (("pgraphs", "dot"), ("pstars", "dot"), ("trielike", "dot"), ("trielike", "json")):
+            digest.update(export_stage(run, stage, fmt).encode())
+    assert digest.hexdigest() == PINNED_FRONT_EXPORTS
+
+
 def _assert_layered_exports_match_reference(lg, witness, where: str) -> None:
     # both writers read the memo alone; the references read the unfolded graph
     with refusing_groups():

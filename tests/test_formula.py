@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twomaxsat.errors import FormulaParseError, PartialAssignmentError
+from twomaxsat.errors import FormulaParseError
 from twomaxsat.formula import (
     Assignment,
     DnfFormula,
@@ -203,7 +203,7 @@ def test_eval_cnf_running_all_false(running):
 
 
 def test_eval_cnf_partial_assignment(running):
-    with pytest.raises(PartialAssignmentError):
+    with pytest.raises(ValueError, match=r"^assignment covers 1 variables, need 3$"):
         eval_cnf(running, Assignment((True,)))
 
 

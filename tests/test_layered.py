@@ -93,7 +93,7 @@ def test_edge_provenance(running, ce1, ce3):
     for f, spec in ((running, "lexical"), (ce1, "y1>y2>v1"), (ce3, "y2>y1>v1")):
         g = _trielike(f, spec)
         for lg in map(unfold, (build_layered_alg1(g), build_layered_alg3(g))):
-            span_pairs = {(e.child, e.parent) for e in g.span_edges}
+            span_pairs = {key for key, _ in g.span_edges}
             for edge in lg.edges:
                 child = lg.instances[edge.child]
                 parent = lg.instances[edge.parent]
@@ -238,8 +238,8 @@ def test_every_merge_degenerates_on_pipeline_graphs():
         ordering = tie_consistent_orderings(f, 1)[0]
         run = run_pipeline(f, ordering=list(ordering), algorithm=3)
         g = run.trielike
-        for edge in g.span_edges:
-            assert edge.parent in g.trie.ancestors(edge.child)
+        for (child, parent), _ in g.span_edges:
+            assert parent in g.trie.ancestors(child)
         for event in run.layered.merge_events:
             assert event.degenerate
             if event.case == "case1":
